@@ -15,29 +15,60 @@
  *  2. "udma" — a saturating multi-node UDMA traffic mix: a 4-node
  *     ring streaming user-level channel records, exercising proxy
  *     faults, context switches, NI delivery and DMA completion events.
- *     Reports host ns per simulated event plus TLB and
- *     proxy-translation-cache hit rates.
+ *     Reports host ns per simulated event, heap allocations per
+ *     simulated event (counted by this binary's operator new), and
+ *     TLB and proxy-translation-cache hit rates.
  *
  * Output: BENCH_selfperf.json via --stats-json=<path>. With
- * --check-against=<committed.json> the run compares its events/sec
- * against the committed baseline and exits nonzero (loudly) on a
- * regression beyond --tolerance (default 0.20) — the CI self-perf
- * gate in tools/run_checks.sh.
+ * --check-against=<committed.json> the run is the CI self-perf gate
+ * in tools/run_checks.sh. It first checks that the udma mix simulated
+ * exactly the committed number of events (a faster run of different
+ * work proves nothing), then that its allocations per event and the
+ * events-core events/sec are within --tolerance (default 0.20) of the
+ * committed baseline; it exits nonzero, loudly, on any failure.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "core/system.hh"
 #include "msg/channel.hh"
 #include "sim/random.hh"
+
+namespace
+{
+
+/** Every operator new call in this binary (the udma mix's counter). */
+std::atomic<std::uint64_t> g_heapAllocs{0};
+
+void *
+countedNew(std::size_t n)
+{
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedNew(n); }
+void *operator new[](std::size_t n) { return countedNew(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 using namespace shrimp;
 using namespace shrimp::core;
@@ -178,6 +209,7 @@ runEventCore(std::uint64_t target_events, unsigned actors)
 struct UdmaMixResult
 {
     std::uint64_t simEvents = 0;
+    std::uint64_t heapAllocs = 0;
     double hostSec = 0;
     double tlbHitRate = 0;
     double tcacheHitRate = 0;
@@ -193,6 +225,12 @@ struct UdmaMixResult
     nsPerEvent() const
     {
         return simEvents > 0 ? hostSec * 1e9 / double(simEvents) : 0;
+    }
+
+    double
+    allocsPerEvent() const
+    {
+        return simEvents > 0 ? double(heapAllocs) / double(simEvents) : 0;
     }
 };
 
@@ -251,12 +289,14 @@ runUdmaMix(unsigned records)
             });
     }
 
+    const std::uint64_t allocs0 = g_heapAllocs.load();
     auto t0 = std::chrono::steady_clock::now();
     sys.runUntilAllDone(Tick(600) * tickSec);
     sys.run();
     auto t1 = std::chrono::steady_clock::now();
 
     UdmaMixResult res;
+    res.heapAllocs = g_heapAllocs.load() - allocs0;
     res.simEvents = sys.eq().eventsExecuted();
     res.hostSec = hostSeconds(t0, t1);
 
@@ -354,6 +394,9 @@ main(int argc, char **argv)
     report.setParam("target_events", double(target_events));
     report.setParam("actors", double(actors));
     report.setParam("records", double(records));
+    report.setParam("host_cores", double(hostCoreCount()));
+    report.setParam("host_hw_threads",
+                    double(std::max(1u, std::thread::hardware_concurrency())));
 
     std::printf("# simulation-core self-performance (host wall clock)\n");
 
@@ -370,11 +413,11 @@ main(int argc, char **argv)
 
     UdmaMixResult mix = runUdmaMix(records);
     std::printf("udma-mix: %llu sim events, %.3f s host, %.0f events/s,"
-                " %.1f ns/event, tlb-hit %.3f, tcache-hit %.3f, "
-                "%.1f MB/s aggregate\n",
+                " %.1f ns/event, %.4f allocs/event, tlb-hit %.3f, "
+                "tcache-hit %.3f, %.1f MB/s aggregate\n",
                 (unsigned long long)mix.simEvents, mix.hostSec,
-                mix.eventsPerSec(), mix.nsPerEvent(), mix.tlbHitRate,
-                mix.tcacheHitRate, mix.aggregateMbs);
+                mix.eventsPerSec(), mix.nsPerEvent(), mix.allocsPerEvent(),
+                mix.tlbHitRate, mix.tcacheHitRate, mix.aggregateMbs);
 
     report.addMetric("events_per_sec", ev.eventsPerSec());
     report.addMetric("host_ns_per_event", ev.nsPerEvent());
@@ -385,6 +428,7 @@ main(int argc, char **argv)
     report.addMetric("udma_events_per_sec", mix.eventsPerSec());
     report.addMetric("udma_host_ns_per_event", mix.nsPerEvent());
     report.addMetric("udma_sim_events", double(mix.simEvents));
+    report.addMetric("udma_allocs_per_event", mix.allocsPerEvent());
     report.addMetric("tlb_hit_rate", mix.tlbHitRate);
     report.addMetric("tcache_hit_rate", mix.tcacheHitRate);
     report.addMetric("udma_aggregate_mb_s", mix.aggregateMbs);
@@ -401,9 +445,56 @@ main(int argc, char **argv)
         }
         std::stringstream ss;
         ss << in.rdbuf();
+        const std::string text = ss.str();
+
+        // Identity before speed: the committed figures describe one
+        // exact simulated workload.
+        double base_events = 0;
+        if (!scanJsonNumber(text, "udma_sim_events", base_events)) {
+            std::fprintf(stderr,
+                         "SELF-PERF GATE ERROR: no udma_sim_events in "
+                         "%s\n",
+                         check_against.c_str());
+            return 3;
+        }
+        std::printf("self-perf gate: udma mix simulated %llu events, "
+                    "committed baseline %.0f\n",
+                    (unsigned long long)mix.simEvents, base_events);
+        if (double(mix.simEvents) != base_events) {
+            std::fprintf(stderr,
+                         "SELF-PERF WORKLOAD CHANGED: the udma mix ran "
+                         "%llu simulated events, the committed baseline "
+                         "%.0f (%s); its figures no longer describe this "
+                         "workload — regenerate the baseline\n",
+                         (unsigned long long)mix.simEvents, base_events,
+                         check_against.c_str());
+            return 1;
+        }
+
+        double base_allocs = 0;
+        if (!scanJsonNumber(text, "udma_allocs_per_event", base_allocs)) {
+            std::fprintf(stderr,
+                         "SELF-PERF GATE ERROR: no udma_allocs_per_event "
+                         "in %s\n",
+                         check_against.c_str());
+            return 3;
+        }
+        const double alloc_ceiling = base_allocs * (1.0 + tolerance);
+        std::printf("self-perf gate: %.4f allocs/event vs committed "
+                    "baseline %.4f (ceiling %.4f)\n",
+                    mix.allocsPerEvent(), base_allocs, alloc_ceiling);
+        if (mix.allocsPerEvent() > alloc_ceiling) {
+            std::fprintf(stderr,
+                         "SELF-PERF ALLOCATION REGRESSION: %.4f heap "
+                         "allocations per simulated event is more than "
+                         "%.0f%% above the committed baseline %.4f (%s)\n",
+                         mix.allocsPerEvent(), tolerance * 100,
+                         base_allocs, check_against.c_str());
+            return 1;
+        }
+
         double base = 0;
-        if (!scanJsonNumber(ss.str(), "events_per_sec", base)
-            || base <= 0) {
+        if (!scanJsonNumber(text, "events_per_sec", base) || base <= 0) {
             std::fprintf(stderr,
                          "SELF-PERF GATE ERROR: no events_per_sec in "
                          "%s\n",

@@ -35,14 +35,14 @@ DmaEngine::DmaEngine(sim::EventQueue &eq, const sim::MachineParams &params,
 }
 
 void
-DmaEngine::start(TransferDesc desc)
+DmaEngine::start(const TransferDesc &desc)
 {
     SHRIMP_ASSERT(!busy_, "DMA engine started while busy");
     SHRIMP_ASSERT(!desc.segments.empty(), "transfer with no segments");
     for (const auto &s : desc.segments)
         SHRIMP_ASSERT(s.len > 0, "zero-length segment");
 
-    desc_ = std::move(desc);
+    desc_ = desc;
     busy_ = true;
     xferStart_ = eq_.now();
     stalled_ = false;

@@ -82,10 +82,13 @@ class DmaEngine
 
     /**
      * Program the registers and start the transfer state machine.
-     * Checked error if already busy — the UDMA controller and the
-     * kernel driver both guarantee mutual exclusion above this layer.
+     * The descriptor is copied into the registers, reusing their
+     * segment storage, so a caller that keeps its descriptor starts
+     * transfers without allocating. Checked error if already busy —
+     * the UDMA controller and the kernel driver both guarantee mutual
+     * exclusion above this layer.
      */
-    void start(TransferDesc desc);
+    void start(const TransferDesc &desc);
 
     /**
      * Abort the running transfer (the Section 5 extension the paper

@@ -1,5 +1,7 @@
 #include "dma/udma_controller.hh"
 
+#include <algorithm>
+
 #include "sim/span.hh"
 #include "sim/trace.hh"
 
@@ -22,6 +24,7 @@ UdmaController::UdmaController(sim::EventQueue &eq,
       statGroup_(ownerName_)
 {
     io_bus.attach(device_index, this);
+    desc_.onComplete = [this] { engineDone(); };
 
     statGroup_.addScalar("transfersStarted", &started_,
                          "transfers handed to the engine");
@@ -255,14 +258,12 @@ UdmaController::startRequest(const Request &req)
                " mem=", req.memAddr, " dev=", req.devOffset,
                " count=", req.count);
 
-    TransferDesc desc;
-    desc.toDevice = req.toDevice;
-    desc.segments = {Segment{req.memAddr, req.count}};
-    desc.devOffset = req.devOffset;
-    desc.srcProxyAddr = req.srcProxy;
-    desc.dstProxyAddr = req.dstProxy;
-    desc.onComplete = [this] { engineDone(); };
-    engine_.start(std::move(desc));
+    desc_.toDevice = req.toDevice;
+    desc_.segments.assign(1, Segment{req.memAddr, req.count});
+    desc_.devOffset = req.devOffset;
+    desc_.srcProxyAddr = req.srcProxy;
+    desc_.dstProxyAddr = req.dstProxy;
+    engine_.start(desc_);
 }
 
 void
@@ -340,7 +341,11 @@ UdmaController::addPageRefs(const Request &req, int delta)
     Addr first = layout_.pageBase(req.memAddr);
     Addr last = layout_.pageBase(req.memAddr + req.count - 1);
     for (Addr page = first; page <= last; page += layout_.pageBytes()) {
-        auto &cnt = pageRefs_[page];
+        auto it = std::lower_bound(pageRefs_.begin(), pageRefs_.end(),
+                                   PageRef{page, 0});
+        if (it == pageRefs_.end() || it->first != page)
+            it = pageRefs_.insert(it, PageRef{page, 0});
+        std::uint32_t &cnt = it->second;
         if (delta > 0) {
             cnt += std::uint32_t(delta);
         } else {
@@ -348,7 +353,7 @@ UdmaController::addPageRefs(const Request &req, int delta)
                           "page refcount underflow");
             cnt -= std::uint32_t(-delta);
             if (cnt == 0)
-                pageRefs_.erase(page);
+                pageRefs_.erase(it);
         }
     }
 }
@@ -362,8 +367,10 @@ UdmaController::pageBusy(Addr page_base) const
 std::uint32_t
 UdmaController::pageRefCount(Addr page_base) const
 {
-    auto it = pageRefs_.find(page_base);
-    return it == pageRefs_.end() ? 0 : it->second;
+    auto it = std::lower_bound(pageRefs_.begin(), pageRefs_.end(),
+                               PageRef{page_base, 0});
+    return it != pageRefs_.end() && it->first == page_base ? it->second
+                                                           : 0;
 }
 
 bool

@@ -36,8 +36,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bus/io_bus.hh"
 #include "dma/dma_engine.hh"
@@ -175,9 +176,12 @@ class UdmaController : public bus::ProxyClient
         return pending_.valid ? pending_.ownerPid : invalidPid;
     }
 
-    /** Per-page reference counts of the running + queued transfers
-     *  (page base -> count); the auditor's I4 view. */
-    const std::map<Addr, std::uint32_t> &
+    /** (page base, reference count) of one busy page. */
+    using PageRef = std::pair<Addr, std::uint32_t>;
+
+    /** Per-page reference counts of the running + queued transfers,
+     *  ascending by page; the auditor's I4 view. */
+    const std::vector<PageRef> &
     busyPages() const
     {
         return pageRefs_;
@@ -293,7 +297,12 @@ class UdmaController : public bus::ProxyClient
     std::uint32_t systemQueueDepth_;
     Request inFlight_;
     bool inFlightValid_ = false;
-    std::map<Addr, std::uint32_t> pageRefs_;
+    /** The engine's descriptor, reused by every transfer so its
+     *  one-segment list keeps its storage. */
+    TransferDesc desc_;
+    /** Sorted by page. A flat vector: counting pages in and out
+     *  allocates nothing once it has reached its high-water mark. */
+    std::vector<PageRef> pageRefs_;
 
     stats::Scalar started_;
     stats::Scalar aborts_;

@@ -25,7 +25,7 @@ Kernel::Kernel(sim::EventQueue &eq, const sim::MachineParams &params,
                vm::Mmu &mmu)
     : eq_(eq), params_(params), layout_(layout), memory_(memory),
       ioBus_(io_bus), mmu_(mmu), backing_(layout.pageBytes()),
-      frames_(memory.frames())
+      frames_(memory.frames()), pageBuf_(layout.pageBytes())
 {
     freeFrames_.reserve(memory.frames());
     // Hand frames out low-to-high for reproducibility.
@@ -150,7 +150,7 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
 
     Tick lat = 0;
     After after = After::Resume;
-    std::function<void()> functional;
+    Access access;
 
     switch (op->kind) {
       case UserOp::Kind::Compute:
@@ -220,27 +220,13 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
             if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
                 tcache_.insert(proc.pid_, vpn, pte);
         }
+        bus::ProxyClient *client = nullptr;
         if (dec.space == vm::Space::Memory) {
             lat += params_.memAccess();
-            Addr pa = tr.paddr;
-            if (is_write) {
-                std::uint64_t v = op->value;
-                functional = [this, pa, v] {
-                    memory_.write<std::uint64_t>(pa, v);
-                    // Bus snoopers (automatic update) see the store.
-                    for (auto &snoop : snoopers_)
-                        (void)snoop(pa, v);
-                };
-            } else {
-                functional = [this, pa, op] {
-                    op->result.value =
-                        memory_.read<std::uint64_t>(pa);
-                };
-            }
         } else {
             // Proxy space: an uncached reference across the I/O bus,
             // decoded by the owning UDMA controller.
-            bus::ProxyClient *client = ioBus_.client(dec.device);
+            client = ioBus_.client(dec.device);
             if (!client) {
                 killProcess(proc, "proxy access to unattached device");
                 after = After::Kill;
@@ -249,30 +235,44 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
             Tick fin =
                 ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess());
             lat = fin - eq_.now();
-            Addr pa = tr.paddr;
-            if (is_write) {
-                auto v = std::int64_t(op->value);
-                functional = [client, dec, pa, v] {
-                    client->proxyStore(dec, pa, v);
-                };
-            } else {
-                functional = [client, dec, pa, op] {
-                    op->result.value = client->proxyLoad(dec, pa);
-                };
-            }
         }
+        access = Access{is_write ? Access::Kind::Store : Access::Kind::Load,
+                        tr.paddr, op->value, &op->result.value, client};
         break;
       }
     }
 
-    eq_.scheduleIn(
-        lat, "cpu.op",
-        [this, &proc, functional = std::move(functional), after] {
-            if (functional)
-                functional();
-            opDone(proc, after);
-        },
-        sim::EventPriority::CpuResume);
+    auto done = [this, &proc, access, after] {
+        if (access.kind != Access::Kind::None)
+            performAccess(access);
+        opDone(proc, after);
+    };
+    static_assert(sizeof(done) <= sim::EventCallback::inlineBytes,
+                  "every simulated reference must fit the inline buffer");
+    eq_.scheduleIn(lat, "cpu.op", std::move(done),
+                   sim::EventPriority::CpuResume);
+}
+
+void
+Kernel::performAccess(const Access &a)
+{
+    const bool is_write = a.kind == Access::Kind::Store;
+    if (!a.client) {
+        if (is_write) {
+            memory_.write<std::uint64_t>(a.pa, a.datum);
+            // Bus snoopers (automatic update) see the store.
+            for (auto &snoop : snoopers_)
+                (void)snoop(a.pa, a.datum);
+        } else {
+            *a.result = memory_.read<std::uint64_t>(a.pa);
+        }
+        return;
+    }
+    const vm::Decoded dec = layout_.decode(a.pa);
+    if (is_write)
+        a.client->proxyStore(dec, a.pa, std::int64_t(a.datum));
+    else
+        *a.result = a.client->proxyLoad(dec, a.pa);
 }
 
 void
@@ -656,9 +656,8 @@ Kernel::ensureResident(Process &proc, Addr va, bool for_write,
     Addr fa = memory_.frameAddr(frame);
 
     if (backing_.contains(proc.pid_, vpn)) {
-        std::vector<std::uint8_t> buf(layout_.pageBytes());
-        backing_.load(proc.pid_, vpn, buf.data());
-        memory_.writeBytes(fa, buf.data(), buf.size());
+        backing_.load(proc.pid_, vpn, pageBuf_.data());
+        memory_.writeBytes(fa, pageBuf_.data(), pageBuf_.size());
         lat += params_.swapPage();
     } else {
         memory_.zeroFrame(frame);
@@ -783,9 +782,8 @@ Kernel::evictFrame(std::uint64_t frame, Tick &lat)
 
     if (pageConsideredDirty(*owner, f.vpn, *pte)) {
         // Clean: write the page to backing store.
-        std::vector<std::uint8_t> buf(layout_.pageBytes());
-        memory_.readBytes(fa, buf.data(), buf.size());
-        backing_.store(f.pid, f.vpn, buf.data());
+        memory_.readBytes(fa, pageBuf_.data(), pageBuf_.size());
+        backing_.store(f.pid, f.vpn, pageBuf_.data());
         lat += params_.swapPage();
     }
 
@@ -891,9 +889,8 @@ Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
     if (pageBusyAnywhere(page_base))
         return false;
     if (pageConsideredDirty(proc, vpn, *pte)) {
-        std::vector<std::uint8_t> buf(layout_.pageBytes());
-        memory_.readBytes(page_base, buf.data(), buf.size());
-        backing_.store(proc.pid_, vpn, buf.data());
+        memory_.readBytes(page_base, pageBuf_.data(), pageBuf_.size());
+        backing_.store(proc.pid_, vpn, pageBuf_.data());
         clearPageDirty(proc, vpn, *pte);
         lat += params_.swapPage();
     }
@@ -1145,27 +1142,18 @@ Kernel::performUserAccess(Process &proc, Addr va, bool is_write,
         if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
             tcache_.insert(proc.pid_, vpn, pte);
     }
-    if (dec.space == vm::Space::Memory) {
-        if (is_write) {
-            memory_.write<std::uint64_t>(tr.paddr, value);
-            for (auto &snoop : snoopers_)
-                (void)snoop(tr.paddr, value);
-        } else {
-            res.value = memory_.read<std::uint64_t>(tr.paddr);
-        }
-    } else {
-        bus::ProxyClient *client = ioBus_.client(dec.device);
+    bus::ProxyClient *client = nullptr;
+    if (dec.space != vm::Space::Memory) {
+        client = ioBus_.client(dec.device);
         if (!client) {
             killProcess(proc, "proxy access to unattached device");
             actorOverride_ = nullptr;
             res.killed = true;
             return res;
         }
-        if (is_write)
-            client->proxyStore(dec, tr.paddr, std::int64_t(value));
-        else
-            res.value = client->proxyLoad(dec, tr.paddr);
     }
+    performAccess(Access{is_write ? Access::Kind::Store : Access::Kind::Load,
+                         tr.paddr, value, &res.value, client});
     actorOverride_ = nullptr;
     res.ok = true;
     return res;

@@ -414,6 +414,33 @@ class Kernel
         bool killed = false;
     };
 
+    /**
+     * The functional half of one translated LOAD/STORE, performed when
+     * the reference's cpu.op event fires. Plain data, so the event's
+     * capture fits EventCallback's inline buffer; a proxy reference is
+     * decoded again from @c pa when performed.
+     */
+    struct Access
+    {
+        enum class Kind : std::uint8_t
+        {
+            None,
+            Load,
+            Store,
+        };
+        Kind kind = Kind::None;
+        Addr pa = 0;
+        /** Store: the datum written. */
+        std::uint64_t datum = 0;
+        /** Load: where the loaded value goes. */
+        std::uint64_t *result = nullptr;
+        /** Proxy space: the controller decoding the cycle; memory: null. */
+        bus::ProxyClient *client = nullptr;
+    };
+
+    /** Write memory (and notify the snoopers) or drive a proxy cycle. */
+    void performAccess(const Access &a);
+
     void opDone(Process &proc, After after);
     void dispatch();
     void resumeProcess(Process &proc);
@@ -509,6 +536,8 @@ class Kernel
     std::vector<FrameInfo> frames_;
     std::vector<std::uint64_t> freeFrames_;
     std::size_t clockHand_ = 0;
+    /** Staging buffer for a page on its way to or from swap. */
+    std::vector<std::uint8_t> pageBuf_;
 
     stats::Scalar switches_;
     stats::Scalar memFaults_;

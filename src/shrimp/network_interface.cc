@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ranges>
 
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
@@ -603,12 +604,8 @@ NetworkInterface::fastRetransmitPass(NodeId dst, TxFlow &flow)
     Tick rescueQuiet = wireRoundTripFloor(dst);
     if (flow.rtt.valid && flow.rtt.srtt > rescueQuiet)
         rescueQuiet = flow.rtt.srtt;
-    struct Hole
-    {
-        std::size_t idx;
-        bool rescue;
-    };
-    std::vector<Hole> holes;
+    std::vector<RtxHole> &holes = rtxHoles_;
+    holes.clear();
     unsigned sackedAbove = 0;
     for (std::size_t i = flow.unacked.size(); i-- > 0;) {
         const TxChunk &c = flow.unacked[i];
@@ -945,11 +942,8 @@ NetworkInterface::sendAck(NodeId src)
 
     AckInfo ack;
     ack.cum = flow.drained;
-    std::vector<std::uint64_t> held;
-    held.reserve(flow.ooo.size());
-    for (const auto &kv : flow.ooo)
-        held.push_back(kv.first);
-    ack.sack = sackEncode(flow.drained, flow.expected, held);
+    ack.sack =
+        sackEncode(flow.drained, flow.expected, std::views::keys(flow.ooo));
     // ECN-style congestion mark: several senders' credit windows have
     // converged on this node and overcommitted the incoming FIFO
     // beyond its nominal capacity. Purely local state, so the mark is

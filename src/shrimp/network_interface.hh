@@ -581,6 +581,15 @@ class NetworkInterface : public dma::UdmaDevice
     static constexpr std::uint32_t pumpChunkBytes = 256;
     /** Sender flows, indexed by destination NodeId. */
     std::vector<TxFlow> txFlows_;
+    /** A hole fastRetransmitPass resends: chunk index in unacked, and
+     *  whether it is a rescue of an earlier resend. */
+    struct RtxHole
+    {
+        std::size_t idx;
+        bool rescue;
+    };
+    /** fastRetransmitPass's scratch list, kept to reuse its storage. */
+    std::vector<RtxHole> rtxHoles_;
 
     // Receive state.
     std::deque<RxChunk> rxChunks_;

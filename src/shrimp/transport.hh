@@ -22,6 +22,7 @@
 #define SHRIMP_SHRIMP_TRANSPORT_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "sim/types.hh"
@@ -57,14 +58,15 @@ struct AckInfo
 
 /**
  * Encode the SACK bitmap: bit i set iff `cum + i` appears in
- * @p received (any order, duplicates tolerated) or is below
- * @p in_order_below (the receiver's `expected` watermark — everything
- * under it was accepted in order and is draining). Seqs outside
- * [cum, cum + sackWindow) are ignored.
+ * @p received (any range of seqs, any order, duplicates tolerated) or
+ * is below @p in_order_below (the receiver's `expected` watermark —
+ * everything under it was accepted in order and is draining). Seqs
+ * outside [cum, cum + sackWindow) are ignored.
  */
-inline std::uint64_t
+template <typename SeqRange = std::initializer_list<std::uint64_t>>
+std::uint64_t
 sackEncode(std::uint64_t cum, std::uint64_t in_order_below,
-           const std::vector<std::uint64_t> &received)
+           const SeqRange &received)
 {
     std::uint64_t bits = 0;
     for (unsigned i = 0; i < sackWindow; ++i) {

@@ -17,14 +17,67 @@
 #define SHRIMP_SIM_CORO_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <utility>
 
 #include "sim/logging.hh"
 
+// AddressSanitizer must see every frame's real lifetime, so the frame
+// pool below is compiled out of ASan builds.
+#if defined(__SANITIZE_ADDRESS__)
+#define SHRIMP_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SHRIMP_FRAME_POOL 0
+#endif
+#endif
+#ifndef SHRIMP_FRAME_POOL
+#define SHRIMP_FRAME_POOL 1
+#endif
+
 namespace shrimp::sim
 {
+
+/**
+ * Recycles coroutine frames. Every call of a Task helper (a UDMA
+ * initiation, a channel send, a completion poll) creates a frame, and
+ * one simulated transfer makes several; the promise types below get
+ * them here. A released frame (up to 2 KiB) goes onto the releasing
+ * thread's free list for its 64-byte size class and the next frame of
+ * that class reuses it, so a simulation in steady state allocates no
+ * frames. Each thread (the caller, or a sharded-engine worker) has its
+ * own lists, so the pool takes no lock; a frame released on another
+ * thread than the one that allocated it joins the releasing thread's
+ * lists. The lists are bounded per class and freed when their thread
+ * exits.
+ */
+class FramePool
+{
+  public:
+    /** False in AddressSanitizer builds: frames come from the heap. */
+    static constexpr bool enabled = SHRIMP_FRAME_POOL;
+
+    static void *allocate(std::size_t bytes);
+    static void release(void *frame, std::size_t bytes) noexcept;
+};
+
+/** Base of a promise type whose coroutine frames use FramePool. */
+struct PooledFrame
+{
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return FramePool::allocate(bytes);
+    }
+
+    static void
+    operator delete(void *frame, std::size_t bytes) noexcept
+    {
+        FramePool::release(frame, bytes);
+    }
+};
 
 /**
  * A fire-and-forget coroutine representing a simulated thread of
@@ -36,7 +89,7 @@ namespace shrimp::sim
 class ProcTask
 {
   public:
-    struct promise_type
+    struct promise_type : PooledFrame
     {
         std::exception_ptr exception;
         std::function<void()> onDone;
@@ -157,7 +210,7 @@ template <typename T>
 class Task
 {
   public:
-    struct promise_type
+    struct promise_type : PooledFrame
     {
         T value{};
         std::exception_ptr exception;
@@ -249,7 +302,7 @@ template <>
 class Task<void>
 {
   public:
-    struct promise_type
+    struct promise_type : PooledFrame
     {
         std::exception_ptr exception;
         std::coroutine_handle<> continuation;

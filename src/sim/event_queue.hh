@@ -32,8 +32,8 @@
  *    string literals and no per-event std::string is ever built.
  *  - Callbacks are stored in EventCallback's inline small-buffer;
  *    only captures larger than EventCallback::inlineBytes fall back
- *    to the heap (counted, so benches can assert the steady state
- *    allocates nothing).
+ *    to the heap (counted, so benches and the allocation guard can
+ *    tell which events still pay it).
  *
  * Cancelled events leave a stale entry in the binary heap (detected by
  * generation mismatch); when stale entries exceed half the heap the
@@ -84,8 +84,13 @@ enum class EventPriority : int
 class EventCallback
 {
   public:
-    /** Inline capture budget; sized for the simulator's largest hot
-     *  lambda (the kernel's cpu.op completion). */
+    /**
+     * Inline capture budget: one cache line. Every simulated CPU
+     * reference's cpu.op completion fits (Kernel::issueOp
+     * static_asserts it); the NI's per-chunk ni.deliver / ni.fwd hops,
+     * which carry a header and a payload vector, do not and take the
+     * heap fallback.
+     */
     static constexpr std::size_t inlineBytes = 64;
 
     EventCallback() = default;

@@ -164,14 +164,16 @@ ShardedEngine::drainShard(unsigned dst_shard, bool both)
     // (source node, per-source counter), so the insertion sequence —
     // and hence the (tick, priority, stamp) execution order — does not
     // depend on how nodes map to shards or how drains were batched.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const CrossMsg &a, const CrossMsg &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         if (a.prio != b.prio)
-                             return a.prio < b.prio;
-                         return a.stamp < b.stamp;
-                     });
+    // Stamps are unique, so the keys are too and an unstable sort
+    // gives the same order without stable_sort's temporary buffer.
+    std::sort(batch.begin(), batch.end(),
+              [](const CrossMsg &a, const CrossMsg &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  if (a.prio != b.prio)
+                      return a.prio < b.prio;
+                  return a.stamp < b.stamp;
+              });
     for (auto &m : batch) {
         queues_[m.dst]->scheduleStamped(m.when, m.stamp, m.name,
                                         std::move(m.fn),

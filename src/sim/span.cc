@@ -53,7 +53,15 @@ Registry::open(Tick now, const std::string &owner, std::uint64_t bytes)
     s.owner = owner;
     s.bytes = bytes;
     s.latched = now;
-    active_.emplace(id, std::move(s));
+    if (spare_.empty()) {
+        active_.emplace(id, std::move(s));
+    } else {
+        ActiveMap::node_type node = std::move(spare_.back());
+        spare_.pop_back();
+        node.key() = id;
+        node.mapped() = std::move(s);
+        active_.insert(std::move(node));
+    }
     ++summary_.opened;
     trace::log(now, trace::Category::Xfer, owner, ": xfer#", id,
                " latched bytes=", bytes);
@@ -84,8 +92,8 @@ Registry::close(Tick now, std::uint64_t id, Outcome outcome)
     auto it = active_.find(id);
     if (it == active_.end())
         return;
-    Span s = std::move(it->second);
-    active_.erase(it);
+    ActiveMap::node_type node = active_.extract(it);
+    Span &s = node.mapped();
     s.ended = now;
     s.outcome = outcome;
     ++summary_.outcomes[unsigned(outcome)];
@@ -94,8 +102,15 @@ Registry::close(Tick now, std::uint64_t id, Outcome outcome)
     trace::log(now, trace::Category::Xfer, s.owner, ": xfer#", id, ' ',
                outcomeName(outcome), " bytes=", s.bytes, " total_us=",
                s.totalUs());
-    retained_.push_back(std::move(s));
-    trim();
+    if (retained_.size() < retainLimit_) {
+        // Reserve the whole ring at once instead of growing it.
+        retained_.reserve(retainLimit_);
+        retained_.push_back(std::move(s));
+    } else if (retainLimit_ > 0) {
+        retained_[oldest_] = std::move(s);
+        oldest_ = (oldest_ + 1) % retainLimit_;
+    }
+    spare_.push_back(std::move(node));
 }
 
 const Span *
@@ -110,6 +125,35 @@ Registry::find(std::uint64_t id) const
             return &s;
     }
     return nullptr;
+}
+
+std::vector<Span>
+Registry::ordered() const
+{
+    std::vector<Span> out(retained_.begin() + std::ptrdiff_t(oldest_),
+                          retained_.end());
+    out.insert(out.end(), retained_.begin(),
+               retained_.begin() + std::ptrdiff_t(oldest_));
+    return out;
+}
+
+std::vector<Span>
+Registry::retained() const
+{
+    std::lock_guard<std::mutex> g(mu_);
+    return ordered();
+}
+
+void
+Registry::setRetainLimit(std::size_t n)
+{
+    std::lock_guard<std::mutex> g(mu_);
+    std::vector<Span> kept = ordered();
+    if (kept.size() > n)
+        kept.erase(kept.begin(), kept.end() - std::ptrdiff_t(n));
+    retained_ = std::move(kept);
+    oldest_ = 0;
+    retainLimit_ = n;
 }
 
 Summary
@@ -129,13 +173,7 @@ Registry::clear()
     summary_ = Summary{};
     active_.clear();
     retained_.clear();
-}
-
-void
-Registry::trim()
-{
-    while (retained_.size() > retainLimit_)
-        retained_.pop_front();
+    oldest_ = 0;
 }
 
 void
@@ -155,7 +193,7 @@ Registry::dumpJson(sim::JsonWriter &w, bool includeSpans) const
     if (includeSpans) {
         w.key("spans");
         w.beginArray();
-        for (const auto &sp : retained_) {
+        for (const auto &sp : retained()) {
             w.beginObject();
             w.field("id", sp.id);
             w.field("owner", sp.owner);

@@ -21,10 +21,10 @@
 #define SHRIMP_SIM_SPAN_HH
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -111,7 +111,7 @@ class Registry
 
     /** Closed spans, oldest first, bounded by the retain limit.
      *  Call only while no simulation is running. */
-    const std::deque<Span> &retained() const { return retained_; }
+    std::vector<Span> retained() const;
 
     std::size_t
     activeCount() const
@@ -121,13 +121,7 @@ class Registry
     }
 
     /** Cap on retained closed spans (aggregates are unaffected). */
-    void
-    setRetainLimit(std::size_t n)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        retainLimit_ = n;
-        trim();
-    }
+    void setRetainLimit(std::size_t n);
 
     /** Drop all spans and aggregates (tests / between experiments). */
     void clear();
@@ -140,8 +134,12 @@ class Registry
     void dumpJson(sim::JsonWriter &w, bool includeSpans = true) const;
 
   private:
+    using ActiveMap = std::unordered_map<std::uint64_t, Span>;
+
     Registry() = default;
-    void trim();
+
+    /** retained_ in age order (caller holds mu_). */
+    std::vector<Span> ordered() const;
 
     /**
      * The registry is process-global while sharded workers open and
@@ -156,8 +154,14 @@ class Registry
     // Keyed lookups and size() only — never iterated (shrimp_lint D3:
     // hash order must not reach dumpJson; retained_ is the ordered
     // view that does).
-    std::unordered_map<std::uint64_t, Span> active_;
-    std::deque<Span> retained_;
+    ActiveMap active_;
+    /** Map nodes of closed spans, reused by open(), so opening and
+     *  closing spans in steady state allocates nothing. */
+    std::vector<ActiveMap::node_type> spare_;
+    /** Closed spans: a ring once it holds retainLimit_ entries, with
+     *  the oldest at oldest_. */
+    std::vector<Span> retained_;
+    std::size_t oldest_ = 0;
     std::size_t retainLimit_ = 256;
 };
 

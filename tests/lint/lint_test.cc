@@ -14,6 +14,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -209,20 +210,21 @@ TEST(LintSuppressions, MalformedDirectivesAreFindings)
 class LintBaseline : public ::testing::Test
 {
   protected:
+    /** Each case runs in its own process under ctest (and possibly
+     *  concurrently), so the file is named for the case and the pid. */
     std::string
     writeBaseline(const std::string &body)
     {
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         std::string path = ::testing::TempDir() + "lint_baseline_"
-                           + std::to_string(counter_++) + ".json";
+                           + info->name() + "_"
+                           + std::to_string(getpid()) + ".json";
         std::ofstream out(path);
         out << body;
         return path;
     }
-
-    static int counter_;
 };
-
-int LintBaseline::counter_ = 0;
 
 TEST_F(LintBaseline, ExactEntrySuppressesAndReportsBaselined)
 {
