@@ -170,7 +170,7 @@ main(int argc, char **argv)
     const unsigned shards = resolveShards(opts, cfg.nodes);
     // Honest parallelism accounting: the affinity mask (what this
     // process may actually use), not the machine's thread count.
-    const unsigned host_cores = hostCoreCount();
+    const unsigned host_cores = sim::hostCoreCount();
     const unsigned host_hw_threads =
         std::max(1u, std::thread::hardware_concurrency());
 

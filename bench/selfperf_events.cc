@@ -394,7 +394,7 @@ main(int argc, char **argv)
     report.setParam("target_events", double(target_events));
     report.setParam("actors", double(actors));
     report.setParam("records", double(records));
-    report.setParam("host_cores", double(hostCoreCount()));
+    report.setParam("host_cores", double(sim::hostCoreCount()));
     report.setParam("host_hw_threads",
                     double(std::max(1u, std::thread::hardware_concurrency())));
 

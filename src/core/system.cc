@@ -5,11 +5,6 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
-#include <thread>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "check/monitor.hh"
 #include "sim/flight_recorder.hh"
@@ -510,24 +505,10 @@ parseRunOptions(int &argc, char **argv)
 }
 
 unsigned
-hostCoreCount()
-{
-#ifdef __linux__
-    cpu_set_t mask;
-    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
-        const int n = CPU_COUNT(&mask);
-        if (n > 0)
-            return unsigned(n);
-    }
-#endif
-    return std::max(1u, std::thread::hardware_concurrency());
-}
-
-unsigned
 resolveShards(const RunOptions &opts, unsigned nodes)
 {
     if (opts.shardsAuto)
-        return std::min(nodes, hostCoreCount());
+        return std::min(nodes, sim::hostCoreCount());
     return std::min(opts.shards, nodes);
 }
 

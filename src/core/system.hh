@@ -351,17 +351,10 @@ RunOptions parseRunOptions(int &argc, char **argv);
 
 /**
  * The shard count a run should use: `auto` resolves to
- * min(nodes, hardware threads), an explicit N is clamped to the node
- * count, 0 stays 0 (legacy single queue).
+ * min(nodes, sim::hostCoreCount()), an explicit N is clamped to the
+ * node count, 0 stays 0 (legacy single queue).
  */
 unsigned resolveShards(const RunOptions &opts, unsigned nodes);
-
-/**
- * The number of CPU cores actually available to this process: the
- * affinity-mask population on Linux (honest under taskset/cgroup
- * pinning), std::thread::hardware_concurrency elsewhere; at least 1.
- */
-unsigned hostCoreCount();
 
 /** Write sys.dumpStatsJson to opts.statsJsonPath if one was given. */
 void writeStatsJson(System &sys, const RunOptions &opts);

@@ -85,6 +85,15 @@ ShardProfiler::noteDrain(unsigned worker, std::uint64_t t0,
         sink_->workerSlice(worker, "drain", t0, t1);
 }
 
+void
+ShardProfiler::noteSpawn(unsigned worker, std::uint64_t t0,
+                         std::uint64_t t1)
+{
+    slots_[worker].s.spawnNs += t1 - t0;
+    if (sink_)
+        sink_->workerSlice(worker, "spawn", t0, t1);
+}
+
 ShardProfiler::Slot
 ShardProfiler::totals() const
 {
@@ -95,6 +104,7 @@ ShardProfiler::totals() const
         t.planNs += p.s.planNs;
         t.syncNs += p.s.syncNs;
         t.drainNs += p.s.drainNs;
+        t.spawnNs += p.s.spawnNs;
         t.windows += p.s.windows;
         t.idleWindows += p.s.idleWindows;
         t.events += p.s.events;
@@ -123,17 +133,18 @@ ShardProfiler::writeTable(std::ostream &os) const
        << wallNs_ / 1000000.0 << " ms) --\n";
     char line[256];
     std::snprintf(line, sizeof line,
-                  "%-6s %9s %9s %9s %9s %9s %7s %9s %10s %9s\n", "shard",
-                  "execute%", "plan%", "sync%", "drain%", "idle%",
-                  "acct%", "windows", "events", "drained");
+                  "%-6s %9s %9s %9s %9s %9s %9s %7s %9s %10s %9s\n",
+                  "shard", "execute%", "plan%", "sync%", "drain%", "idle%",
+                  "spawn%", "acct%", "windows", "events", "drained");
     os << line;
     for (unsigned i = 0; i < slots_.size(); ++i) {
         const Slot &s = slots_[i].s;
         std::snprintf(line, sizeof line,
                       "%-6u %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%% "
-                      "%6.1f%% %9llu %10llu %9llu\n",
+                      "%8.1f%% %6.1f%% %9llu %10llu %9llu\n",
                       i, pct(s.executeNs), pct(s.planNs), pct(s.syncNs),
-                      pct(s.drainNs), pct(s.idleNs), pct(s.accountedNs()),
+                      pct(s.drainNs), pct(s.idleNs), pct(s.spawnNs),
+                      pct(s.accountedNs()),
                       (unsigned long long)s.windows,
                       (unsigned long long)s.events,
                       (unsigned long long)s.drained);
@@ -141,14 +152,15 @@ ShardProfiler::writeTable(std::ostream &os) const
     }
     const Slot t = totals();
     std::snprintf(line, sizeof line,
-                  "%-6s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%% %6.1f%% "
-                  "%9llu %10llu %9llu\n",
+                  "%-6s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%% "
+                  "%6.1f%% %9llu %10llu %9llu\n",
                   "all",
                   pct(t.executeNs) / slots_.size(),
                   pct(t.planNs) / slots_.size(),
                   pct(t.syncNs) / slots_.size(),
                   pct(t.drainNs) / slots_.size(),
                   pct(t.idleNs) / slots_.size(),
+                  pct(t.spawnNs) / slots_.size(),
                   100.0 * accountedFraction(),
                   (unsigned long long)t.windows,
                   (unsigned long long)t.events,
@@ -191,6 +203,7 @@ ShardProfiler::dumpJson(JsonWriter &w) const
     w.field("barrier_sync", t.syncNs);
     w.field("drain", t.drainNs);
     w.field("idle", t.idleNs);
+    w.field("spawn", t.spawnNs);
     w.endObject();
     w.key("per_shard");
     w.beginArray();
@@ -203,6 +216,7 @@ ShardProfiler::dumpJson(JsonWriter &w) const
         w.field("barrier_sync_ns", s.syncNs);
         w.field("drain_ns", s.drainNs);
         w.field("idle_ns", s.idleNs);
+        w.field("spawn_ns", s.spawnNs);
         w.field("windows", s.windows);
         w.field("idle_windows", s.idleWindows);
         w.field("events", s.events);

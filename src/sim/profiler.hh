@@ -4,7 +4,7 @@
  *
  * Answers the question the ROADMAP's scaling work is blocked on: where
  * does parallel wall time actually go? Each worker's window lifecycle
- * is split into five buckets —
+ * is split into six buckets —
  *
  *   execute       running a window's events (>=1 event fired)
  *   idle          an execute phase that fired zero events on this
@@ -16,6 +16,10 @@
  *                 schema stability and reads ~0.
  *   barrier_sync  legacy post-execute sync barrier (see above)
  *   drain         draining cross-shard mailboxes into the queues
+ *   spawn         worker start-up and join around each run: from the
+ *                 engine's entry to the worker's first clock read
+ *                 (inbox drain, thread creation and scheduling), and
+ *                 from its last clock read to the engine's exit
  *
  * — accumulated lock-free in one cache-line-aligned slot per worker
  * (worker == shard in the current engine). The engine notes phase
@@ -31,8 +35,8 @@
  * of planned per-shard window widths (bucket 0 = rounds where the
  * shard had nothing to run — the direct readout of how much the
  * promise-based horizons widen windows beyond the static lookahead),
- * and the engine's adaptive-barrier outcomes (waits resolved by
- * spinning vs. futex sleeps).
+ * and the engine's barrier outcomes (waits resolved by spinning vs.
+ * futex sleeps).
  *
  * The profiler only observes: attaching it changes no sim-visible
  * state, so digests and sim-time metrics are identical with and
@@ -73,6 +77,7 @@ class ShardProfiler
         std::uint64_t planNs = 0;
         std::uint64_t syncNs = 0;
         std::uint64_t drainNs = 0;
+        std::uint64_t spawnNs = 0;
         std::uint64_t windows = 0;      ///< execute phases entered
         std::uint64_t idleWindows = 0;  ///< ... that fired no events
         std::uint64_t events = 0;       ///< events fired in windows
@@ -82,7 +87,8 @@ class ShardProfiler
         std::uint64_t
         accountedNs() const
         {
-            return executeNs + idleNs + planNs + syncNs + drainNs;
+            return executeNs + idleNs + planNs + syncNs + drainNs
+                   + spawnNs;
         }
     };
 
@@ -130,6 +136,9 @@ class ShardProfiler
     void noteSync(unsigned worker, std::uint64_t t0, std::uint64_t t1);
     void noteDrain(unsigned worker, std::uint64_t t0, std::uint64_t t1,
                    std::uint64_t drained);
+    /** Worker start-up or join (see the spawn bucket); the join
+     *  interval is noted by the engine's thread after the join. */
+    void noteSpawn(unsigned worker, std::uint64_t t0, std::uint64_t t1);
 
     /** Planner saw a sim-time gap between consecutive windows (the
      *  next event lies beyond the previous window's end + 1). Called
@@ -161,8 +170,8 @@ class ShardProfiler
         widthHist_[b].fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Accumulate the engine's adaptive-barrier outcomes for a run
-     *  (called once per runWindows, after the joins). */
+    /** Accumulate the engine's barrier outcomes for a run (called
+     *  once per runWindows, after the joins). */
     void
     addBarrierWaits(std::uint64_t spin_wakes, std::uint64_t futex_sleeps)
     {
@@ -207,7 +216,7 @@ class ShardProfiler
     }
 
     /**
-     * Fraction of total parallel wall time (shards x wallNs) the five
+     * Fraction of total parallel wall time (shards x wallNs) the six
      * buckets account for; the profiler's own self-check. 0 when the
      * run had no measured wall time.
      */

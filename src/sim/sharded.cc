@@ -1,12 +1,82 @@
 #include "sim/sharded.hh"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "sim/profiler.hh"
 
 namespace shrimp::sim
 {
+
+unsigned
+hostCoreCount()
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int n = CPU_COUNT(&mask);
+        if (n > 0)
+            return unsigned(n);
+    }
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+namespace
+{
+
+/** Tell the core we are busy-waiting (frees pipeline resources for a
+ *  sibling hyperthread and avoids the memory-order flush on exit). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+} // namespace
+
+bool
+SpinBarrier::spinUntilReleased(std::uint64_t phase) const
+{
+    // The clock is read once per 64 polls: often enough to honour the
+    // budget within a few microseconds, rarely enough to stay off the
+    // poll's critical path.
+    // shrimp-lint: allow(D1) bounds a barrier spin in wall time only; never feeds sim state
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + spinBudget;
+    for (;;) {
+        for (int i = 0; i < 64; ++i) {
+            if (phase_.load(std::memory_order_acquire) != phase)
+                return true;
+            cpuRelax();
+        }
+        if (Clock::now() >= deadline)
+            return false;
+    }
+}
+
+void
+WinnerTree::reset(std::size_t n)
+{
+    keys_.assign(n, {maxTick, 0});
+    win_.assign(2 * n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        win_[n + i] = std::uint32_t(i);
+    rebuild([](std::size_t) { return Key{maxTick, 0}; });
+}
 
 ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
                              Tick lookahead)
@@ -43,7 +113,7 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
             nodeShardIdx_[st.nodes[i]] = std::uint32_t(i);
             st.queues.push_back(queues_[st.nodes[i]].get());
         }
-        st.keys.assign(st.queues.size(), {maxTick, 0});
+        st.tree.reset(st.queues.size());
         st.postedMin.assign(shards_, maxTick);
     }
 
@@ -99,7 +169,7 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
     const std::uint64_t stamp = queues_[src]->allocStamp();
     ShardState &st = shardStates_[ss];
     if (ss == ds) {
-        // Same shard: deliver directly. The merged min-selection loop
+        // Same shard: deliver directly. The merged selection loop
         // executes this shard's queues in global (tick, priority)
         // order, so an event landing at least one tick in the future
         // is picked up at its exact time with no mailbox hop and —
@@ -108,10 +178,7 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
         queues_[dst]->scheduleStamped(when, stamp, name, std::move(fn),
                                       prio);
         ++st.directPosts;
-        auto &key = st.keys[nodeShardIdx_[dst]];
-        const std::pair<Tick, std::int32_t> nk{when, std::int32_t(prio)};
-        if (nk < key)
-            key = nk;
+        st.tree.lower(nodeShardIdx_[dst], {when, std::int32_t(prio)});
         return;
     }
     Mailbox &mb = box(ss, ds);
@@ -313,28 +380,25 @@ ShardedEngine::executeShard(unsigned s)
         st.queues[0]->run(end);
         return;
     }
-    // Merged min-selection over the shard's queues: execute in global
-    // (tick, priority) order so a direct same-shard delivery one tick
-    // out is observed at its exact time. Keys are cached and kept
-    // exact — refreshed after each step, min-lowered by post() on
-    // direct delivery.
-    const std::size_t n = st.queues.size();
-    for (std::size_t i = 0; i < n; ++i)
-        st.keys[i] = st.queues[i]->nextEventKey();
+    // Merged selection over the shard's queues: execute in global
+    // (tick, priority) order, ties to the lowest node, so a direct
+    // same-shard delivery one tick out is observed at its exact time.
+    // The tree's keys are kept exact — refreshed after each step,
+    // decreased by post() on direct delivery — so its winner is the
+    // queue a full scan would pick.
+    WinnerTree &tree = st.tree;
+    tree.rebuild([&st](std::size_t i) {
+        return st.queues[i]->nextEventKey();
+    });
     for (;;) {
-        std::size_t best = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (st.keys[i].first > end)
-                continue;
-            if (best == n || st.keys[i] < st.keys[best])
-                best = i;
-        }
+        const std::size_t best = tree.top();
         // The empty-queue sentinel (maxTick) passes the window filter
         // when the horizon itself is maxTick — nothing to run then.
-        if (best == n || st.keys[best].first == maxTick)
+        const Tick when = tree.topKey().first;
+        if (when > end || when == maxTick)
             break;
         st.queues[best]->step();
-        st.keys[best] = st.queues[best]->nextEventKey();
+        tree.set(best, st.queues[best]->nextEventKey());
     }
 }
 
@@ -347,7 +411,8 @@ ShardedEngine::noteError()
 }
 
 void
-ShardedEngine::workerBody(unsigned worker)
+ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
+                          std::uint64_t t_enter)
 {
     // One round: barrier (completion plans every shard's window) ->
     // drain own inbox -> execute own window -> publish the promises
@@ -355,9 +420,11 @@ ShardedEngine::workerBody(unsigned worker)
     // one clock read per phase transition so the buckets tile this
     // thread's wall time with no gaps; the fused barrier wait lands in
     // the plan bucket (there is no separate sync barrier any more).
-    ShardProfiler *prof =
-        (profiler_ && profiler_->running()) ? profiler_ : nullptr;
+    // The stretch from runWindows entry to this first read — thread
+    // creation and scheduling — is the worker's spawn time.
     std::uint64_t t = prof ? prof->nowNs() : 0;
+    if (prof)
+        prof->noteSpawn(worker, t_enter, t);
     ShardState &st = shardStates_[worker];
     auto executedHere = [&]() {
         std::uint64_t n = 0;
@@ -372,8 +439,10 @@ ShardedEngine::workerBody(unsigned worker)
             prof->notePlan(worker, t, n);
             t = n;
         }
-        if (ctrl_.done)
+        if (ctrl_.done) {
+            st.profEnd = t;
             return;
+        }
         // The promises published last round were consumed by the plan
         // we just crossed; start the new round's accounting.
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
@@ -395,11 +464,11 @@ ShardedEngine::workerBody(unsigned worker)
             noteError();
         }
         // Publish this shard's earliest pending tick for the next
-        // plan; the barrier provides the happens-before edge.
-        Tick local_next = maxTick;
-        for (EventQueue *q : st.queues)
-            local_next = std::min(local_next, q->nextEventTick());
-        st.localNext = local_next;
+        // plan; the barrier provides the happens-before edge. A merged
+        // shard's tree root already holds it.
+        st.localNext = st.queues.size() == 1
+                           ? st.queues[0]->nextEventTick()
+                           : st.tree.topKey().first;
         if (prof) {
             const std::uint64_t n = prof->nowNs();
             prof->noteExecute(worker, t, n, executedHere() - before);
@@ -411,6 +480,9 @@ ShardedEngine::workerBody(unsigned worker)
 Tick
 ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
 {
+    ShardProfiler *prof =
+        (profiler_ && profiler_->running()) ? profiler_ : nullptr;
+    const std::uint64_t t_enter = prof ? prof->nowNs() : 0;
     // Mailboxes may hold messages from a previous partial run (e.g. a
     // runSetup that stopped mid-window); deliver them first so the
     // first plan sees every pending event.
@@ -432,16 +504,23 @@ ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
     std::vector<std::thread> threads;
     threads.reserve(workers - 1);
     for (unsigned w = 1; w < workers; ++w)
-        threads.emplace_back([this, w] { workerBody(w); });
-    workerBody(0);
+        threads.emplace_back(
+            [this, w, prof, t_enter] { workerBody(w, prof, t_enter); });
+    workerBody(0, prof, t_enter);
     for (auto &t : threads)
         t.join();
     const std::uint64_t spins = barrier_->spinWakes();
     const std::uint64_t sleeps = barrier_->futexSleeps();
     barSpinWakes_ += spins;
     barSleeps_ += sleeps;
-    if (profiler_ && profiler_->running())
-        profiler_->addBarrierWaits(spins, sleeps);
+    if (prof) {
+        // Each worker's tail — from its last clock read through the
+        // joins — closes its budget for this run.
+        const std::uint64_t t_exit = prof->nowNs();
+        for (unsigned w = 0; w < workers; ++w)
+            prof->noteSpawn(w, shardStates_[w].profEnd, t_exit);
+        prof->addBarrierWaits(spins, sleeps);
+    }
     barrier_.reset();
     if (ctrl_.error)
         std::rethrow_exception(ctrl_.error);

@@ -30,9 +30,10 @@
  * step (every worker parked), and each worker then drains its inbox
  * and executes its window — there is no separate post-execute sync
  * barrier. A shard holding several nodes executes them with a merged
- * (tick, priority, node) min-selection loop, so same-shard cross-node
- * posts are delivered directly into the destination queue without
- * clamping anyone's horizon.
+ * (tick, priority, node) selection loop over a tournament tree of its
+ * queues' next-event keys, so same-shard cross-node posts are
+ * delivered directly into the destination queue without clamping
+ * anyone's horizon, and picking an event costs O(log nodes).
  *
  * Cross-shard messages travel through per-(source shard, destination
  * shard) SPSC mailboxes and carry a canonical *stamp* allocated from
@@ -51,6 +52,8 @@
 #define SHRIMP_SIM_SHARDED_HH
 
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -93,27 +96,43 @@ class NodeRouter
 };
 
 /**
- * A spinning barrier with a completion callback: the last thread to
- * arrive runs the completion (with every other participant parked),
- * then releases the phase.
+ * The number of CPU cores this process may run on: the affinity-mask
+ * population on Linux (honest under taskset/cgroup pinning),
+ * std::thread::hardware_concurrency elsewhere; at least 1.
+ */
+unsigned hostCoreCount();
+
+/**
+ * A barrier with a completion callback: the last thread to arrive
+ * runs the completion (with every other participant parked), then
+ * releases the phase.
  *
- * The spin budget adapts: a waiter that spins out and has to
- * futex-sleep halves the budget (down to spinFloor), one that is
- * released while still spinning nudges it back up (to spinCap), so a
- * run whose rounds turn over in microseconds stays off the futex
- * while an oversubscribed host stops burning cycles. Both outcomes
- * are counted — the profiler exports them so barrier behaviour is
- * observable, not guessed.
+ * Waiting policy, fixed at construction from the core count: when the
+ * process may run on at least as many cores as there are parties, a
+ * waiter spins — with a CPU-relax hint — for up to spinBudget of wall
+ * time before it sleeps on the futex. The engine's rounds turn over in
+ * microseconds and a futex wake-up costs more than that on a
+ * virtualized host, so a spinning waiter is released well inside the
+ * budget (DESIGN.md §10 has the measured wait distribution). With
+ * fewer cores than parties a spinning waiter would only steal the core
+ * the straggler needs, so every wait sleeps on the futex at once. Both
+ * outcomes are counted — the profiler exports them so barrier
+ * behaviour is observable, not guessed.
  */
 class SpinBarrier
 {
   public:
-    static constexpr int spinCap = 4096;
-    static constexpr int spinFloor = 64;
+    /** Wall time a waiter spins before it sleeps on the futex. */
+    static constexpr std::chrono::nanoseconds spinBudget =
+        std::chrono::milliseconds(2);
 
+    /** @p cores is the core count the policy compares against
+     *  @p parties; the default asks the host. */
     explicit SpinBarrier(unsigned parties,
-                         std::function<void()> completion = {})
-        : parties_(parties), completion_(std::move(completion))
+                         std::function<void()> completion = {},
+                         unsigned cores = hostCoreCount())
+        : parties_(parties), spin_(cores >= parties),
+          completion_(std::move(completion))
     {}
 
     void
@@ -130,24 +149,17 @@ class SpinBarrier
             phase_.notify_all();
             return;
         }
-        const int budget = spinBudget_.load(std::memory_order_relaxed);
-        for (int spin = 0; spin < budget; ++spin) {
-            if (phase_.load(std::memory_order_acquire) != phase) {
-                spinWakes_.fetch_add(1, std::memory_order_relaxed);
-                if (budget < spinCap) {
-                    spinBudget_.store(
-                        std::min(spinCap, budget + budget / 4 + 1),
-                        std::memory_order_relaxed);
-                }
-                return;
-            }
+        if (spin_ && spinUntilReleased(phase)) {
+            spinWakes_.fetch_add(1, std::memory_order_relaxed);
+            return;
         }
-        spinBudget_.store(std::max(spinFloor, budget / 2),
-                          std::memory_order_relaxed);
         futexSleeps_.fetch_add(1, std::memory_order_relaxed);
         while (phase_.load(std::memory_order_acquire) == phase)
             phase_.wait(phase, std::memory_order_acquire);
     }
+
+    /** True when waits spin before sleeping (cores >= parties). */
+    bool spins() const { return spin_; }
 
     /** Waits released while still spinning (no futex involved). */
     std::uint64_t
@@ -156,28 +168,112 @@ class SpinBarrier
         return spinWakes_.load(std::memory_order_relaxed);
     }
 
-    /** Waits that exhausted the spin budget and slept on the futex. */
+    /** Waits that slept on the futex (spin budget exhausted, or no
+     *  spinning at all). */
     std::uint64_t
     futexSleeps() const
     {
         return futexSleeps_.load(std::memory_order_relaxed);
     }
 
-    /** Current adaptive spin budget (observability/tests). */
-    int
-    spinBudget() const
-    {
-        return spinBudget_.load(std::memory_order_relaxed);
-    }
-
   private:
+    /** Spin until the phase moves past @p phase (true) or the wall
+     *  budget runs out (false). */
+    bool spinUntilReleased(std::uint64_t phase) const;
+
     const unsigned parties_;
+    const bool spin_;
     std::function<void()> completion_;
     std::atomic<unsigned> arrived_{0};
     std::atomic<std::uint64_t> phase_{0};
-    std::atomic<int> spinBudget_{spinCap};
     std::atomic<std::uint64_t> spinWakes_{0};
     std::atomic<std::uint64_t> futexSleeps_{0};
+};
+
+/**
+ * A tournament (winner) tree over a fixed number of cached
+ * (tick, priority) keys — the merged in-shard loop's event selection.
+ * top() names the leaf holding the smallest key, ties broken by the
+ * lowest index, which is exactly the pick of a linear min-scan; it is
+ * O(1), and changing one key replays that leaf's path to the root in
+ * O(log n).
+ *
+ * Layout: leaf i lives at position n + i and internal node p
+ * (1 <= p < n) holds the winning leaf of its children 2p and 2p + 1,
+ * so position 1 is the overall winner for any n >= 1. (Min with an
+ * index tie-break is a total order, so it does not matter that for n
+ * not a power of two some pairings cross levels.)
+ */
+class WinnerTree
+{
+  public:
+    using Key = std::pair<Tick, std::int32_t>;
+
+    /** @p n leaves, every key the empty-queue sentinel (maxTick, 0). */
+    explicit WinnerTree(std::size_t n = 0) { reset(n); }
+
+    void reset(std::size_t n);
+
+    std::size_t size() const { return keys_.size(); }
+    const Key &key(std::size_t i) const { return keys_[i]; }
+
+    /** The leaf holding the smallest key (needs size() >= 1). */
+    std::size_t top() const { return win_[1]; }
+    const Key &topKey() const { return keys_[win_[1]]; }
+
+    /** Set leaf @p i's key to @p k, up or down. */
+    void
+    set(std::size_t i, const Key &k)
+    {
+        keys_[i] = k;
+        for (std::size_t p = (size() + i) >> 1; p != 0; p >>= 1)
+            win_[p] = winner(win_[2 * p], win_[2 * p + 1]);
+    }
+
+    /** Decrease-key: lower leaf @p i's key to @p k if that is
+     *  smaller; otherwise leave it. */
+    void
+    lower(std::size_t i, const Key &k)
+    {
+        if (!(k < keys_[i]))
+            return;
+        keys_[i] = k;
+        const auto leaf = std::uint32_t(i);
+        for (std::size_t p = (size() + i) >> 1; p != 0; p >>= 1) {
+            // A lowered key only ever climbs: once a subtree keeps
+            // another winner, every enclosing subtree does too.
+            if (winner(leaf, win_[p]) != leaf)
+                break;
+            win_[p] = leaf;
+        }
+    }
+
+    /** Reload every key from @p keyOf(i) and recompute all matches. */
+    template <typename KeyOf>
+    void
+    rebuild(KeyOf &&keyOf)
+    {
+        const std::size_t n = size();
+        for (std::size_t i = 0; i < n; ++i)
+            keys_[i] = keyOf(i);
+        for (std::size_t p = n; p > 1;) {
+            --p;
+            win_[p] = winner(win_[2 * p], win_[2 * p + 1]);
+        }
+    }
+
+  private:
+    std::uint32_t
+    winner(std::uint32_t a, std::uint32_t b) const
+    {
+        if (keys_[b] < keys_[a] || (keys_[b] == keys_[a] && b < a))
+            return b;
+        return a;
+    }
+
+    std::vector<Key> keys_;
+    /** [0] unused; [1, n) match winners; [n, 2n) leaf i at n + i. */
+    std::vector<std::uint32_t> win_;
 };
 
 /**
@@ -375,14 +471,18 @@ class ShardedEngine : public NodeRouter
         std::vector<NodeId> nodes;
         /** queues[i] == engine queue of nodes[i]. */
         std::vector<EventQueue *> queues;
-        /** Cached (tick, prio) next-event keys for the merged
-         *  min-selection loop; post() lowers the destination's entry
-         *  on same-shard direct delivery. */
-        std::vector<std::pair<Tick, std::int32_t>> keys;
+        /** Cached (tick, prio) next-event keys of queues[i], for the
+         *  merged selection loop: rebuilt when executeShard starts,
+         *  refreshed after each step, lowered by post() on same-shard
+         *  direct delivery. */
+        WinnerTree tree;
         /** Drain scratch, reused (capacity persists) across rounds. */
         std::vector<CrossMsg> drainBuf;
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
+        /** The worker's last profiler clock read of the run; the
+         *  engine notes the join from there after the threads end. */
+        std::uint64_t profEnd = 0;
     };
 
     struct Control
@@ -405,17 +505,14 @@ class ShardedEngine : public NodeRouter
         return *boxes_[src_shard * shards_ + dst_shard];
     }
 
-    /** Shared constructor body. */
-    void init(unsigned nodes, const PairLookahead &la);
-
     /** Uniform runSetup windows: [start, start + lookahead() - 1]. */
     Tick windowEndFor(Tick start, Tick limit) const;
 
     /**
      * Pop every mailbox bound for @p dst_shard — the ring plus the
      * previous round's spill (both spills when @p both, the
-     * sequential entry drain) — and schedule the messages,
-     * stable-sorted by (tick, priority, stamp), into the destination
+     * sequential entry drain) — and schedule the messages, sorted by
+     * their unique (tick, priority, stamp) keys, into the destination
      * queues. @return Number of messages delivered.
      */
     std::size_t drainShard(unsigned dst_shard, bool both);
@@ -428,10 +525,14 @@ class ShardedEngine : public NodeRouter
     void planRound();
 
     /** Execute shard @p s's queues up to its windowEnd: the single
-     *  queue directly, several via the merged min-selection loop. */
+     *  queue directly, several via the merged tournament-tree loop. */
     void executeShard(unsigned s);
 
-    void workerBody(unsigned worker);
+    /** One worker's round loop. @p prof is the profiler when one is
+     *  attached and running (else null); @p t_enter is its clock at
+     *  runWindows entry. */
+    void workerBody(unsigned worker, ShardProfiler *prof,
+                    std::uint64_t t_enter);
     void noteError();
 
     Tick runWindows(const std::function<bool()> *pred, Tick limit);
@@ -443,7 +544,7 @@ class ShardedEngine : public NodeRouter
      *  min over the member node pairs of the per-node-pair floor. */
     std::vector<Tick> pairL_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** Index of each node within its shard's queues/keys vectors. */
+    /** Index of each node within its shard's queues and tree. */
     std::vector<std::uint32_t> nodeShardIdx_;
     std::vector<ShardState> shardStates_;
     std::vector<std::unique_ptr<Mailbox>> boxes_;

@@ -26,6 +26,7 @@ TEST(ShardProfilerTest, BucketsAccumulatePerWorker)
     prof.noteSync(0, 40, 55);
     prof.noteDrain(0, 55, 70, /*drained=*/3);
     prof.noteExecute(0, 70, 90, /*events_fired=*/0); // idle window
+    prof.noteSpawn(0, 90, 100);
     prof.notePlan(1, 0, 25);
     prof.noteDrain(1, 25, 30, 9);
     prof.endRun();
@@ -36,12 +37,13 @@ TEST(ShardProfilerTest, BucketsAccumulatePerWorker)
     EXPECT_EQ(s0.syncNs, 15u);
     EXPECT_EQ(s0.drainNs, 15u);
     EXPECT_EQ(s0.idleNs, 20u);
+    EXPECT_EQ(s0.spawnNs, 10u);
     EXPECT_EQ(s0.windows, 2u);
     EXPECT_EQ(s0.idleWindows, 1u);
     EXPECT_EQ(s0.events, 5u);
     EXPECT_EQ(s0.drained, 3u);
     EXPECT_EQ(s0.maxDrainBatch, 3u);
-    EXPECT_EQ(s0.accountedNs(), 90u);
+    EXPECT_EQ(s0.accountedNs(), 100u);
 
     ShardProfiler::Slot tot = prof.totals();
     EXPECT_EQ(tot.planNs, 35u);
@@ -75,6 +77,7 @@ TEST(ShardProfilerTest, JsonBlockCarriesTheFullBudget)
     prof.beginRun();
     prof.noteExecute(0, 0, 40, 7);
     prof.noteDrain(1, 0, 10, 2);
+    prof.noteSpawn(1, 10, 14);
     prof.noteWindowSkip();
     prof.endRun();
 
@@ -98,6 +101,9 @@ TEST(ShardProfilerTest, JsonBlockCarriesTheFullBudget)
     const minijson::Value *exec = doc.path("totals_ns.execute");
     ASSERT_NE(exec, nullptr);
     EXPECT_EQ(exec->number, 40.0);
+    const minijson::Value *spawn = doc.path("totals_ns.spawn");
+    ASSERT_NE(spawn, nullptr);
+    EXPECT_EQ(spawn->number, 4.0);
     const minijson::Value *per = doc.find("per_shard");
     ASSERT_NE(per, nullptr);
     ASSERT_TRUE(per->isArray());
@@ -147,10 +153,11 @@ TEST(ShardProfilerTest, PhasesMirrorIntoTheTraceSink)
     prof.noteSync(0, 30, 35);
     prof.noteDrain(0, 35, 45, 1);
     prof.noteExecute(1, 0, 15, 0); // "idle" slice
+    prof.noteSpawn(1, 15, 20);
     prof.endRun();
 
-    // Five noted phases -> five wall slices -> ten B/E events.
-    EXPECT_EQ(sink.eventCount(), 10u);
+    // Six noted phases -> six wall slices -> twelve B/E events.
+    EXPECT_EQ(sink.eventCount(), 12u);
 
     std::ostringstream os;
     sink.write(os);
@@ -160,4 +167,5 @@ TEST(ShardProfilerTest, PhasesMirrorIntoTheTraceSink)
     EXPECT_NE(text.find("\"barrier.plan\""), std::string::npos);
     EXPECT_NE(text.find("\"barrier.sync\""), std::string::npos);
     EXPECT_NE(text.find("\"drain\""), std::string::npos);
+    EXPECT_NE(text.find("\"spawn\""), std::string::npos);
 }

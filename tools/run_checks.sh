@@ -34,6 +34,10 @@
 #   SHRIMP_SKIP_WINDOWEFF=1      skip the window-efficiency gate
 #                                (barrier plan+sync share <= 50% of
 #                                the profiled 4-shard run)
+#
+# The seqscale step (sequential ns/event at 256 nodes <= 3x the
+# 4-node figure) has no skip knob: it is a ratio of two one-thread
+# runs, meaningful on any host.
 
 set -euo pipefail
 
@@ -44,7 +48,7 @@ tidy_base="${SHRIMP_TIDY_BASE:-HEAD}"
 
 steps="build lint tidy model-clean model-i1 model-tcache model-net \
 model-net-mutation ctest tsan chaos selfperf multinode netperf \
-profile windoweff"
+profile windoweff seqscale"
 
 if [ "${1:-}" = "--list" ]; then
     for s in ${steps}; do
@@ -277,7 +281,8 @@ step_tsan() {
     # only concurrency in the simulator; together with the NI
     # retransmission machinery running under shards (FaultRecovery*)
     # these filters cover all of it.
-    "${tsan_dir}/tests/test_sim" --gtest_filter='Spsc*:Sharded*'
+    "${tsan_dir}/tests/test_sim" \
+        --gtest_filter='Spsc*:Sharded*:SpinBarrier*'
     "${tsan_dir}/tests/test_integration" \
         --gtest_filter='ShardDeterminism*:FaultRecovery*'
 }
@@ -538,6 +543,45 @@ step_windoweff() {
     fi
 }
 
+step_seqscale() {
+    echo
+    echo "== sequential-scaling gate (--shards=1 ns/event, 256 vs 4 nodes) =="
+    ensure_release_target multinode_traffic
+    # One thread running every node's queue must pay about the same
+    # per event at any node count; a per-event scan over the node
+    # queues grew 7-11x from 4 to 256 nodes. Both shapes move 1024
+    # records of 1 KiB, so they simulate a similar number of events,
+    # and the gated figure is a ratio of two runs on one host, so
+    # runner speed cancels out.
+    get_metric() {
+        grep -o "\"$2\": [0-9][0-9.e+-]*" "$1" | head -1 | awk '{print $2}'
+    }
+    ns_per_event() {
+        local out="${perf_dir}/BENCH_seqscale_$1.json"
+        "${perf_dir}/bench/multinode_traffic" --nodes="$1" \
+            --records="$2" --record-bytes=1024 --shards=1 \
+            --stats-json="${out}" > /dev/null
+        # With --shards=1 the bench times the sequential ring twice;
+        # the faster run is the less disturbed one.
+        awk -v a="$(get_metric "${out}" wall_s_seq)" \
+            -v b="$(get_metric "${out}" wall_s_shards)" \
+            -v e="$(get_metric "${out}" sim_events)" \
+            'BEGIN { m = a < b ? a : b; printf "%.1f", m * 1e9 / e }'
+    }
+    small="$(ns_per_event 4 256)"
+    large="$(ns_per_event 256 4)"
+    ratio="$(awk -v s="${small}" -v l="${large}" \
+        'BEGIN { printf "%.2f", l / s }')"
+    echo "sequential ns/event: ${small} at 4 nodes, ${large} at 256" \
+        "nodes (${ratio}x)"
+    if ! awk -v x="${ratio}" 'BEGIN { exit !(x <= 3.0) }'; then
+        echo "SEQUENTIAL SCALING REGRESSION: 256-node ns/event is" \
+            "${ratio}x the 4-node figure (bound 3.0x) — per-event" \
+            "selection no longer scales with the node count"
+        exit 1
+    fi
+}
+
 # ------------------------------------------------------------- driver
 
 should_run build && ensure_sanitized_build
@@ -556,6 +600,7 @@ should_run multinode && step_multinode
 should_run netperf && step_netperf
 should_run profile && step_profile
 should_run windoweff && step_windoweff
+should_run seqscale && step_seqscale
 
 echo
 if [ -n "${SHRIMP_ONLY:-}" ]; then
