@@ -3,11 +3,11 @@
  * Traffic patterns on the prototype machine (default 4 nodes,
  * `--nodes=N` to scale): every node streams UDMA messages to
  * destinations drawn from a synthetic pattern, and the table shows
- * where the bottleneck sits. `--shards=N|auto` runs each pattern on
- * the sharded engine — page export and remote mapping happen under
+ * where the bottleneck sits. `--shards=N|auto` spreads each pattern
+ * over N engine shards — page export and remote mapping happen under
  * `System::runSetup` (sequential canonical order, the only phase
  * that reads host state across nodes), so results are bit-identical
- * to the single-queue run.
+ * to the one-shard run.
  *
  * Expected architecture story (and the reason hotspot collapses):
  * each SHRIMP node's *receive path* is one EISA-class DMA engine at

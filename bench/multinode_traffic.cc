@@ -8,9 +8,9 @@
  * node streaming into node 0 (N-1 credit windows converging on one
  * receive FIFO — the congestion-control stress case).
  *
- * Doubles as the sharded-simulation-core benchmark. With --shards=N
- * (or auto) the same configuration is run twice, on one shard and on
- * N shards; the run fails loudly unless both produce bit-identical
+ * Doubles as the sharded-simulation-core benchmark. The same
+ * configuration is run twice, on one shard and on --shards=N (default
+ * 1, or auto); the run fails loudly unless both produce bit-identical
  * simulated time and counters (workload::RingResult::digest), and the
  * host wall-clock ratio is reported as the parallel speedup.
  *
@@ -218,9 +218,8 @@ main(int argc, char **argv)
     std::unique_ptr<sim::ShardProfiler> profiler;
     std::unique_ptr<sim::TraceSink> sink;
     if (!opts.profilePath.empty()) {
-        profiler = std::make_unique<sim::ShardProfiler>(
-            std::max(shards, 1u));
-        sink = std::make_unique<sim::TraceSink>(std::max(shards, 1u));
+        profiler = std::make_unique<sim::ShardProfiler>(shards);
+        sink = std::make_unique<sim::TraceSink>(shards);
         profiler->setTraceSink(sink.get());
         // Keep enough finished spans for useful sim-time tracks (the
         // default retention is sized for summaries, not traces).
@@ -241,102 +240,84 @@ main(int argc, char **argv)
                     (unsigned long long)cfg.faults.seed);
     }
 
-    workload::RingResult result;
-    double speedup = 0;
-    bool identical = true;
+    // Reference run on one shard: same engine, same canonical
+    // ordering, no parallelism.
+    workload::RingConfig seq = cfg;
+    seq.shards = 1;
+    workload::RingResult r1 = workload::runRing(seq);
+    printRun("shards=1:", r1);
 
-    if (shards > 0) {
-        // Reference run on one shard: same engine, same canonical
-        // ordering, no parallelism.
-        workload::RingConfig seq = cfg;
-        seq.shards = 1;
-        workload::RingResult r1 = workload::runRing(seq);
-        printRun("shards=1:", r1);
-
-        workload::RingConfig par = cfg;
-        par.shards = shards;
-        par.profiler = profiler.get();
-        par.onSystemDone = [](core::System &sys) {
-            bench::captureSystem(sys);
-        };
-        if (sink) {
-            // Only the measured run's spans and fault events belong
-            // in the trace.
-            span::registry().clear();
-            sim::TraceSink::setGlobal(sink.get());
-        }
-        result = workload::runRing(par);
-        sim::TraceSink::setGlobal(nullptr);
-        char label[32];
-        std::snprintf(label, sizeof label, "shards=%u:", shards);
-        printRun(label, result);
-
-        identical = r1.digest == result.digest
-                    && r1.simTicks == result.simTicks
-                    && r1.simEvents == result.simEvents
-                    && r1.bytesRouted == result.bytesRouted
-                    && r1.bytesDelivered == result.bytesDelivered
-                    && r1.retransmits == result.retransmits
-                    && r1.timeouts == result.timeouts
-                    && r1.dataDigest == result.dataDigest;
-        if (!identical) {
-            std::fprintf(
-                stderr,
-                "DETERMINISM VIOLATION: shards=1 vs shards=%u "
-                "diverged:\n"
-                "  digest        %016llx vs %016llx\n"
-                "  sim_ticks     %llu vs %llu\n"
-                "  sim_events    %llu vs %llu\n"
-                "  bytes_routed  %llu vs %llu\n"
-                "  bytes_deliv   %llu vs %llu\n"
-                "  retransmits   %llu vs %llu\n"
-                "  timeouts      %llu vs %llu\n"
-                "  data_digest   %016llx vs %016llx\n",
-                shards, (unsigned long long)r1.digest,
-                (unsigned long long)result.digest,
-                (unsigned long long)r1.simTicks,
-                (unsigned long long)result.simTicks,
-                (unsigned long long)r1.simEvents,
-                (unsigned long long)result.simEvents,
-                (unsigned long long)r1.bytesRouted,
-                (unsigned long long)result.bytesRouted,
-                (unsigned long long)r1.bytesDelivered,
-                (unsigned long long)result.bytesDelivered,
-                (unsigned long long)r1.retransmits,
-                (unsigned long long)result.retransmits,
-                (unsigned long long)r1.timeouts,
-                (unsigned long long)result.timeouts,
-                (unsigned long long)r1.dataDigest,
-                (unsigned long long)result.dataDigest);
-            // Post-mortem: the graveyard still holds both runs' last
-            // events even though their Systems are gone.
-            sim::FlightRecorder::dumpAll(std::cerr);
-            return 1;
-        }
-        std::printf("determinism: shards=1 and shards=%u bit-identical "
-                    "(digest %016llx)\n",
-                    shards, (unsigned long long)result.digest);
-
-        if (result.hostSec > 0)
-            speedup = r1.hostSec / result.hostSec;
-        std::printf("speedup: %.2fx on %u shards (%u host cores)\n",
-                    speedup, shards, host_cores);
-        report.addMetric("wall_s_seq", r1.hostSec);
-        report.addMetric("wall_s_shards", result.hostSec);
-        report.addMetric("speedup", speedup);
-    } else {
-        cfg.onSystemDone = [](core::System &sys) {
-            bench::captureSystem(sys);
-        };
-        if (sink) {
-            span::registry().clear();
-            sim::TraceSink::setGlobal(sink.get());
-        }
-        result = workload::runRing(cfg);
-        sim::TraceSink::setGlobal(nullptr);
-        printRun("legacy:", result);
-        report.addMetric("wall_s_seq", result.hostSec);
+    workload::RingConfig par = cfg;
+    par.shards = shards;
+    par.profiler = profiler.get();
+    par.onSystemDone = [](core::System &sys) {
+        bench::captureSystem(sys);
+    };
+    if (sink) {
+        // Only the measured run's spans and fault events belong
+        // in the trace.
+        span::registry().clear();
+        sim::TraceSink::setGlobal(sink.get());
     }
+    workload::RingResult result = workload::runRing(par);
+    sim::TraceSink::setGlobal(nullptr);
+    char label[32];
+    std::snprintf(label, sizeof label, "shards=%u:", shards);
+    printRun(label, result);
+
+    const bool identical = r1.digest == result.digest
+                           && r1.simTicks == result.simTicks
+                           && r1.simEvents == result.simEvents
+                           && r1.bytesRouted == result.bytesRouted
+                           && r1.bytesDelivered == result.bytesDelivered
+                           && r1.retransmits == result.retransmits
+                           && r1.timeouts == result.timeouts
+                           && r1.dataDigest == result.dataDigest;
+    if (!identical) {
+        std::fprintf(
+            stderr,
+            "DETERMINISM VIOLATION: shards=1 vs shards=%u "
+            "diverged:\n"
+            "  digest        %016llx vs %016llx\n"
+            "  sim_ticks     %llu vs %llu\n"
+            "  sim_events    %llu vs %llu\n"
+            "  bytes_routed  %llu vs %llu\n"
+            "  bytes_deliv   %llu vs %llu\n"
+            "  retransmits   %llu vs %llu\n"
+            "  timeouts      %llu vs %llu\n"
+            "  data_digest   %016llx vs %016llx\n",
+            shards, (unsigned long long)r1.digest,
+            (unsigned long long)result.digest,
+            (unsigned long long)r1.simTicks,
+            (unsigned long long)result.simTicks,
+            (unsigned long long)r1.simEvents,
+            (unsigned long long)result.simEvents,
+            (unsigned long long)r1.bytesRouted,
+            (unsigned long long)result.bytesRouted,
+            (unsigned long long)r1.bytesDelivered,
+            (unsigned long long)result.bytesDelivered,
+            (unsigned long long)r1.retransmits,
+            (unsigned long long)result.retransmits,
+            (unsigned long long)r1.timeouts,
+            (unsigned long long)result.timeouts,
+            (unsigned long long)r1.dataDigest,
+            (unsigned long long)result.dataDigest);
+        // Post-mortem: the graveyard still holds both runs' last
+        // events even though their Systems are gone.
+        sim::FlightRecorder::dumpAll(std::cerr);
+        return 1;
+    }
+    std::printf("determinism: shards=1 and shards=%u bit-identical "
+                "(digest %016llx)\n",
+                shards, (unsigned long long)result.digest);
+
+    const double speedup =
+        result.hostSec > 0 ? r1.hostSec / result.hostSec : 0;
+    std::printf("speedup: %.2fx on %u shards (%u host cores)\n",
+                speedup, shards, host_cores);
+    report.addMetric("wall_s_seq", r1.hostSec);
+    report.addMetric("wall_s_shards", result.hostSec);
+    report.addMetric("speedup", speedup);
 
     std::printf("aggregate: %.2f MB/s across %u concurrent links "
                 "(backplane moved %llu bytes)\n",
@@ -357,7 +338,7 @@ main(int argc, char **argv)
         // exact same bytes, exactly once.
         workload::RingConfig clean = cfg;
         clean.faults = net::FaultConfig{}; // runRing marks it specified
-        clean.shards = shards > 0 ? shards : 0;
+        clean.shards = shards;
         workload::RingResult ref = workload::runRing(clean);
         printRun("fault-free:", ref);
 
@@ -494,20 +475,15 @@ main(int argc, char **argv)
     report.addMetric("identical", identical ? 1 : 0);
 
     if (profiler) {
-        if (shards > 0) {
-            profiler->writeTable(std::cout);
-            const double acct = profiler->accountedFraction();
-            report.addMetric("profile_accounted_frac", acct);
-            report.attachProfiler(profiler.get());
-            if (acct < 0.95) {
-                std::fprintf(stderr,
-                             "PROFILE WARNING: buckets account for "
-                             "only %.1f%% of parallel wall time\n",
-                             acct * 100);
-            }
-        } else {
-            std::printf("# --profile: legacy single-queue run — no "
-                        "worker timelines, sim-time tracks only\n");
+        profiler->writeTable(std::cout);
+        const double acct = profiler->accountedFraction();
+        report.addMetric("profile_accounted_frac", acct);
+        report.attachProfiler(profiler.get());
+        if (acct < 0.95) {
+            std::fprintf(stderr,
+                         "PROFILE WARNING: buckets account for only "
+                         "%.1f%% of parallel wall time\n",
+                         acct * 100);
         }
         sink->addSpanTracks();
         if (!sink->writeFile(opts.profilePath))

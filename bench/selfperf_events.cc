@@ -297,7 +297,7 @@ runUdmaMix(unsigned records)
 
     UdmaMixResult res;
     res.heapAllocs = g_heapAllocs.load() - allocs0;
-    res.simEvents = sys.eq().eventsExecuted();
+    res.simEvents = sys.simEvents();
     res.hostSec = hostSeconds(t0, t1);
 
     std::uint64_t tlb_hits = 0, tlb_misses = 0;

@@ -100,7 +100,7 @@ FifoNic::pump()
     std::vector<std::uint64_t> words(txFifo_.begin(),
                                      txFifo_.begin() + n);
     txFifo_.erase(txFifo_.begin(), txFifo_.begin() + n);
-    Tick injected = fabric_.acquireLink(node_, n * 8ull);
+    Tick injected = fabric_.acquireLink(node_, n * 8ull, eq_.now());
     Tick arrival = injected + fabric_.routeLatency(node_, destNode_);
     pumpBusy_ = true;
     // With several senders the credit check can be stale by arrival

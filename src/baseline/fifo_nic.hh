@@ -46,16 +46,16 @@ class FifoNic;
  * The fabric connecting FifoNics (same link model as SHRIMP's
  * Interconnect: per-source injection serialization plus routing
  * latency). On a mesh/torus wiring the routing latency scales with
- * the dimension-order hop count; the FIFO-NIC baseline only runs in
- * legacy single-queue mode, so it charges the whole route's latency
- * up front instead of modelling per-hop link arbitration.
+ * the dimension-order hop count; the FIFO-NIC baseline only runs on
+ * one shard, so it charges the whole route's latency up front instead
+ * of modelling per-hop link arbitration.
  */
 class FifoFabric
 {
   public:
-    FifoFabric(sim::EventQueue &eq, const sim::MachineParams &params,
-               sim::TopologyConfig topo = {})
-        : eq_(eq), params_(params), topo_(topo)
+    explicit FifoFabric(const sim::MachineParams &params,
+                        sim::TopologyConfig topo = {})
+        : params_(params), topo_(topo)
     {}
 
     void
@@ -73,11 +73,14 @@ class FifoFabric
         return it->second;
     }
 
+    /** Occupy @p src's injection link for @p bytes starting no
+     *  earlier than the caller's clock @p now; returns the tick the
+     *  last byte has left. */
     Tick
-    acquireLink(NodeId src, std::uint64_t bytes)
+    acquireLink(NodeId src, std::uint64_t bytes, Tick now)
     {
         Tick &free_at = linkFreeAt_[src];
-        Tick start = std::max(eq_.now(), free_at);
+        Tick start = std::max(now, free_at);
         free_at = start + params_.linkTransfer(bytes);
         return free_at;
     }
@@ -92,14 +95,19 @@ class FifoFabric
     }
 
   private:
-    sim::EventQueue &eq_;
     const sim::MachineParams &params_;
     const sim::TopologyConfig topo_;
     std::map<NodeId, FifoNic *> nics_;
     std::map<NodeId, Tick> linkFreeAt_;
 };
 
-/** One node's memory-mapped FIFO NIC. */
+/**
+ * One node's memory-mapped FIFO NIC. The pump reads the peer's FIFO
+ * space synchronously and deliveries write the peer's FIFO from the
+ * sender's own queue, so core::System builds it on one shard only
+ * (DESIGN.md §10 says why the deliveries cannot go through
+ * sim::NodeRouter::post).
+ */
 class FifoNic : public bus::ProxyClient
 {
   public:

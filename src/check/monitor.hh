@@ -4,11 +4,13 @@
  * kernel's audit hooks so a running simulation is cross-checked at
  * every Section 6 maintenance point (context switch, page fault,
  * page-out, DMA completion) — or at context switches only, the cheap
- * mode that still catches every I1 hole.
+ * mode that still catches every I1 hole — or at the sharded engine's
+ * window barriers.
  *
- * Enabled per run with `--audit=every-event|on-switch` (threaded
- * through core::parseRunOptions) or the SHRIMP_AUDIT environment
- * variable, and programmatically with System::enableAudit.
+ * Enabled per run with `--audit=every-event|on-switch|at-barrier`
+ * (threaded through core::parseRunOptions) or the SHRIMP_AUDIT
+ * environment variable, and programmatically with
+ * System::enableAudit.
  */
 
 #ifndef SHRIMP_CHECK_MONITOR_HH
@@ -40,10 +42,10 @@ enum class Mode
     /**
      * Audit only at sharded-engine window barriers, where every
      * shard is quiescent and cross-shard state is consistent. The
-     * only mode usable with --shards > 0: the per-event hooks would
-     * run concurrently from worker threads and read other shards'
-     * state mid-window. System::enableAudit coerces the other modes
-     * to this one when sharded and wires the barrier hook.
+     * only mode usable on more than one shard: the per-event hooks
+     * would run concurrently from worker threads and read other
+     * shards' state mid-window. System::enableAudit coerces the
+     * other modes to this one there and wires the barrier hook.
      */
     AtBarrier,
 };

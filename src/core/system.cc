@@ -1,5 +1,6 @@
 #include "core/system.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -89,9 +90,8 @@ Node::Node(System &sys, NodeId id, const SystemConfig &cfg,
         switch (dc.kind) {
           case DeviceKind::ShrimpNi: {
             auto ni = std::make_unique<net::NetworkInterface>(
-                eq, params, id, *memory_, *ioBus_, sys.net(),
-                params.pageBytes);
-            ni->setRouter(sys.engine());
+                eq, *sys.engine(), params, id, *memory_, *ioBus_,
+                sys.net(), params.pageBytes);
             ni_ = ni.get();
             udev = std::move(ni);
             break;
@@ -202,38 +202,36 @@ System::System(const SystemConfig &cfg)
     : cfg_(cfg),
       layout_(cfg.node.memBytes, cfg.params.pageBytes,
               std::max<unsigned>(1, unsigned(cfg.node.devices.size()))),
-      topo_(resolvedTopology(cfg_)), net_(eq_, cfg_.params, topo_),
-      fifoFabric_(eq_, cfg_.params, topo_)
+      topo_(resolvedTopology(cfg_)), net_(cfg_.params, topo_),
+      fifoFabric_(cfg_.params, topo_)
 {
     if (cfg.nodes == 0)
         fatal("a system needs at least one node");
     applyTraceEnv();
-    eq_.setFlightLabel("shared");
 
-    if (cfg_.shards > 0) {
+    // The synchronization horizon comes from the interconnect: nothing
+    // crosses nodes faster than the smallest packet's injection
+    // serialization plus the backplane hop — per hop of the
+    // dimension-order route, so on a mesh/torus the per-pair floor
+    // scales with distance (DESIGN.md §10, §14). The engine folds the
+    // per-pair floors into its shard-pair lookahead matrix (and clamps
+    // the shard count to [1, nodes]); multi-hop forwarding re-posts at
+    // every intermediate node, so each individual post only needs the
+    // adjacent-pair floor, which the fold always covers.
+    engine_ = std::make_unique<sim::ShardedEngine>(
+        cfg_.nodes, cfg_.shards,
+        sim::ShardedEngine::PairLookahead(
+            [this](NodeId src, NodeId dst) {
+                return net_.minDeliveryLatency(src, dst);
+            }));
+    if (engine_->shardCount() > 1) {
         for (const DeviceConfig &dc : cfg_.node.devices) {
             if (dc.kind == DeviceKind::FifoNic) {
                 fatal("the FIFO-NIC baseline reads peer state "
-                      "synchronously and cannot run sharded; drop "
+                      "synchronously and runs on one shard only; drop "
                       "--shards or the FifoNic device");
             }
         }
-        // The synchronization horizon comes from the interconnect:
-        // nothing crosses nodes faster than the smallest packet's
-        // injection serialization plus the backplane hop — per hop of
-        // the dimension-order route, so on a mesh/torus the per-pair
-        // floor scales with distance (DESIGN.md §10, §14). The engine
-        // folds the per-pair floors into its shard-pair lookahead
-        // matrix; multi-hop forwarding re-posts at every intermediate
-        // node, so each individual post only needs the adjacent-pair
-        // floor, which the fold always covers.
-        unsigned shards = std::min(cfg_.shards, cfg_.nodes);
-        engine_ = std::make_unique<sim::ShardedEngine>(
-            cfg_.nodes, shards,
-            sim::ShardedEngine::PairLookahead(
-                [this](NodeId src, NodeId dst) {
-                    return net_.minDeliveryLatency(src, dst);
-                }));
     }
 
     for (unsigned i = 0; i < cfg.nodes; ++i)
@@ -271,31 +269,21 @@ System::enableAudit(const std::string &spec, bool fail_fast)
     audit::Mode mode;
     if (!audit::parseMode(spec, mode))
         return false;
-    if (engine_)
-        engine_->setBarrierHook({});
+    engine_->setBarrierHook({});
     auditor_.reset();
     if (mode == audit::Mode::Off)
         return true;
-    if (engine_) {
-        // Per-event hooks would fire concurrently on worker threads
-        // and read other shards' state mid-window; audit where the
-        // world is quiescent instead.
+    // On several shards, per-event hooks would fire concurrently on
+    // worker threads and read other shards' state mid-window; audit
+    // where the world is quiescent instead. One shard runs every
+    // event on one thread, so every mode works there as requested.
+    if (engine_->shardCount() > 1)
         mode = audit::Mode::AtBarrier;
-        auditor_ = std::make_unique<audit::Monitor>(*this, mode,
-                                                    fail_fast);
+    auditor_ = std::make_unique<audit::Monitor>(*this, mode, fail_fast);
+    if (mode == audit::Mode::AtBarrier) {
         engine_->setBarrierHook(
             [this] { auditor_->auditNow("window-barrier"); });
-        return true;
     }
-    if (mode == audit::Mode::AtBarrier) {
-        // No barriers without the sharded engine; the closest
-        // legacy equivalent is the context-switch audit.
-        std::cerr << "audit: at-barrier needs --shards > 0; "
-                     "auditing on-switch instead\n";
-        mode = audit::Mode::OnSwitch;
-    }
-    auditor_ = std::make_unique<audit::Monitor>(*this, mode,
-                                                fail_fast);
     return true;
 }
 
@@ -509,7 +497,7 @@ resolveShards(const RunOptions &opts, unsigned nodes)
 {
     if (opts.shardsAuto)
         return std::min(nodes, sim::hostCoreCount());
-    return std::min(opts.shards, nodes);
+    return std::clamp(opts.shards, 1u, std::max(nodes, 1u));
 }
 
 void

@@ -2,13 +2,13 @@
  * @file
  * The public entry point: build a SHRIMP multicomputer.
  *
- * A System owns the event queue, the backplane interconnect, and N
- * identical nodes. Each node is a Pentium-Xpress-class PC: physical
- * memory, MMU, I/O (EISA) bus, a kernel, and a configurable set of
- * devices, each fronted either by a UDMA controller (the paper's
- * mechanism) or by the traditional kernel-initiated DMA driver (the
- * baseline), or — for the FIFO-NIC baseline — by a plain memory-mapped
- * interface.
+ * A System owns the sharded event engine (one event queue per node,
+ * sim/sharded.hh), the backplane interconnect, and N identical nodes.
+ * Each node is a Pentium-Xpress-class PC: physical memory, MMU, I/O
+ * (EISA) bus, a kernel, and a configurable set of devices, each
+ * fronted either by a UDMA controller (the paper's mechanism) or by
+ * the traditional kernel-initiated DMA driver (the baseline), or — for
+ * the FIFO-NIC baseline — by a plain memory-mapped interface.
  *
  * Typical use:
  *
@@ -96,13 +96,12 @@ struct SystemConfig
 {
     unsigned nodes = 1;
     /**
-     * Simulation shards (worker threads). 0 = the legacy single
-     * shared event queue. N > 0 builds one EventQueue per node and
-     * runs them on min(N, nodes) workers in conservative time windows
-     * (sim/sharded.hh); `--shards=1` and `--shards=N` produce
-     * bit-identical simulated time and counters.
+     * Simulation shards (worker threads). Every System builds one
+     * EventQueue per node and runs them on clamp(shards, 1, nodes)
+     * workers in conservative time windows (sim/sharded.hh); every
+     * shard count produces bit-identical simulated time and counters.
      */
-    unsigned shards = 0;
+    unsigned shards = 1;
     sim::MachineParams params;
     /**
      * Backplane wiring (sim::TopologyConfig): crossbar by default, 2D
@@ -131,8 +130,7 @@ class System;
 class Node
 {
   public:
-    /** @param eq The node's event queue: the System's shared queue in
-     *  legacy mode, this node's own queue under the sharded engine. */
+    /** @param eq The node's own event queue in the sharded engine. */
     Node(System &sys, NodeId id, const SystemConfig &cfg,
          sim::EventQueue &eq);
     ~Node();
@@ -193,19 +191,10 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** The legacy shared queue (also the setup/host clock). Sharded
-     *  components must use nodeEq() instead. */
-    sim::EventQueue &eq() { return eq_; }
+    /** The queue node @p i's components schedule on. */
+    sim::EventQueue &nodeEq(NodeId i) { return engine_->queue(i); }
 
-    /** The queue node @p i's components schedule on: its own queue
-     *  under the sharded engine, the shared queue otherwise. */
-    sim::EventQueue &
-    nodeEq(NodeId i)
-    {
-        return engine_ ? engine_->queue(i) : eq_;
-    }
-
-    /** The sharded engine (nullptr in legacy single-queue mode). */
+    /** The sharded engine (never null). */
     sim::ShardedEngine *engine() { return engine_.get(); }
 
     const sim::MachineParams &params() const { return cfg_.params; }
@@ -216,35 +205,26 @@ class System
     unsigned nodeCount() const { return unsigned(nodes_.size()); }
     Node &node(unsigned i) { return *nodes_.at(i); }
 
-    /** Global simulated time: max of the per-node clocks when
-     *  sharded, the shared queue's clock otherwise. */
-    Tick simNow() const { return engine_ ? engine_->now() : eq_.now(); }
+    /** Global simulated time: the max of the per-node fired ticks. */
+    Tick simNow() const { return engine_->now(); }
 
     /** Total events executed across all queues. */
-    std::uint64_t
-    simEvents() const
-    {
-        return engine_ ? engine_->eventsExecuted()
-                       : eq_.eventsExecuted();
-    }
+    std::uint64_t simEvents() const { return engine_->eventsExecuted(); }
 
     /** Run the event loop up to @p limit. */
-    Tick
-    run(Tick limit = maxTick)
-    {
-        return engine_ ? engine_->run(limit) : eq_.run(limit);
-    }
+    Tick run(Tick limit = maxTick) { return engine_->run(limit); }
 
     /**
      * Run until @p pred returns true, or all queues drain, or
-     * @p limit. Sharded: the predicate is evaluated at window
-     * barriers with every worker parked, so it may read any state.
+     * @p limit. The predicate is evaluated at window barriers with
+     * every worker parked, so it may read any state. On one shard the
+     * first window already reaches @p limit, so a predicate that turns
+     * true mid-run does not stop the run early.
      */
     Tick
     runUntil(const std::function<bool()> &pred, Tick limit = maxTick)
     {
-        return engine_ ? engine_->runUntil(pred, limit)
-                       : eq_.runUntil(pred, limit);
+        return engine_->runUntil(pred, limit);
     }
 
     /**
@@ -252,13 +232,11 @@ class System
      * host-shared state (e.g. msg::Channel export/import): events of
      * all nodes are interleaved in one canonical global order on the
      * calling thread and @p pred is checked after every event.
-     * Identical to runUntil in legacy mode.
      */
     Tick
     runSetup(const std::function<bool()> &pred, Tick limit = maxTick)
     {
-        return engine_ ? engine_->runSetup(pred, limit)
-                       : eq_.runUntil(pred, limit);
+        return engine_->runSetup(pred, limit);
     }
 
     /**
@@ -284,8 +262,8 @@ class System
     /**
      * Turn on continuous invariant auditing (check/monitor.hh):
      * "on-switch" audits at context switches, "every-event" at every
-     * kernel event and DMA completion, "at-barrier" at sharded window
-     * barriers, "off" detaches. Under the sharded engine every
+     * kernel event and DMA completion, "at-barrier" at the engine's
+     * window barriers, "off" detaches. On more than one shard every
      * non-off mode is coerced to at-barrier — the only point where
      * all shards are quiescent. Returns false on an unknown spec.
      * With @p fail_fast the monitor throws audit::ViolationError at
@@ -298,7 +276,6 @@ class System
 
   private:
     SystemConfig cfg_;
-    sim::EventQueue eq_;
     /** Declared before nodes_: node components hold references into
      *  its per-node queues. */
     std::unique_ptr<sim::ShardedEngine> engine_;
@@ -325,7 +302,7 @@ struct RunOptions
     std::string traceSpec;     ///< empty: tracing unchanged
     std::string auditSpec;     ///< empty: invariant auditing off
     std::string profilePath;   ///< `--profile=<file>`: Perfetto trace
-    unsigned shards = 0;       ///< `--shards=N` (0: legacy queue)
+    unsigned shards = 1;       ///< `--shards=N`
     bool shardsAuto = false;   ///< `--shards=auto` was given
     net::FaultConfig faults;   ///< `--faults=<spec>` (shrimp/fault.hh)
     sim::TopologyConfig topology; ///< `--topo=<spec>` (sim/params.hh)
@@ -351,8 +328,8 @@ RunOptions parseRunOptions(int &argc, char **argv);
 
 /**
  * The shard count a run should use: `auto` resolves to
- * min(nodes, sim::hostCoreCount()), an explicit N is clamped to the
- * node count, 0 stays 0 (legacy single queue).
+ * min(nodes, sim::hostCoreCount()), an explicit N is clamped to
+ * [1, nodes].
  */
 unsigned resolveShards(const RunOptions &opts, unsigned nodes);
 

@@ -39,11 +39,12 @@
 #ifndef SHRIMP_SHRIMP_INTERCONNECT_HH
 #define SHRIMP_SHRIMP_INTERCONNECT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "shrimp/fault.hh"
-#include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/params.hh"
 #include "sim/types.hh"
 
@@ -56,9 +57,9 @@ class NetworkInterface;
 class Interconnect
 {
   public:
-    Interconnect(sim::EventQueue &eq, const sim::MachineParams &params,
-                 sim::TopologyConfig topo = {})
-        : eq_(eq), params_(params), topo_(topo),
+    explicit Interconnect(const sim::MachineParams &params,
+                          sim::TopologyConfig topo = {})
+        : params_(params), topo_(topo),
           linksPerNode_(topo.flat() ? 1 : 4)
     {}
 
@@ -133,14 +134,6 @@ class Interconnect
         linkFreeAt_[slot] = start + params_.linkTransfer(bytes);
         linkBytes_[slot] += bytes;
         return linkFreeAt_[slot];
-    }
-
-    /** Legacy single-queue convenience: "now" is the shared clock and
-     *  the link is the crossbar injection link (direction 0). */
-    Tick
-    acquireLink(NodeId src, std::uint64_t bytes)
-    {
-        return acquireLink(src, src, bytes, eq_.now());
     }
 
     /** Routing latency of one hop, injection to ejection. */
@@ -238,7 +231,6 @@ class Interconnect
         return std::size_t(from) * linksPerNode_ + dir;
     }
 
-    sim::EventQueue &eq_;
     const sim::MachineParams &params_;
     const sim::TopologyConfig topo_;
     /** Physical links a node transmits onto (1 crossbar, 4 mesh). */

@@ -52,12 +52,9 @@
  * smoothly instead of collapsing under retransmit storms.
  *
  * All cross-node traffic (chunk deliveries and acks) is posted
- * through an optional sim::NodeRouter at >= one hop in the future
- * (delayed or duplicated chunks land even later, never earlier, so
- * the sharded engine's lookahead rule holds under faults); without a
- * router (direct construction in tests, or the legacy single-queue
- * System) the NI schedules on its own queue, which is the same thing
- * when that queue is shared.
+ * through a sim::NodeRouter (the System's sharded engine) at >= one
+ * hop in the future (delayed or duplicated chunks land even later,
+ * never earlier, so the engine's lookahead rule holds under faults).
  *
  * On a mesh/torus topology (sim::TopologyConfig) packets are
  * forwarded hop by hop along the dimension-order route: every
@@ -163,7 +160,8 @@ struct TxFlowDebug
 class NetworkInterface : public dma::UdmaDevice
 {
   public:
-    NetworkInterface(sim::EventQueue &eq,
+    /** @param router Carries every cross-node delivery and ack. */
+    NetworkInterface(sim::EventQueue &eq, sim::NodeRouter &router,
                      const sim::MachineParams &params, NodeId node,
                      mem::PhysicalMemory &memory, bus::IoBus &io_bus,
                      Interconnect &net, std::uint32_t page_bytes);
@@ -171,14 +169,6 @@ class NetworkInterface : public dma::UdmaDevice
     NodeId node() const { return node_; }
     Nipt &nipt() { return nipt_; }
     const Nipt &nipt() const { return nipt_; }
-
-    /**
-     * Route cross-node deliveries and acks through the sharded
-     * engine's mailboxes (core::System wires this when built with
-     * shards). Without a router they are scheduled directly on this
-     * NI's own event queue.
-     */
-    void setRouter(sim::NodeRouter *router) { router_ = router; }
 
     // --------------------------------- automatic update (Section 9)
     /**
@@ -534,13 +524,13 @@ class NetworkInterface : public dma::UdmaDevice
     /** Post the ack (cum + SACK + ECN) for @p src (fault-exposed). */
     void sendAck(NodeId src);
 
-    /** Post an event to @p dst through the router (or locally). */
+    /** Post an event to @p dst through the router. */
     void postToNode(NodeId dst, Tick when, const char *name,
                     sim::EventCallback fn);
 
     sim::EventQueue &eq_;
     const sim::MachineParams &params_;
-    sim::NodeRouter *router_ = nullptr;
+    sim::NodeRouter &router_;
     NodeId node_;
     mem::PhysicalMemory &memory_;
     bus::IoBus &ioBus_;

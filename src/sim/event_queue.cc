@@ -165,20 +165,4 @@ EventQueue::run(Tick limit)
     return curTick_;
 }
 
-Tick
-EventQueue::runUntil(const std::function<bool()> &pred, Tick limit)
-{
-    while (liveEvents_ > 0 && !pred()) {
-        dropStale();
-        if (heap_.empty())
-            break;
-        if (heap_.front().when > limit) {
-            curTick_ = limit;
-            return curTick_;
-        }
-        fire(popEntry());
-    }
-    return curTick_;
-}
-
 } // namespace shrimp::sim

@@ -1,9 +1,9 @@
 /**
  * @file
- * The discrete-event simulation core: a single global-per-System event
- * queue ordered by (tick, priority, stamp).
+ * The discrete-event simulation core: one node's event queue ordered
+ * by (tick, priority, stamp).
  *
- * The stamp is the intra-(tick, priority) tie-break. A legacy shared
+ * The stamp is the intra-(tick, priority) tie-break. A standalone
  * queue stamps events with a plain insertion counter, which reproduces
  * classic insertion-order FIFO semantics. Under the sharded engine
  * (sim/sharded.hh) every queue is given a stamp source id — its node —
@@ -48,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -296,8 +295,8 @@ class EventQueue
     /**
      * Brand this queue's stamps with an originating-source id (the
      * node id + engine convention). Must be set before any event is
-     * scheduled; the default source 0 reproduces the legacy
-     * plain-counter insertion order.
+     * scheduled; the default source 0 keeps the plain-counter
+     * insertion order.
      */
     void
     setStampSource(std::uint32_t id)
@@ -384,12 +383,6 @@ class EventQueue
      * @return The tick at which execution stopped.
      */
     Tick run(Tick limit = maxTick);
-
-    /**
-     * Run until @p pred returns true (checked after each event) or the
-     * queue drains or the limit is hit.
-     */
-    Tick runUntil(const std::function<bool()> &pred, Tick limit = maxTick);
 
     /** Execute exactly one event, if any. Returns false if empty. */
     bool step();

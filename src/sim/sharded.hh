@@ -73,9 +73,9 @@ class ShardProfiler;
 
 /**
  * Where a component posts an event destined for (possibly) another
- * node. The sharded engine implements this with mailboxes; components
- * constructed without a router fall back to scheduling on their own
- * queue, which is exactly the legacy single-queue behaviour.
+ * node. The sharded engine implements this with mailboxes and direct
+ * same-shard delivery; unit tests that put several components on one
+ * queue supply a router that schedules there.
  */
 class NodeRouter
 {

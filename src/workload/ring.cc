@@ -55,7 +55,7 @@ runRing(const RingConfig &cfg)
     scfg.topology.specified = true;
     System sys(scfg);
 
-    if (cfg.profiler && sys.engine())
+    if (cfg.profiler)
         sys.engine()->setProfiler(cfg.profiler);
 
     const unsigned nodes = cfg.nodes;
@@ -155,10 +155,8 @@ runRing(const RingConfig &cfg)
     res.simTicks = sys.simNow();
     res.simEvents = sys.simEvents();
     res.bytesRouted = sys.net().bytesRouted();
-    if (auto *eng = sys.engine()) {
-        res.crossPosts = eng->crossPosts();
-        res.windows = eng->windows();
-    }
+    res.crossPosts = sys.engine()->crossPosts();
+    res.windows = sys.engine()->windows();
 
     res.faults = sys.net().faults().totals();
     res.linksTotal = nlinks;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.hh"
 
 using namespace shrimp;
@@ -63,6 +65,61 @@ TEST(FifoNic, WordsFlowBetweenNodes)
     EXPECT_EQ(got, (std::vector<std::uint64_t>{10, 11, 12, 13}));
     EXPECT_EQ(sys.node(0).fifoNic()->wordsSent(), 4u);
     EXPECT_EQ(sys.node(1).fifoNic()->wordsReceived(), 4u);
+}
+
+TEST(FifoNic, RunsOnOneShardOfAMultiNodeSystem)
+{
+    // Three nodes merged on one shard: both senders' words reach node
+    // 2 through the PIO path, each at its sender's own clock.
+    SystemConfig cfg = fifoConfig(3);
+    cfg.shards = 1;
+    System sys(cfg);
+    ASSERT_EQ(sys.engine()->shardCount(), 1u);
+    std::vector<std::uint64_t> got;
+    bool recv_ready = false;
+
+    sys.node(2).kernel().spawn(
+        "recv", [&](os::UserContext &ctx) -> sim::ProcTask {
+            Addr win = co_await ctx.sysMapDeviceProxy(0, 0, 2, true);
+            recv_ready = true;
+            while (got.size() < 8) {
+                std::uint64_t avail =
+                    co_await ctx.load(win + FifoNic::regRxAvail);
+                for (std::uint64_t i = 0; i < avail; ++i) {
+                    got.push_back(
+                        co_await ctx.load(win + FifoNic::regRxData));
+                }
+            }
+        });
+    for (unsigned n = 0; n < 2; ++n) {
+        sys.node(n).kernel().spawn(
+            "send", [&, n](os::UserContext &ctx) -> sim::ProcTask {
+                Addr win =
+                    co_await ctx.sysMapDeviceProxy(0, 0, 2, true);
+                while (!recv_ready)
+                    co_await ctx.compute(500);
+                co_await ctx.store(win + FifoNic::regDestNode, 2);
+                Addr tx = win + ctx.pageBytes();
+                for (std::uint64_t w = 0; w < 4; ++w)
+                    co_await ctx.store(tx, 100 * (n + 1) + w);
+            });
+    }
+
+    sys.runUntilAllDone(Tick(10) * tickSec);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{100, 101, 102, 103, 200,
+                                               201, 202, 203}));
+    EXPECT_EQ(sys.node(0).fifoNic()->wordsSent(), 4u);
+    EXPECT_EQ(sys.node(1).fifoNic()->wordsSent(), 4u);
+    EXPECT_EQ(sys.node(2).fifoNic()->wordsReceived(), 8u);
+}
+
+TEST(FifoNic, MoreThanOneShardIsFatal)
+{
+    // Synchronous peer reads need one global event order.
+    SystemConfig cfg = fifoConfig(2);
+    cfg.shards = 2;
+    EXPECT_THROW(System sys(cfg), FatalError);
 }
 
 TEST(FifoNic, StatusRegistersReflectState)

@@ -182,9 +182,9 @@ TEST(TraditionalDma, PinModeSlowerThanUdmaInitiation)
     // end-to-end time minus engine time exceeds UDMA's two-reference
     // initiation by an order of magnitude.
     System sys(sinkConfig());
-    Tick t0 = sys.eq().now();
+    Tick t0 = sys.simNow();
     runOneDma(sys, true, 4096, Mode::PinPages);
-    Tick total = sys.eq().now() - t0;
+    Tick total = sys.simNow() - t0;
     sim::MachineParams p;
     Tick engine = p.dmaStart() + p.eisaBurst(4096);
     Tick overhead = total - engine;

@@ -328,6 +328,49 @@ TEST(Monitor, MonitoredSimulationStaysClean)
     EXPECT_EQ(sys.auditMonitor()->violationCount(), 0u);
 }
 
+TEST(Monitor, OneShardKeepsTheRequestedMode)
+{
+    // One shard runs every event on one thread, so the per-event
+    // hooks are safe and every mode stays as requested; at-barrier
+    // audits from the engine's barrier hook.
+    System sys(fbConfig());
+    ASSERT_EQ(sys.engine()->shardCount(), 1u);
+    ASSERT_TRUE(sys.enableAudit("every-event"));
+    ASSERT_NE(sys.auditMonitor(), nullptr);
+    EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::EveryEvent);
+    ASSERT_TRUE(sys.enableAudit("on-switch"));
+    EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::OnSwitch);
+
+    ASSERT_TRUE(sys.enableAudit("at-barrier", /*fail_fast=*/true));
+    EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::AtBarrier);
+    sys.node(0).kernel().spawn(
+        "worker", [](os::UserContext &ctx) -> sim::ProcTask {
+            co_await ctx.compute(1000);
+        });
+    EXPECT_NO_THROW(sys.runUntilAllDone());
+    EXPECT_GE(sys.auditMonitor()->audits(), 1u);
+    EXPECT_EQ(sys.auditMonitor()->violationCount(), 0u);
+}
+
+TEST(Monitor, SeveralShardsAuditOnlyAtBarriers)
+{
+    // Per-event hooks would race across worker threads: every
+    // non-off mode is coerced to at-barrier.
+    SystemConfig cfg = fbConfig();
+    cfg.nodes = 4;
+    cfg.shards = 4;
+    System sys(cfg);
+    ASSERT_EQ(sys.engine()->shardCount(), 4u);
+    for (const char *spec : {"every-event", "on-switch", "at-barrier"}) {
+        ASSERT_TRUE(sys.enableAudit(spec));
+        ASSERT_NE(sys.auditMonitor(), nullptr) << spec;
+        EXPECT_EQ(sys.auditMonitor()->mode(), audit::Mode::AtBarrier)
+            << spec;
+    }
+    ASSERT_TRUE(sys.enableAudit("off"));
+    EXPECT_EQ(sys.auditMonitor(), nullptr);
+}
+
 // --------------------------------------------------------- run options
 
 TEST(RunOptions, AuditSpecParsedAndStripped)

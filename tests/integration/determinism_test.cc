@@ -69,8 +69,8 @@ runOnce()
     sys.run();
 
     RunRecord rec;
-    rec.endTick = sys.eq().now();
-    rec.events = sys.eq().eventsExecuted();
+    rec.endTick = sys.simNow();
+    rec.events = sys.simEvents();
     std::ostringstream os;
     sys.dumpStats(os);
     rec.stats = os.str();

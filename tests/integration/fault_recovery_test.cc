@@ -144,7 +144,7 @@ TEST(FaultRecovery, AuditorStaysCleanUnderFaults)
     // monitor reports violations as "audit[...]" lines on stderr.
     ASSERT_EQ(setenv("SHRIMP_AUDIT", "every-event", 1), 0);
     testing::internal::CaptureStderr();
-    RingConfig cfg = faultyRing(0); // legacy queue: per-event hooks
+    RingConfig cfg = faultyRing(1); // one shard: per-event hooks
     RingResult r = runRing(cfg);
     std::string err = testing::internal::GetCapturedStderr();
     unsetenv("SHRIMP_AUDIT");

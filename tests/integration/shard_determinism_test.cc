@@ -102,19 +102,21 @@ TEST(ShardDeterminism, LargeMachineManyShards)
     EXPECT_GT(r8.crossPosts, 0u);
 }
 
-TEST(ShardDeterminism, LegacyModeStillWorks)
+TEST(ShardDeterminism, ZeroShardsIsOneShard)
 {
-    // shards=0 keeps the original single-queue path: same workload,
-    // same delivery counts (timing may differ from the sharded runs).
+    // shards=0 is not a mode of its own: the engine clamps it to one
+    // shard, so it runs exactly the shards=1 simulation.
     RingConfig cfg = smallRing(0);
-    RingResult r = workload::runRing(cfg);
+    RingResult r0 = workload::runRing(cfg);
+    RingResult r1 = workload::runRing(smallRing(1));
+    expectIdentical(r0, r1, "shards=0 vs shards=1");
+    EXPECT_EQ(r0.crossPosts, r1.crossPosts);
+    EXPECT_EQ(r0.windows, r1.windows);
     // At least the payload records arrive (plus automatic-update
     // credit messages on top).
-    EXPECT_GE(r.messagesDelivered,
+    EXPECT_GE(r0.messagesDelivered,
               std::uint64_t(cfg.nodes) * cfg.records);
-    EXPECT_GE(r.bytesDelivered,
+    EXPECT_GE(r0.bytesDelivered,
               std::uint64_t(cfg.nodes) * cfg.records
                   * cfg.recordBytes);
-    EXPECT_EQ(r.crossPosts, 0u);
-    EXPECT_EQ(r.windows, 0u);
 }

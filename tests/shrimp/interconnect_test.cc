@@ -21,6 +21,8 @@
 #include "shrimp/network_interface.hh"
 #include "sim/sharded.hh"
 
+#include "../support/queue_router.hh"
+
 using namespace shrimp;
 using namespace shrimp::net;
 
@@ -39,8 +41,9 @@ parseTopo(const std::string &spec)
 struct NetFixture : ::testing::Test
 {
     sim::EventQueue eq;
+    test::QueueRouter router{eq};
     sim::MachineParams params;
-    Interconnect net{eq, params};
+    Interconnect net{params};
     mem::PhysicalMemory mem{1 << 20, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
@@ -51,7 +54,14 @@ struct NetFixture : ::testing::Test
     {
         for (unsigned i = 0; i < n; ++i)
             nis.push_back(std::make_unique<NetworkInterface>(
-                eq, params, i, mem, bus, net, 4096));
+                eq, router, params, i, mem, bus, net, 4096));
+    }
+
+    /** Occupy @p src's crossbar injection link at tick 0. */
+    Tick
+    inject(NodeId src, std::uint64_t bytes)
+    {
+        return net.acquireLink(src, src, bytes, 0);
     }
 };
 
@@ -65,14 +75,14 @@ TEST_F(NetFixture, UnknownNodePanics)
 
 TEST_F(NetFixture, AttachAndLookup)
 {
-    NetworkInterface ni(eq, params, 5, mem, bus, net, 4096);
+    NetworkInterface ni(eq, router, params, 5, mem, bus, net, 4096);
     EXPECT_TRUE(net.hasNode(5));
     EXPECT_EQ(net.ni(5), &ni);
 }
 
 TEST_F(NetFixture, DoubleAttachPanics)
 {
-    NetworkInterface ni(eq, params, 5, mem, bus, net, 4096);
+    NetworkInterface ni(eq, router, params, 5, mem, bus, net, 4096);
     EXPECT_THROW(net.attach(5, &ni), PanicError);
 }
 
@@ -81,17 +91,17 @@ TEST_F(NetFixture, AcquireLinkFromUnattachedNodePanics)
     // The link vectors are sized in attach() only: a runtime grow
     // would be a data race under shards, so acquireLink must refuse
     // rather than resize.
-    EXPECT_THROW(net.acquireLink(0, 2000), PanicError);
+    EXPECT_THROW(inject(0, 2000), PanicError);
     attachNodes(1);
-    EXPECT_NO_THROW(net.acquireLink(0, 2000));
-    EXPECT_THROW(net.acquireLink(1, 2000), PanicError);
+    EXPECT_NO_THROW(inject(0, 2000));
+    EXPECT_THROW(inject(1, 2000), PanicError);
 }
 
 TEST_F(NetFixture, LinkSerializesPerSource)
 {
     attachNodes(1);
-    Tick t1 = net.acquireLink(0, 2000); // 2000 B at 200 MB/s = 10 us
-    Tick t2 = net.acquireLink(0, 2000);
+    Tick t1 = inject(0, 2000); // 2000 B at 200 MB/s = 10 us
+    Tick t2 = inject(0, 2000);
     EXPECT_NEAR(double(t1), 10.0 * tickUs, double(tickNs));
     EXPECT_NEAR(double(t2), 20.0 * tickUs, double(tickNs));
 }
@@ -99,16 +109,16 @@ TEST_F(NetFixture, LinkSerializesPerSource)
 TEST_F(NetFixture, DistinctSourcesDoNotSerialize)
 {
     attachNodes(2);
-    Tick t1 = net.acquireLink(0, 2000);
-    Tick t2 = net.acquireLink(1, 2000);
+    Tick t1 = inject(0, 2000);
+    Tick t2 = inject(1, 2000);
     EXPECT_EQ(t1, t2) << "a crossbar: each node has its own link";
 }
 
 TEST_F(NetFixture, TracksRoutedBytes)
 {
     attachNodes(2);
-    net.acquireLink(0, 100);
-    net.acquireLink(1, 250);
+    inject(0, 100);
+    inject(1, 250);
     EXPECT_EQ(net.bytesRouted(), 350u);
 }
 
@@ -229,10 +239,9 @@ TEST(Routing, TorusWrapsAroundWhereTheMeshWalks)
 
 TEST(Routing, MinDeliveryLatencyScalesWithDistance)
 {
-    sim::EventQueue eq;
     sim::MachineParams params;
-    Interconnect flat{eq, params};
-    Interconnect meshNet{eq, params, parseTopo("mesh:4x4")};
+    Interconnect flat{params};
+    Interconnect meshNet{params, parseTopo("mesh:4x4")};
     // One hop costs the header serialization plus the hop latency.
     const Tick one = flat.minDeliveryLatency(0, 1);
     EXPECT_EQ(meshNet.minDeliveryLatency(0, 1), one);
@@ -246,14 +255,15 @@ TEST(Routing, MinDeliveryLatencyScalesWithDistance)
 TEST(Routing, MeshDirectionLinksArbitrateIndependently)
 {
     sim::EventQueue eq;
+    test::QueueRouter router{eq};
     sim::MachineParams params;
-    Interconnect net{eq, params, parseTopo("mesh:4x4")};
+    Interconnect net{params, parseTopo("mesh:4x4")};
     mem::PhysicalMemory mem{1 << 20, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
     for (unsigned i = 0; i < 16; ++i)
         nis.push_back(std::make_unique<NetworkInterface>(
-            eq, params, i, mem, bus, net, 4096));
+            eq, router, params, i, mem, bus, net, 4096));
 
     // Node 5 is interior: -X=4, +X=6, -Y=1, +Y=9 are four distinct
     // physical links and must not serialize against each other...
@@ -285,11 +295,11 @@ TEST(Routing, MeshDirectionLinksArbitrateIndependently)
 namespace
 {
 
-class FloorCheckRouter : public sim::NodeRouter
+class FloorCheckRouter : public test::QueueRouter
 {
   public:
     FloorCheckRouter(sim::EventQueue &eq, Interconnect &net)
-        : eq_(eq), net_(net)
+        : QueueRouter(eq), net_(net)
     {}
 
     void
@@ -306,14 +316,13 @@ class FloorCheckRouter : public sim::NodeRouter
             if (when < eq_.now() + floor)
                 ++violations_;
         }
-        eq_.schedule(when, name, std::move(fn), prio);
+        QueueRouter::post(src, dst, when, name, std::move(fn), prio);
     }
 
     std::uint64_t posts() const { return posts_; }
     std::uint64_t violations() const { return violations_; }
 
   private:
-    sim::EventQueue &eq_;
     Interconnect &net_;
     std::uint64_t posts_ = 0;
     std::uint64_t violations_ = 0;
@@ -329,7 +338,7 @@ runFloorProperty(const std::string &spec, NodeId src, NodeId dst)
     sim::TopologyConfig topo;
     if (spec != "crossbar")
         topo = parseTopo(spec);
-    Interconnect net{eq, params, topo};
+    Interconnect net{params, topo};
 
     FloorCheckRouter router(eq, net);
 
@@ -337,11 +346,9 @@ runFloorProperty(const std::string &spec, NodeId src, NodeId dst)
     mem::PhysicalMemory mem{1 << 22, 4096};
     bus::IoBus bus{eq, params};
     std::vector<std::unique_ptr<NetworkInterface>> nis;
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < n; ++i)
         nis.push_back(std::make_unique<NetworkInterface>(
-            eq, params, i, mem, bus, net, 4096));
-        nis.back()->setRouter(&router);
-    }
+            eq, router, params, i, mem, bus, net, 4096));
 
     // Delay and duplicate faults: both may only move arrivals later.
     FaultConfig fc;

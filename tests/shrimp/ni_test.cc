@@ -10,6 +10,8 @@
 #include "mem/physical_memory.hh"
 #include "shrimp/network_interface.hh"
 
+#include "../support/queue_router.hh"
+
 using namespace shrimp;
 using namespace shrimp::net;
 
@@ -19,14 +21,15 @@ namespace
 struct NiPair : ::testing::Test
 {
     sim::EventQueue eq;
+    test::QueueRouter router{eq};
     sim::MachineParams params;
-    Interconnect net{eq, params};
+    Interconnect net{params};
     mem::PhysicalMemory memA{1 << 20, 4096};
     mem::PhysicalMemory memB{1 << 20, 4096};
     bus::IoBus busA{eq, params};
     bus::IoBus busB{eq, params};
-    NetworkInterface niA{eq, params, 0, memA, busA, net, 4096};
-    NetworkInterface niB{eq, params, 1, memB, busB, net, 4096};
+    NetworkInterface niA{eq, router, params, 0, memA, busA, net, 4096};
+    NetworkInterface niB{eq, router, params, 1, memB, busB, net, 4096};
 
     /** Drive niA as the engine would: start a transfer and push. */
     void

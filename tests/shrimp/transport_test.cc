@@ -19,6 +19,8 @@
 #include "shrimp/network_interface.hh"
 #include "shrimp/transport.hh"
 
+#include "../support/queue_router.hh"
+
 using namespace shrimp;
 using namespace shrimp::net;
 
@@ -181,14 +183,15 @@ namespace
 struct TransportPair : ::testing::Test
 {
     sim::EventQueue eq;
+    test::QueueRouter router{eq};
     sim::MachineParams params;
-    Interconnect net{eq, params};
+    Interconnect net{params};
     mem::PhysicalMemory memA{1 << 20, 4096};
     mem::PhysicalMemory memB{1 << 20, 4096};
     bus::IoBus busA{eq, params};
     bus::IoBus busB{eq, params};
-    NetworkInterface niA{eq, params, 0, memA, busA, net, 4096};
-    NetworkInterface niB{eq, params, 1, memB, busB, net, 4096};
+    NetworkInterface niA{eq, router, params, 0, memA, busA, net, 4096};
+    NetworkInterface niB{eq, router, params, 1, memB, busB, net, 4096};
 
     void
     installDownWindow(bool disable_fast_retransmit)

@@ -82,17 +82,6 @@ TEST(EventQueue, RunHonorsLimit)
     EXPECT_EQ(count, 3);
 }
 
-TEST(EventQueue, RunUntilPredicate)
-{
-    EventQueue eq;
-    int count = 0;
-    for (Tick t = 1; t <= 10; ++t)
-        eq.schedule(t, "tick", [&] { ++count; });
-    eq.runUntil([&] { return count >= 4; });
-    EXPECT_EQ(count, 4);
-    EXPECT_EQ(eq.now(), 4u);
-}
-
 TEST(EventQueue, SchedulingInThePastPanics)
 {
     EventQueue eq;

@@ -304,9 +304,10 @@ apply(World &w, const Action &a)
       case ActionKind::PageOut:
         return kernel.evictOneFrame(lat);
       case ActionKind::Complete: {
-        sim::EventQueue &eq = w.sys->eq();
-        eq.runUntil([&w] { return !w.transferring(); },
-                    eq.now() + tickSec);
+        // runSetup checks the predicate after every event, so the
+        // run stops at the completion, not at a window barrier.
+        w.sys->runSetup([&w] { return !w.transferring(); },
+                        w.sys->simNow() + tickSec);
         return !w.transferring();
       }
     }
