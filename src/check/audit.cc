@@ -240,10 +240,11 @@ checkControllers(os::Kernel &kernel, vm::Mmu &mmu, Reporter &rep)
 
 /**
  * Proxy-translation-cache coherence (I2): every cached entry must
- * point at exactly the PTE node the owner's page table holds for that
- * vpn. Compared by pointer identity — never dereferenced — so a stale
- * entry left behind by a missed shootdown (the no-tcache-shootdown
- * mutation) is detected without touching freed memory.
+ * point at exactly the PTE slot the owner's page table holds for that
+ * vpn. Compared by pointer identity: the page table answers nullptr
+ * for a removed vpn, so an entry left behind by a missed shootdown
+ * (the no-tcache-shootdown mutation) is flagged even though its slot
+ * still exists and reads invalid.
  */
 void
 checkTranslationCache(os::Kernel &kernel, Reporter &rep)

@@ -11,6 +11,7 @@
 #ifndef SHRIMP_MEM_PHYSICAL_MEMORY_HH
 #define SHRIMP_MEM_PHYSICAL_MEMORY_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -28,19 +29,22 @@ class PhysicalMemory
     /**
      * @param bytes Total memory size; must be a multiple of @p
      *        page_bytes.
-     * @param page_bytes Frame size (the VM page size).
+     * @param page_bytes Frame size (the VM page size); a power of two.
      */
     PhysicalMemory(std::uint64_t bytes, std::uint32_t page_bytes)
         : pageBytes_(page_bytes), data_(bytes, 0)
     {
-        if (page_bytes == 0 || bytes % page_bytes != 0)
+        if (page_bytes == 0 || (page_bytes & (page_bytes - 1)) != 0)
+            fatal("page size must be a power of two");
+        if (bytes % page_bytes != 0)
             fatal("physical memory size ", bytes,
                   " is not a multiple of the page size ", page_bytes);
+        pageShift_ = unsigned(std::countr_zero(page_bytes));
     }
 
     std::uint64_t size() const { return data_.size(); }
     std::uint32_t pageBytes() const { return pageBytes_; }
-    std::uint64_t frames() const { return size() / pageBytes_; }
+    std::uint64_t frames() const { return size() >> pageShift_; }
 
     /** Raw byte access for DMA engines and the CPU's data path. */
     void
@@ -78,15 +82,23 @@ class PhysicalMemory
     void
     zeroFrame(std::uint64_t frame)
     {
+        std::memset(frameBytes(frame), 0, pageBytes_);
+    }
+
+    /** The bytes of one whole frame, for page-sized copies to and from
+     *  swap without a staging buffer. */
+    std::uint8_t *
+    frameBytes(std::uint64_t frame)
+    {
         SHRIMP_ASSERT(frame < frames(), "bad frame");
-        std::memset(data_.data() + frame * pageBytes_, 0, pageBytes_);
+        return data_.data() + frameAddr(frame);
     }
 
     /** Base physical address of a frame. */
-    Addr frameAddr(std::uint64_t frame) const { return frame * pageBytes_; }
+    Addr frameAddr(std::uint64_t frame) const { return frame << pageShift_; }
 
     /** Frame containing a physical address. */
-    std::uint64_t frameOf(Addr addr) const { return addr / pageBytes_; }
+    std::uint64_t frameOf(Addr addr) const { return addr >> pageShift_; }
 
   private:
     void
@@ -98,6 +110,7 @@ class PhysicalMemory
     }
 
     std::uint32_t pageBytes_;
+    unsigned pageShift_ = 0;
     std::vector<std::uint8_t> data_;
 };
 

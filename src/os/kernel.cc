@@ -25,7 +25,7 @@ Kernel::Kernel(sim::EventQueue &eq, const sim::MachineParams &params,
                vm::Mmu &mmu)
     : eq_(eq), params_(params), layout_(layout), memory_(memory),
       ioBus_(io_bus), mmu_(mmu), backing_(layout.pageBytes()),
-      frames_(memory.frames()), pageBuf_(layout.pageBytes())
+      frames_(memory.frames())
 {
     freeFrames_.reserve(memory.frames());
     // Hand frames out low-to-high for reproducibility.
@@ -107,7 +107,7 @@ Kernel::spawn(std::string name, UserProgram program)
     proc.task_ = proc.program_(*proc.ctx_);
     proc.task_.setOnDone([this, &proc] { onProcessExit(proc); });
     proc.state_ = ProcState::Ready;
-    readyQueue_.push_back(&proc);
+    readyQueue_.push(&proc);
     dispatch();
     return proc;
 }
@@ -339,8 +339,7 @@ Kernel::dispatch()
 {
     if (running_ || dispatchPending_ || readyQueue_.empty())
         return;
-    Process *next = readyQueue_.front();
-    readyQueue_.pop_front();
+    Process *next = readyQueue_.pop();
     dispatchPending_ = true;
     ++switches_;
     trace::log(eq_.now(), trace::Category::Os, "switch to ",
@@ -422,7 +421,7 @@ void
 Kernel::requeue(Process &proc)
 {
     proc.state_ = ProcState::Ready;
-    readyQueue_.push_back(&proc);
+    readyQueue_.push(&proc);
 }
 
 void
@@ -656,8 +655,7 @@ Kernel::ensureResident(Process &proc, Addr va, bool for_write,
     Addr fa = memory_.frameAddr(frame);
 
     if (backing_.contains(proc.pid_, vpn)) {
-        backing_.load(proc.pid_, vpn, pageBuf_.data());
-        memory_.writeBytes(fa, pageBuf_.data(), pageBuf_.size());
+        backing_.load(proc.pid_, vpn, memory_.frameBytes(frame));
         lat += params_.swapPage();
     } else {
         memory_.zeroFrame(frame);
@@ -686,6 +684,8 @@ bool
 Kernel::allocFrame(Pid pid, std::uint64_t vpn, std::uint64_t &frame,
                    Tick &lat)
 {
+    if (!drainingFrames_.empty())
+        reclaimDrainedFrames();
     if (freeFrames_.empty()) {
         if (!evictOneFrame(lat))
             return false;
@@ -707,6 +707,21 @@ Kernel::pageBusyAnywhere(Addr page_base) const
     return false;
 }
 
+void
+Kernel::reclaimDrainedFrames()
+{
+    std::size_t kept = 0;
+    for (std::uint64_t frame : drainingFrames_) {
+        if (pageBusyAnywhere(memory_.frameAddr(frame))) {
+            drainingFrames_[kept++] = frame;
+        } else {
+            frames_[frame] = FrameInfo{};
+            freeFrames_.push_back(frame);
+        }
+    }
+    drainingFrames_.resize(kept);
+}
+
 bool
 Kernel::evictOneFrame(Tick &lat)
 {
@@ -719,7 +734,8 @@ Kernel::evictOneFrame(Tick &lat)
         if (!f.used || f.pinCount > 0)
             continue;
         Process *owner = findProcess(f.pid);
-        if (!owner)
+        // A zombie's frame is still draining a transfer (I4 on exit).
+        if (!owner || owner->state_ == ProcState::Zombie)
             continue;
         vm::Pte *pte = owner->pageTable_.lookup(f.vpn);
         SHRIMP_ASSERT(pte && pte->valid, "frame table out of sync");
@@ -778,12 +794,10 @@ Kernel::evictFrame(std::uint64_t frame, Tick &lat)
     SHRIMP_ASSERT(owner, "evicting frame with no owner");
     vm::Pte *pte = owner->pageTable_.lookup(f.vpn);
     SHRIMP_ASSERT(pte && pte->valid, "evicting unmapped frame");
-    Addr fa = memory_.frameAddr(frame);
 
     if (pageConsideredDirty(*owner, f.vpn, *pte)) {
         // Clean: write the page to backing store.
-        memory_.readBytes(fa, pageBuf_.data(), pageBuf_.size());
-        backing_.store(f.pid, f.vpn, pageBuf_.data());
+        backing_.store(f.pid, f.vpn, memory_.frameBytes(frame));
         lat += params_.swapPage();
     }
 
@@ -808,9 +822,7 @@ void
 Kernel::invalidateProxyMappings(Process &proc, std::uint64_t real_vpn)
 {
     for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
+        std::uint64_t proxy_vpn = proxyVpn(c->deviceIndex(), real_vpn);
         if (proc.pageTable_.lookup(proxy_vpn)) {
             if (mmu_.activeTable() == &proc.pageTable_)
                 mmu_.invalidatePage(proxy_vpn);
@@ -835,9 +847,7 @@ Kernel::pageConsideredDirty(Process &proc, std::uint64_t real_vpn,
     // Alternative scheme: "the kernel considers vmem_page dirty if
     // either vmem_page or PROXY(vmem_page) is dirty."
     for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
+        std::uint64_t proxy_vpn = proxyVpn(c->deviceIndex(), real_vpn);
         const vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn);
         if (pte && pte->valid && pte->dirty)
             return true;
@@ -853,9 +863,7 @@ Kernel::clearPageDirty(Process &proc, std::uint64_t real_vpn,
     if (i3Policy_ != I3Policy::ProxyDirtyBits)
         return;
     for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
+        std::uint64_t proxy_vpn = proxyVpn(c->deviceIndex(), real_vpn);
         if (vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn))
             pte->dirty = false;
     }
@@ -865,9 +873,7 @@ void
 Kernel::writeProtectProxyMappings(Process &proc, std::uint64_t real_vpn)
 {
     for (auto *c : controllers_) {
-        unsigned d = c->deviceIndex();
-        std::uint64_t proxy_vpn =
-            layout_.memProxyBase(d) / layout_.pageBytes() + real_vpn;
+        std::uint64_t proxy_vpn = proxyVpn(c->deviceIndex(), real_vpn);
         if (vm::Pte *pte = proc.pageTable_.lookup(proxy_vpn)) {
             if (mmu_.activeTable() == &proc.pageTable_)
                 mmu_.invalidatePage(proxy_vpn);
@@ -889,8 +895,8 @@ Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
     if (pageBusyAnywhere(page_base))
         return false;
     if (pageConsideredDirty(proc, vpn, *pte)) {
-        memory_.readBytes(page_base, pageBuf_.data(), pageBuf_.size());
-        backing_.store(proc.pid_, vpn, pageBuf_.data());
+        backing_.store(proc.pid_, vpn,
+                       memory_.frameBytes(memory_.frameOf(page_base)));
         clearPageDirty(proc, vpn, *pte);
         lat += params_.swapPage();
     }
@@ -906,10 +912,17 @@ void
 Kernel::releaseProcessMemory(Process &proc)
 {
     for (std::uint64_t frame = 0; frame < frames_.size(); ++frame) {
-        if (frames_[frame].used && frames_[frame].pid == proc.pid_) {
-            frames_[frame] = FrameInfo{};
-            freeFrames_.push_back(frame);
+        if (!frames_[frame].used || frames_[frame].pid != proc.pid_)
+            continue;
+        if (pageBusyAnywhere(memory_.frameAddr(frame))) {
+            // Invariant I4 holds past exit: a running or queued
+            // transfer still names this frame, so the zombie keeps it
+            // (the clock skips zombies) until allocFrame sees it idle.
+            drainingFrames_.push_back(frame);
+            continue;
         }
+        frames_[frame] = FrameInfo{};
+        freeFrames_.push_back(frame);
     }
     if (mmu_.activeTable() == &proc.pageTable_)
         mmu_.activate(nullptr);

@@ -20,7 +20,10 @@
  *  - I4 (register consistency): the pageout path queries every UDMA
  *    controller (registers + Section 7 queue/reference counts) and
  *    never evicts a page involved in a transfer; a latched-but-unfired
- *    DESTINATION is cleared with an Inval, as the paper allows.
+ *    DESTINATION is cleared with an Inval, as the paper allows. A
+ *    process that exits or is killed keeps such frames until no
+ *    controller names them, so a transfer never writes a frame that
+ *    has been handed to another process.
  *
  * The kernel also provides the services the *traditional* DMA baseline
  * needs — per-page translation, pinning, scatter list construction,
@@ -32,9 +35,9 @@
 #ifndef SHRIMP_OS_KERNEL_HH
 #define SHRIMP_OS_KERNEL_HH
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -472,6 +475,17 @@ class Kernel
     /** Is this physical page involved in any controller's transfers? */
     bool pageBusyAnywhere(Addr page_base) const;
 
+    /** Free the frames of drainingFrames_ that no transfer names any
+     *  more (invariant I4 on exit). */
+    void reclaimDrainedFrames();
+
+    /** Virtual page number of PROXY(real vpn) for device @p d. */
+    std::uint64_t
+    proxyVpn(unsigned d, std::uint64_t real_vpn) const
+    {
+        return layout_.pageOf(layout_.memProxyBase(d)) + real_vpn;
+    }
+
     /** Remove the proxy mappings of (proc, real vpn) for all devices
      *  — invariant I2. */
     void invalidateProxyMappings(Process &proc, std::uint64_t real_vpn);
@@ -525,9 +539,46 @@ class Kernel
     };
     std::map<unsigned, DeviceWindow> windows_;
 
+    /** FIFO of runnable processes: a ring that grows only when every
+     *  slot is taken, i.e. with the process count, so scheduling never
+     *  allocates in steady state. */
+    class ReadyQueue
+    {
+      public:
+        bool empty() const { return count_ == 0; }
+
+        void
+        push(Process *p)
+        {
+            if (count_ == slots_.size()) {
+                // Full: unroll oldest-first, then widen.
+                std::rotate(slots_.begin(), slots_.begin() + head_,
+                            slots_.end());
+                head_ = 0;
+                slots_.resize(std::max<std::size_t>(8, 2 * slots_.size()));
+            }
+            slots_[(head_ + count_) % slots_.size()] = p;
+            ++count_;
+        }
+
+        Process *
+        pop()
+        {
+            Process *p = slots_[head_];
+            head_ = (head_ + 1) % slots_.size();
+            --count_;
+            return p;
+        }
+
+      private:
+        std::vector<Process *> slots_;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
+    };
+
     std::map<Pid, std::unique_ptr<Process>> procs_;
     Pid nextPid_ = 1;
-    std::deque<Process *> readyQueue_;
+    ReadyQueue readyQueue_;
     Process *running_ = nullptr;
     bool dispatchPending_ = false;
     bool preemptPending_ = false;
@@ -535,9 +586,10 @@ class Kernel
 
     std::vector<FrameInfo> frames_;
     std::vector<std::uint64_t> freeFrames_;
+    /** Frames an exited process still owns because a running or queued
+     *  transfer names them (I4); allocFrame frees them once none does. */
+    std::vector<std::uint64_t> drainingFrames_;
     std::size_t clockHand_ = 0;
-    /** Staging buffer for a page on its way to or from swap. */
-    std::vector<std::uint8_t> pageBuf_;
 
     stats::Scalar switches_;
     stats::Scalar memFaults_;

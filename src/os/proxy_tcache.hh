@@ -11,15 +11,19 @@
  * It is a model-level (host-side) cache: a hit is architecturally
  * equivalent to a warm TLB hit and charges no extra simulated time.
  *
- * Coherence contract (invariant I2): entries point at PTE nodes inside
- * the owning process's page table (node-based storage, so the pointers
- * are stable across unrelated inserts). Permission bits are re-read on
- * every hit, so in-place PTE mutations (I3 write-protect, write
- * upgrades) need no invalidation. The only hazard is PTE *removal*:
- * the kernel invalidates the cache on exactly the paths that remove
- * proxy PTEs — the I2 shootdown (Kernel::invalidateProxyMappings) and
- * process-memory release. The invariant auditor cross-checks every
- * entry against the page table by pointer equality, and the
+ * Coherence contract (invariant I2): entries point at PTE slots inside
+ * the owning process's page table. Slots live in leaves that never
+ * move, so the pointers stay valid for the table's lifetime.
+ * Permission bits are re-read on every hit, so in-place PTE mutations
+ * (I3 write-protect, write upgrades) need no invalidation. The hazard
+ * is PTE *removal*: the kernel invalidates the cache on exactly the
+ * paths that remove proxy PTEs — the I2 shootdown
+ * (Kernel::invalidateProxyMappings) and process-memory release. A
+ * removed slot reads valid == false, so an entry that outlives a
+ * missed shootdown misses and the access re-faults; it never reads
+ * freed memory or the old mapping. The invariant auditor still
+ * cross-checks every entry against the page table by pointer
+ * identity (lookup() returns nullptr for a removed vpn), and the
  * no-tcache-shootdown seeded mutation demonstrates the counterexample.
  */
 

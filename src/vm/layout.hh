@@ -22,6 +22,7 @@
 #ifndef SHRIMP_VM_LAYOUT_HH
 #define SHRIMP_VM_LAYOUT_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "sim/logging.hh"
@@ -69,6 +70,7 @@ class AddressLayout
             fatal("memory larger than the region stride");
         if (page_bytes == 0 || (page_bytes & (page_bytes - 1)) != 0)
             fatal("page size must be a power of two");
+        pageShift_ = unsigned(std::countr_zero(page_bytes));
     }
 
     std::uint64_t memBytes() const { return memBytes_; }
@@ -131,13 +133,13 @@ class AddressLayout
     }
 
     /** Page number of an address. */
-    std::uint64_t pageOf(Addr a) const { return a / pageBytes_; }
+    std::uint64_t pageOf(Addr a) const { return a >> pageShift_; }
 
     /** Offset within a page. */
-    std::uint64_t pageOffset(Addr a) const { return a % pageBytes_; }
+    std::uint64_t pageOffset(Addr a) const { return a & (pageBytes_ - 1); }
 
     /** Base address of the page containing @p a. */
-    Addr pageBase(Addr a) const { return a - pageOffset(a); }
+    Addr pageBase(Addr a) const { return a & ~Addr(pageBytes_ - 1); }
 
     /** Bytes from @p a to the end of its page. */
     std::uint64_t
@@ -149,6 +151,8 @@ class AddressLayout
   private:
     std::uint64_t memBytes_;
     std::uint32_t pageBytes_;
+    /** log2(pageBytes_): page math is a shift and a mask. */
+    unsigned pageShift_ = 0;
     unsigned maxDevices_;
 };
 

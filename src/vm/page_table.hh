@@ -2,18 +2,33 @@
  * @file
  * Per-process page table.
  *
- * Maps virtual page numbers to PTEs. PTEs live in node-based storage,
- * so Pte pointers stay valid across unrelated inserts; the TLB caches
- * Pte pointers and the kernel must invalidate the TLB before removing
- * or re-pointing an entry.
+ * A two-level radix table: a small directory, sorted by leaf index,
+ * of fixed-size leaves of leafEntries PTE slots each, plus a one-word
+ * presence bitmap per leaf. A leaf is allocated the first time one of
+ * its vpns is installed and is never moved or freed while the table
+ * lives, so a Pte pointer handed out by lookup() or install() stays
+ * valid for the table's lifetime — the TLB and the kernel's
+ * proxy-translation cache hold such pointers.
+ *
+ * remove() clears the presence bit and resets the slot to a default
+ * (invalid) Pte, so a pointer cached past a missed shootdown reads
+ * valid == false — a safe miss — while lookup() returns nullptr for
+ * the vpn. The invariant auditor compares cached pointers with
+ * lookup()'s answer, so it still flags such a pointer as stale. The
+ * kernel must still invalidate the TLB before removing or re-pointing
+ * an entry.
  */
 
 #ifndef SHRIMP_VM_PAGE_TABLE_HH
 #define SHRIMP_VM_PAGE_TABLE_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -42,49 +57,123 @@ struct Pte
 class PageTable
 {
   public:
-    /** Find the PTE for a virtual page; nullptr if none exists. */
-    Pte *
-    lookup(std::uint64_t vpn)
-    {
-        auto it = entries_.find(vpn);
-        return it == entries_.end() ? nullptr : &it->second;
-    }
+    /** log2 of the PTE slots per leaf: one 64-bit presence word. */
+    static constexpr unsigned leafBits = 6;
+    static constexpr std::size_t leafEntries = std::size_t(1) << leafBits;
 
-    const Pte *
-    lookup(std::uint64_t vpn) const
-    {
-        auto it = entries_.find(vpn);
-        return it == entries_.end() ? nullptr : &it->second;
-    }
+    /** Find the PTE for a virtual page; nullptr if none is installed. */
+    Pte *lookup(std::uint64_t vpn) { return installed(vpn); }
+    const Pte *lookup(std::uint64_t vpn) const { return installed(vpn); }
 
     /**
-     * Install (or overwrite) a mapping. Returns the stored PTE.
+     * Install (or overwrite) a mapping. Returns the stored PTE, which
+     * lives at the same address for every install of this vpn.
      * Caller is responsible for TLB shootdown when overwriting.
      */
     Pte &
     install(std::uint64_t vpn, const Pte &pte)
     {
-        auto &slot = entries_[vpn];
-        slot = pte;
-        return slot;
+        Leaf &leaf = touchLeaf(vpn >> leafBits);
+        const std::size_t i = slotOf(vpn);
+        if (!leaf.present(i)) {
+            leaf.bits |= std::uint64_t(1) << i;
+            ++size_;
+        }
+        leaf.ptes[i] = pte;
+        return leaf.ptes[i];
     }
 
-    /** Drop a mapping entirely. Caller handles TLB shootdown. */
-    void remove(std::uint64_t vpn) { entries_.erase(vpn); }
+    /** Drop a mapping, clearing its slot. Caller handles TLB shootdown. */
+    void
+    remove(std::uint64_t vpn)
+    {
+        Leaf *leaf = findLeaf(vpn >> leafBits);
+        const std::size_t i = slotOf(vpn);
+        if (!leaf || !leaf->present(i))
+            return;
+        leaf->bits &= ~(std::uint64_t(1) << i);
+        leaf->ptes[i] = Pte{};
+        --size_;
+    }
 
     /** Number of installed entries. */
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return size_; }
 
-    /** Visit every (vpn, pte). The callback may mutate the PTE. */
+    /**
+     * Visit every installed (vpn, pte) in ascending vpn order (the
+     * model checker hashes this order). The callback may mutate the
+     * PTE but must not install or remove entries.
+     */
     void
     forEach(const std::function<void(std::uint64_t, Pte &)> &fn)
     {
-        for (auto &[vpn, pte] : entries_)
-            fn(vpn, pte);
+        for (const DirEntry &d : dir_) {
+            const std::uint64_t base = d.index << leafBits;
+            for (std::uint64_t m = d.leaf->bits; m != 0; m &= m - 1) {
+                const int i = std::countr_zero(m);
+                fn(base + std::uint64_t(i), d.leaf->ptes[std::size_t(i)]);
+            }
+        }
     }
 
   private:
-    std::map<std::uint64_t, Pte> entries_;
+    struct Leaf
+    {
+        std::array<Pte, leafEntries> ptes;
+        /** Bit i set: slot i holds an installed entry. */
+        std::uint64_t bits = 0;
+
+        bool present(std::size_t i) const { return (bits >> i) & 1; }
+    };
+
+    struct DirEntry
+    {
+        std::uint64_t index;
+        std::unique_ptr<Leaf> leaf;
+    };
+
+    static std::size_t
+    slotOf(std::uint64_t vpn)
+    {
+        return std::size_t(vpn & (leafEntries - 1));
+    }
+
+    std::vector<DirEntry>::const_iterator
+    lowerBound(std::uint64_t index) const
+    {
+        return std::lower_bound(
+            dir_.begin(), dir_.end(), index,
+            [](const DirEntry &d, std::uint64_t i) { return d.index < i; });
+    }
+
+    Leaf *
+    findLeaf(std::uint64_t index) const
+    {
+        auto it = lowerBound(index);
+        return it != dir_.end() && it->index == index ? it->leaf.get()
+                                                      : nullptr;
+    }
+
+    Pte *
+    installed(std::uint64_t vpn) const
+    {
+        Leaf *leaf = findLeaf(vpn >> leafBits);
+        const std::size_t i = slotOf(vpn);
+        return leaf && leaf->present(i) ? &leaf->ptes[i] : nullptr;
+    }
+
+    Leaf &
+    touchLeaf(std::uint64_t index)
+    {
+        auto it = lowerBound(index);
+        if (it == dir_.end() || it->index != index)
+            it = dir_.insert(it, DirEntry{index, std::make_unique<Leaf>()});
+        return *it->leaf;
+    }
+
+    /** Leaves, sorted by leaf index (vpn >> leafBits). */
+    std::vector<DirEntry> dir_;
+    std::size_t size_ = 0;
 };
 
 } // namespace shrimp::vm

@@ -3,8 +3,11 @@
  * Allocation guard: the simulator's steady state allocates next to
  * nothing per simulated event. Every simulated CPU reference (memory
  * or proxy space) and every UDMA initiation must be allocation-free
- * once caches and pools are warm; what is left on a channel ring is
- * the NI's per-chunk payload copies.
+ * once caches and pools are warm, and so must multiprogrammed paging
+ * once every page has been swapped once: proxy faults, evictions, I2
+ * shootdowns, I3 dirty faults and page-ins reuse page-table slots and
+ * swap slots. What is left on a channel ring is the NI's per-chunk
+ * payload copies.
  *
  * This binary replaces the global operator new with a counting one,
  * which is why it is a test executable of its own. AddressSanitizer
@@ -16,6 +19,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <new>
 
@@ -176,4 +181,86 @@ TEST(AllocationGuard, CpuReferencesAllocateNothing)
     ASSERT_GT(ctrl.statusLoads(), 2u * (warmup + rounds));
     EXPECT_EQ(allocated, 0u);
     EXPECT_EQ(fallbacks, 0u);
+}
+
+TEST(AllocationGuard, PagingSteadyState)
+{
+    if (!sim::FramePool::enabled)
+        GTEST_SKIP() << "coroutine frame pool compiled out (ASan)";
+    constexpr std::uint32_t pb = 4096;
+    constexpr unsigned procs = 4;
+    constexpr unsigned wsPages = 24;  // 4 x 24 = 1.5 x the 64 frames
+    constexpr unsigned devPages = 4;  // each process's window
+    constexpr unsigned measured = 48; // rounds per process, two sweeps
+
+    core::SystemConfig cfg;
+    cfg.nodes = 1;
+    cfg.shards = 1;
+    cfg.node.memBytes = 64 * pb;
+    cfg.params.quantumUs = 200.0;
+    core::DeviceConfig fb;
+    fb.kind = core::DeviceKind::FrameBuffer;
+    fb.fbWidth = 512;
+    fb.fbHeight = procs * devPages * pb / (4 * fb.fbWidth);
+    cfg.node.devices.push_back(fb);
+    cfg.faults.specified = true;
+    cfg.topology.specified = true;
+    core::System sys(cfg);
+    os::Kernel &k = sys.node(0).kernel();
+
+    std::array<unsigned, procs> rounds{};
+    bool stop = false;
+    for (unsigned p = 0; p < procs; ++p) {
+        k.spawn("pager", [&, p](os::UserContext &ctx) -> sim::ProcTask {
+            const Addr buf = co_await ctx.sysAllocMemory(wsPages * pb);
+            const Addr win = co_await ctx.sysMapDeviceProxy(
+                0, p * devPages, devPages, true);
+            if (win == 0)
+                fatal("proxy mapping refused");
+            for (unsigned r = 0; !stop; ++r) {
+                // Dirty one page and send part of it to the device,
+                // then DMA into the page half a sweep ahead — a proxy
+                // STORE that dirties it (I3) or pages it in first.
+                const Addr src = buf + (r % wsPages) * pb;
+                const Addr dst = buf + ((r + wsPages / 2) % wsPages) * pb;
+                const Addr dev = win + (r % devPages) * pb;
+                co_await ctx.store(src + 8 * (r % 64), r);
+                co_await core::udmaTransfer(ctx, 0, dev, src, 256);
+                co_await core::udmaTransferFromDevice(ctx, 0, dst, dev,
+                                                      256);
+                ++rounds[p];
+            }
+        });
+    }
+    auto min_rounds = [&] {
+        return *std::min_element(rounds.begin(), rounds.end());
+    };
+
+    // Warm-up: every page has a swap slot and every process has swept
+    // its working set, so page-table leaves, swap slots and the index
+    // are all in place.
+    sys.runSetup([&] {
+        return k.backingStore().pages() == procs * wsPages
+               && min_rounds() >= wsPages;
+    });
+    ASSERT_EQ(k.backingStore().pages(), procs * wsPages);
+    const unsigned start = min_rounds();
+    const std::uint64_t proxy0 = k.proxyFaults(), evict0 = k.evictions(),
+                        i2_0 = k.i2Shootdowns(), i3_0 = k.i3DirtyFaults(),
+                        in0 = k.backingStore().pageReads();
+
+    const std::uint64_t allocs0 = allocs();
+    sys.runSetup([&] { return min_rounds() >= start + measured; });
+    const std::uint64_t allocated = allocs() - allocs0;
+
+    EXPECT_GT(k.proxyFaults(), proxy0);
+    EXPECT_GT(k.evictions(), evict0);
+    EXPECT_GT(k.i2Shootdowns(), i2_0);
+    EXPECT_GT(k.i3DirtyFaults(), i3_0);
+    EXPECT_GT(k.backingStore().pageReads(), in0);
+    EXPECT_EQ(allocated, 0u)
+        << "heap allocations while paging in steady state";
+
+    stop = true;
+    sys.runUntilAllDone();
 }

@@ -13,11 +13,14 @@
  *     write upgrades it again and re-dirties the page.
  *  I4 (register consistency): pages involved in a running or queued
  *     transfer are never evicted; a latched-but-unfired DESTINATION is
- *     cleared with an Inval and may then be evicted.
+ *     cleared with an Inval and may then be evicted; a process that
+ *     exits mid-transfer keeps the frame until the transfer lets go.
  */
 
 #include <gtest/gtest.h>
 
+#include "check/audit.hh"
+#include "check/monitor.hh"
 #include "core/system.hh"
 #include "core/udma_lib.hh"
 
@@ -404,4 +407,63 @@ TEST(InvariantI4, DestLoadedPageClearedWithInvalThenEvictable)
         });
     sys.runUntilAllDone(Tick(60) * tickSec);
     EXPECT_TRUE(checked);
+}
+
+TEST(InvariantI4, ExitMidTransferKeepsTheFrameUntilItDrains)
+{
+    // A starts a 4 KiB frame-buffer -> memory transfer into its only
+    // page and exits without waiting. B then faults in a page, stores
+    // a pattern, computes while the transfer would land, and reloads.
+    // Handing A's frame to B at exit would let the DMA overwrite B's
+    // page; the frame must stay off the free list until no controller
+    // names it, and only then be recycled.
+    System sys(fbConfig(64 << 10)); // 16 frames
+    auto &k = sys.node(0).kernel();
+    constexpr std::uint32_t pb = 4096;
+    constexpr unsigned words = pb / 8;
+    Addr a_frame = ~Addr(0);
+    os::Process &a = k.spawn(
+        "a", [&](os::UserContext &ctx) -> sim::ProcTask {
+            Addr buf = co_await ctx.sysAllocMemory(pb);
+            Addr win = co_await ctx.sysMapDeviceProxy(0, 0, 1, true);
+            co_await udmaTransferFromDevice(ctx, 0, buf, win, pb,
+                                            /*wait_completion=*/false);
+            a_frame = ctx.process()
+                          .pageTable()
+                          .lookup(k.layout().pageOf(buf))
+                          ->frameAddr;
+        });
+    unsigned clobbered = words;
+    bool a_gone_while_busy = false;
+    Addr b_first = ~Addr(0), b_second = ~Addr(0);
+    k.spawn("b", [&](os::UserContext &ctx) -> sim::ProcTask {
+        auto &pt = ctx.process().pageTable();
+        Addr buf = co_await ctx.sysAllocMemory(2 * pb);
+        a_gone_while_busy = a.state() == os::ProcState::Zombie
+                            && k.controllers().front()->pageBusy(a_frame);
+        for (unsigned w = 0; w < words; ++w)
+            co_await ctx.store(buf + 8 * w, 0xB0B0000 + w);
+        b_first = pt.lookup(k.layout().pageOf(buf))->frameAddr;
+        co_await ctx.compute(200000);
+        clobbered = 0;
+        for (unsigned w = 0; w < words; ++w) {
+            if (co_await ctx.load(buf + 8 * w) != 0xB0B0000 + w)
+                ++clobbered;
+        }
+        // The transfer has drained: the next allocation recycles A's
+        // frame.
+        co_await ctx.store(buf + pb, 1);
+        b_second = pt.lookup(k.layout().pageOf(buf + pb))->frameAddr;
+    });
+    audit::Monitor monitor(sys, audit::Mode::EveryEvent);
+    sys.runUntilAllDone(Tick(60) * tickSec);
+
+    ASSERT_TRUE(a_gone_while_busy)
+        << "the scenario needs A to exit while its transfer runs";
+    EXPECT_NE(b_first, a_frame);
+    EXPECT_EQ(clobbered, 0u) << "the DMA overwrote words of B's page";
+    EXPECT_EQ(b_second, a_frame);
+    EXPECT_EQ(monitor.violationCount(), 0u);
+    for (const auto &v : monitor.violations())
+        ADD_FAILURE() << audit::describe(v);
 }

@@ -5,9 +5,10 @@
  * (remap/page-out) drops the cached entry, the I3 write-protect is
  * observed through the cache without explicit invalidation, and a
  * missed shootdown (seeded mutation) is flagged by the auditor as a
- * stale-cache I2 violation. The clean paths run under an every-event
- * fail-fast monitor, so coherence holds at every kernel event, not
- * just at the test's checkpoints.
+ * stale-cache I2 violation while the stale entry itself reads the
+ * cleared PTE slot and misses. The clean paths run under an
+ * every-event fail-fast monitor, so coherence holds at every kernel
+ * event, not just at the test's checkpoints.
  */
 
 #include <gtest/gtest.h>
@@ -198,4 +199,46 @@ TEST(ProxyTcache, MissedShootdownIsFlaggedAsI2)
     EXPECT_TRUE(found)
         << "a cached translation surviving the I2 shootdown must be "
            "flagged as a stale-cache I2 violation";
+}
+
+TEST(ProxyTcache, MissedShootdownIsAMemorySafeMiss)
+{
+    System sys(fbConfig());
+    Node &node = sys.node(0);
+    os::Kernel &kernel = node.kernel();
+    Addr buf = 0;
+    os::Process &pr = spawnParked(node, buf);
+    kernel.modelSwitchTo(pr);
+
+    Addr proxy_va = kernel.layout().proxy(buf, 0);
+    const auto &tc = kernel.proxyTcache();
+    ASSERT_TRUE(kernel.performUserAccess(pr, proxy_va, false).ok);
+    ASSERT_TRUE(kernel.performUserAccess(pr, proxy_va, false).ok);
+    const std::uint64_t hits_before = tc.hits();
+    const std::uint64_t faults_before = kernel.proxyFaults();
+
+    os::MutationKnobs m;
+    m.skipTcacheShootdown = true;
+    kernel.setMutations(m);
+    Tick lat = 0;
+    ASSERT_TRUE(kernel.evictPage(pr, buf, lat));
+
+    // The auditor still sees the stale entry: it names a PTE the page
+    // table no longer holds for that vpn.
+    bool flagged = false;
+    for (const auto &v : audit::checkAll(sys)) {
+        if (v.invariant == audit::Invariant::I2Mapping
+                && v.detail.find("translation-cache")
+                       != std::string::npos)
+            flagged = true;
+    }
+    EXPECT_TRUE(flagged);
+
+    // The entry points at the cleared slot, which reads invalid: the
+    // next proxy reference misses and re-faults instead of reaching
+    // the evicted frame through a stale translation.
+    ASSERT_TRUE(kernel.performUserAccess(pr, proxy_va, false).ok);
+    EXPECT_EQ(tc.hits(), hits_before);
+    EXPECT_GT(kernel.proxyFaults(), faults_before)
+        << "the access after the missed shootdown must re-fault";
 }

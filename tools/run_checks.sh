@@ -4,8 +4,11 @@
 # its injected-violation self-test), clang-tidy on changed files (when
 # installed), the invariant model checker — the clean exploration plus
 # the seeded I1/I2/net mutations that must produce counterexamples —
-# the TSan concurrency suite, a lossy-ring chaos run, and the
-# Release-build perf gates against the committed BENCH baselines.
+# the TSan concurrency suite, a lossy-ring chaos run, the Release-build
+# perf gates against the committed BENCH baselines, and the perfbench
+# identity check (every BENCHMARK.json workload at the default and the
+# held-out seed must reproduce the sim_events and digest recorded in
+# perfbench/spec.json).
 #
 # Usage: tools/run_checks.sh [build-dir]
 #        tools/run_checks.sh --list
@@ -48,7 +51,7 @@ tidy_base="${SHRIMP_TIDY_BASE:-HEAD}"
 
 steps="build lint tidy model-clean model-i1 model-tcache model-net \
 model-net-mutation ctest tsan chaos selfperf multinode netperf \
-profile windoweff seqscale"
+profile windoweff seqscale perfid"
 
 if [ "${1:-}" = "--list" ]; then
     for s in ${steps}; do
@@ -582,6 +585,43 @@ step_seqscale() {
     fi
 }
 
+# -------------------------------------------------------------- perfid
+
+step_perfid() {
+    echo
+    echo "== perfbench identity: every workload, default + held-out seed =="
+    # perfbench/run.py builds its own Release tree and prints
+    # `identity check: matches` when the run's sim_events and digest
+    # equal the ones perfbench/spec.json records for (workload, seed).
+    local workloads seeds out
+    workloads="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+        "${repo_root}/BENCHMARK.json")"
+    seeds="$(python3 -c 'import json, sys
+s = json.load(open(sys.argv[1]))
+print(s["default_seed"], s["holdout_seed"])' \
+        "${repo_root}/perfbench/spec.json")"
+    for w in ${workloads}; do
+        for seed in ${seeds}; do
+            if ! out="$(cd "${repo_root}" && python3 perfbench/run.py \
+                    --workload "${w}" --seed "${seed}" --seconds 1 \
+                    --trace 0)"; then
+                echo "${out}"
+                echo "PERFBENCH RUN FAILED: ${w} seed ${seed}"
+                exit 1
+            fi
+            if ! grep -q "^identity check: matches" <<< "${out}"; then
+                grep "^identity" <<< "${out}" || echo "${out}"
+                echo "PERFBENCH IDENTITY MISMATCH: ${w} seed ${seed}" \
+                    "simulates different work than perfbench/spec.json" \
+                    "records"
+                exit 1
+            fi
+            echo "${w} seed ${seed}: $(grep "^identity: " <<< "${out}")"
+        done
+    done
+}
+
 # ------------------------------------------------------------- driver
 
 should_run build && ensure_sanitized_build
@@ -601,6 +641,7 @@ should_run netperf && step_netperf
 should_run profile && step_profile
 should_run windoweff && step_windoweff
 should_run seqscale && step_seqscale
+should_run perfid && step_perfid
 
 echo
 if [ -n "${SHRIMP_ONLY:-}" ]; then
