@@ -181,7 +181,7 @@ runEventCore(std::uint64_t target_events, unsigned actors)
     std::uint64_t warmup = target_events / 10;
     while (fired < warmup && eq.step()) {
     }
-    std::uint64_t growths0 = eq.containerGrowths();
+    std::uint64_t growths0 = eq.heap().containerGrowths();
     std::uint64_t fallbacks0 = sim::EventCallback::heapFallbacks();
     std::uint64_t fired0 = fired;
 
@@ -193,11 +193,11 @@ runEventCore(std::uint64_t target_events, unsigned actors)
     std::uint64_t measured = fired - fired0;
     res.fired = measured; // events inside the timed (steady-state) region
     res.cancels = cancels;
-    res.compactions = eq.compactions();
+    res.compactions = eq.heap().compactions();
     res.hostSec = hostSeconds(t0, t1);
     if (measured > 0) {
         res.allocsPerEvent =
-            double(eq.containerGrowths() - growths0) / double(measured);
+            double(eq.heap().containerGrowths() - growths0) / double(measured);
         res.heapFallbacksPerEvent =
             double(sim::EventCallback::heapFallbacks() - fallbacks0)
             / double(measured);

@@ -229,6 +229,9 @@ sysMapAutoUpdate(os::UserContext &ctx, net::NetworkInterface &ni,
             Addr page_base = paddr - paddr % k.layout().pageBytes();
             ni.mapAutoUpdate(page_base, dst_node,
                              dst_phys_page / k.layout().pageBytes());
+            // The binding names the frame, which exit frees: revoke it
+            // first, or the frame's next owner's stores would leave.
+            p.onRelease([&ni, page_base] { ni.unmapAutoUpdate(page_base); });
             sc.result = 1;
             sc.extraLatency = lat;
         };

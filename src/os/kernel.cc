@@ -1,6 +1,7 @@
 #include "os/kernel.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/trace.hh"
 
@@ -911,6 +912,8 @@ Kernel::cleanPage(Process &proc, Addr va, Tick &lat)
 void
 Kernel::releaseProcessMemory(Process &proc)
 {
+    for (auto &revoke : std::exchange(proc.releaseActions_, {}))
+        revoke();
     for (std::uint64_t frame = 0; frame < frames_.size(); ++frame) {
         if (!frames_[frame].used || frames_[frame].pid != proc.pid_)
             continue;

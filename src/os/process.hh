@@ -94,6 +94,18 @@ class Process
     /** True once the coroutine body has run to completion. */
     bool exited() const { return task_.valid() && task_.done(); }
 
+    /**
+     * Run @p revoke when the process exits or is killed, before its
+     * frames are freed: how a grant that names one of its physical
+     * pages (an automatic-update binding) dies with the process
+     * instead of passing to the frame's next owner.
+     */
+    void
+    onRelease(std::function<void()> revoke)
+    {
+        releaseActions_.push_back(std::move(revoke));
+    }
+
   private:
     friend class Kernel;
     friend class OpAwaitable;
@@ -123,6 +135,9 @@ class Process
     Tick cpuTicks_ = 0;
     Tick lastDispatch_ = 0;
     std::uint64_t preemptions_ = 0;
+
+    /** Revocations run by Kernel::releaseProcessMemory. */
+    std::vector<std::function<void()>> releaseActions_;
 };
 
 } // namespace shrimp::os

@@ -6,15 +6,9 @@ namespace shrimp::sim
 {
 
 EventHandle
-EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
-                            const char *name, EventCallback fn,
-                            EventPriority prio)
+EventHeap::push(EventQueue &owner, Tick when, std::uint64_t rank,
+                std::uint64_t stamp, const char *name, EventCallback &&fn)
 {
-    if (when < curTick_) {
-        panic("event '", name ? name : "?",
-              "' scheduled in the past: when=", when, " now=", curTick_);
-    }
-
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
         slot = freeSlots_.back();
@@ -27,23 +21,23 @@ EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
     }
 
     Record &rec = slots_[slot];
-    rec.when = when;
-    rec.seq = stamp;
-    rec.name = name;
     rec.fn = std::move(fn);
-    rec.prio = static_cast<std::int32_t>(prio);
-    rec.inUse = true;
+    rec.owner = &owner;
+    rec.name = name;
+    const std::uint32_t gen = rec.gen;
 
+    // The entry is built from the arguments, not read back from the
+    // record just written: a load of fresh stores stalls on store
+    // forwarding.
     if (heap_.size() == heap_.capacity())
         ++containerGrowths_;
-    heap_.push_back(HeapEntry{rec.when, rec.seq, rec.prio, slot, rec.gen});
+    heap_.push_back(Entry{when, rank, stamp, slot, gen});
     std::push_heap(heap_.begin(), heap_.end(), After{});
-    ++liveEvents_;
-    return EventHandle(slot + 1, rec.gen);
+    return EventHandle(slot + 1, gen);
 }
 
 bool
-EventQueue::deschedule(EventHandle handle)
+EventHeap::cancel(EventHandle handle)
 {
     if (!handle.valid())
         return false;
@@ -51,12 +45,13 @@ EventQueue::deschedule(EventHandle handle)
     if (slot >= slots_.size())
         return false;
     Record &rec = slots_[slot];
-    if (!rec.inUse || rec.gen != handle.gen_)
+    if (rec.gen != handle.gen_)
         return false; // fired, cancelled, or recycled: detected no-op
+    EventQueue &q = *rec.owner;
     rec.fn.reset();
     freeSlot(slot);
-    --liveEvents_;
-    ++cancelled_;
+    --q.liveEvents_;
+    ++q.cancelled_;
     // The heap entry stays behind with a now-mismatched generation;
     // dropStale() discards it, or maybeCompact() sweeps it early.
     ++staleInHeap_;
@@ -65,19 +60,16 @@ EventQueue::deschedule(EventHandle handle)
 }
 
 void
-EventQueue::freeSlot(std::uint32_t slot)
+EventHeap::freeSlot(std::uint32_t slot)
 {
-    Record &rec = slots_[slot];
-    rec.inUse = false;
-    rec.name = nullptr;
-    ++rec.gen;
+    ++slots_[slot].gen;
     if (freeSlots_.size() == freeSlots_.capacity())
         ++containerGrowths_;
     freeSlots_.push_back(slot);
 }
 
 void
-EventQueue::dropStale()
+EventHeap::dropStale()
 {
     while (!heap_.empty() && stale(heap_.front())) {
         std::pop_heap(heap_.begin(), heap_.end(), After{});
@@ -87,22 +79,22 @@ EventQueue::dropStale()
     }
 }
 
-EventQueue::HeapEntry
-EventQueue::popEntry()
+EventHeap::Entry
+EventHeap::popEntry()
 {
     std::pop_heap(heap_.begin(), heap_.end(), After{});
-    HeapEntry e = heap_.back();
+    Entry e = heap_.back();
     heap_.pop_back();
     return e;
 }
 
 void
-EventQueue::maybeCompact()
+EventHeap::maybeCompact()
 {
     if (staleInHeap_ <= 64 || staleInHeap_ * 2 <= heap_.size())
         return;
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const HeapEntry &e) {
+                               [this](const Entry &e) {
                                    return stale(e);
                                }),
                 heap_.end());
@@ -112,34 +104,33 @@ EventQueue::maybeCompact()
 }
 
 void
-EventQueue::fire(const HeapEntry &e)
+EventHeap::fire(const Entry &e)
 {
     Record &rec = slots_[e.slot];
-    SHRIMP_ASSERT(rec.when >= curTick_, "time went backwards");
-    curTick_ = rec.when;
-    lastFired_ = rec.when;
-    flight_.record(rec.when, rec.name, rec.prio);
+    EventQueue &q = *rec.owner;
+    SHRIMP_ASSERT(e.when >= q.curTick_, "time went backwards");
+    q.curTick_ = e.when;
+    q.flight_.record(e.when, rec.name, priorityOf(e.rank));
     // Move the callback out so the slot can be recycled even if the
     // callback schedules further events.
     EventCallback fn = std::move(rec.fn);
-    rec.fn.reset();
     freeSlot(e.slot);
-    --liveEvents_;
-    ++executed_;
+    --q.liveEvents_;
+    ++q.executed_;
     fn();
 }
 
-std::pair<Tick, std::int32_t>
-EventQueue::nextEventKey()
+EventHeap::Key
+EventHeap::nextKey()
 {
     dropStale();
     if (heap_.empty())
         return {maxTick, 0};
-    return {heap_.front().when, heap_.front().prio};
+    return {heap_.front().when, heap_.front().rank};
 }
 
 bool
-EventQueue::step()
+EventHeap::step()
 {
     dropStale();
     if (heap_.empty())
@@ -148,21 +139,45 @@ EventQueue::step()
     return true;
 }
 
-Tick
-EventQueue::run(Tick limit)
+std::uint64_t
+EventHeap::runTo(Tick limit)
 {
-    while (liveEvents_ > 0) {
+    std::uint64_t fired = 0;
+    for (;;) {
         dropStale();
-        if (heap_.empty())
-            break;
-        if (heap_.front().when > limit) {
-            // The front event stays pending; time advances to the limit.
-            curTick_ = limit;
-            return curTick_;
-        }
+        if (heap_.empty() || heap_.front().when > limit)
+            return fired;
         fire(popEntry());
+        ++fired;
     }
-    return curTick_;
+}
+
+EventQueue::EventQueue()
+    : ownHeap_(std::make_unique<EventHeap>()), heap_(ownHeap_.get())
+{}
+
+EventQueue::EventQueue(EventHeap &heap, std::uint32_t node)
+    : heap_(&heap), stampBase_(std::uint64_t(node) << stampSeqBits),
+      node_(node)
+{
+    SHRIMP_ASSERT(stampBase_ >> stampSeqBits == node,
+                  "node id does not fit the stamp");
+}
+
+EventQueue::~EventQueue() = default;
+
+EventHandle
+EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
+                            const char *name, EventCallback &&fn,
+                            EventPriority prio)
+{
+    if (when < curTick_) {
+        panic("event '", name ? name : "?",
+              "' scheduled in the past: when=", when, " now=", curTick_);
+    }
+    ++liveEvents_;
+    return heap_->push(*this, when, EventHeap::rankOf(prio, node_), stamp,
+                       name, std::move(fn));
 }
 
 } // namespace shrimp::sim

@@ -1,23 +1,32 @@
 /**
  * @file
- * The discrete-event simulation core: one node's event queue ordered
- * by (tick, priority, stamp).
+ * The discrete-event simulation core: one binary heap of pending
+ * events over a slab of event records (EventHeap), and the per-node
+ * view components schedule through (EventQueue).
  *
- * The stamp is the intra-(tick, priority) tie-break. A standalone
- * queue stamps events with a plain insertion counter, which reproduces
- * classic insertion-order FIFO semantics. Under the sharded engine
- * (sim/sharded.hh) every queue is given a stamp source id — its node —
- * and stamps become (source node << stampSeqBits) | per-source counter:
- * a *canonical* key assigned when the originating node decides to
- * schedule the event, not when the message happens to be drained into
- * the destination queue. Ties therefore execute in (source node,
+ * Every event fires in (tick, priority, node, stamp) order. The
+ * stamp is the tie-break inside one node at equal (tick, priority):
+ * (source node << stampSeqBits) | per-source counter, a *canonical*
+ * key assigned when the originating node decides to schedule the
+ * event, not when a cross-node message happens to be drained into the
+ * destination heap. Ties therefore execute in (source node,
  * per-source order), independent of shard count, mailbox batching, or
- * window boundaries — the property the engine's bit-identical
- * `--shards=1` vs `--shards=N` guarantee rests on.
+ * window boundaries — the property the sharded engine's bit-identical
+ * `--shards=1` vs `--shards=N` guarantee rests on. A standalone queue
+ * is node 0 and stamps its own events with a plain insertion counter,
+ * which is classic insertion-order FIFO.
+ *
+ * There is exactly one heap implementation. The sharded engine
+ * (sim/sharded.hh) gives each shard one EventHeap shared by the
+ * EventQueue views of its nodes; a standalone EventQueue (unit tests,
+ * micro benches) owns a heap of its own. A view keeps what is per
+ * node: the clock (the tick of the node's last fired event), the stamp
+ * counter, the executed / cancelled / pending counts and the flight
+ * recorder.
  *
  * All timing in the simulator is expressed by scheduling callbacks on
- * this queue. Components never busy-wait; they schedule their next
- * action and return.
+ * a queue. Components never busy-wait; they schedule their next action
+ * and return.
  *
  * The scheduling fast path is allocation-free and hash-free in the
  * steady state:
@@ -36,8 +45,8 @@
  *    tell which events still pay it).
  *
  * Cancelled events leave a stale entry in the binary heap (detected by
- * generation mismatch); when stale entries exceed half the heap the
- * queue compacts, bounding both memory and comparator work under
+ * generation mismatch); when stale entries exceed half the heap it
+ * compacts, bounding both memory and comparator work under
  * cancel-heavy workloads.
  */
 
@@ -48,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -255,7 +265,7 @@ class EventHandle
     bool valid() const { return slotPlus1_ != 0; }
 
   private:
-    friend class EventQueue;
+    friend class EventHeap;
     EventHandle(std::uint32_t slot_plus_1, std::uint32_t gen)
         : slotPlus1_(slot_plus_1), gen_(gen)
     {}
@@ -263,47 +273,176 @@ class EventHandle
     std::uint32_t gen_ = 0;
 };
 
+class EventQueue;
+
 /**
- * The event queue. Holds the current simulated time, the event-record
- * slab, and a binary min-heap of (tick, priority, sequence) entries
- * referencing slab slots.
+ * The event core: a slab of event records and a binary min-heap of
+ * (tick, rank, stamp) entries referencing slab slots, where the rank
+ * packs (priority, node). Each record names the EventQueue view it was
+ * scheduled through, and firing an event advances that view's clock
+ * and counters. Not thread-safe: one heap belongs to one shard.
+ */
+class EventHeap
+{
+  public:
+    /** The order key of an event without its stamp: (tick, rank),
+     *  where the rank packs (priority, node). Distinct nodes never
+     *  tie. */
+    using Key = std::pair<Tick, std::uint64_t>;
+
+    /** Pack (priority, node) into one unsigned word that orders like
+     *  the pair; the sign bit flip keeps negative priorities first. */
+    static std::uint64_t
+    rankOf(EventPriority prio, std::uint32_t node)
+    {
+        const auto p = std::uint32_t(std::int32_t(prio)) ^ 0x80000000u;
+        return std::uint64_t(p) << 32 | node;
+    }
+
+    EventHeap() = default;
+    /** EventQueue views hold its address: neither copied nor moved. */
+    EventHeap(const EventHeap &) = delete;
+    EventHeap &operator=(const EventHeap &) = delete;
+
+    /** Insert an event scheduled through @p owner (which has checked
+     *  @p when against its clock and counted it pending). */
+    EventHandle push(EventQueue &owner, Tick when, std::uint64_t rank,
+                     std::uint64_t stamp, const char *name,
+                     EventCallback &&fn);
+
+    /** EventQueue::deschedule, for an event of any node. */
+    bool cancel(EventHandle handle);
+
+    /** Key of the earliest pending event ({maxTick, 0} when none);
+     *  drops stale cancelled entries first. */
+    Key nextKey();
+
+    /** Tick of the earliest pending event (maxTick when none). */
+    Tick nextTick() { return nextKey().first; }
+
+    /** Fire the earliest pending event, if any. False if none. */
+    bool step();
+
+    /** Fire, in order, every event at or before @p limit — including
+     *  those the fired callbacks schedule. @return Events fired. */
+    std::uint64_t runTo(Tick limit);
+
+    // ------------------------------------------- self-perf counters
+    /** Stale-entry heap compactions performed. */
+    std::uint64_t compactions() const { return compactions_; }
+
+    /**
+     * Container-growth allocations on the scheduling path (slab, heap
+     * and free-list growth). Flat in the steady state: once the slab
+     * and heap reach the workload's high-water mark, scheduling
+     * allocates nothing.
+     */
+    std::uint64_t containerGrowths() const { return containerGrowths_; }
+
+    /** Heap entries currently held, including stale (cancelled) ones. */
+    std::size_t heapEntries() const { return heap_.size(); }
+
+  private:
+    /** The priority packed into @p rank (inverse of rankOf). */
+    static std::int32_t
+    priorityOf(std::uint64_t rank)
+    {
+        return std::int32_t(std::uint32_t(rank >> 32) ^ 0x80000000u);
+    }
+
+    /** One slab slot: a (possibly recycled) event record. A slot is
+     *  live exactly while its generation equals the one in the
+     *  handle and heap entry that named it; freeing it bumps gen. */
+    struct Record
+    {
+        EventCallback fn;
+        EventQueue *owner = nullptr;
+        const char *name = nullptr;
+        std::uint32_t gen = 0;
+    };
+
+    /** Heap entry: ordering keys + slab reference; cancelled events
+     *  are detected by a generation mismatch with the slot. */
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t rank;
+        /** Canonical stamp: (source node << stampSeqBits) | counter. */
+        std::uint64_t stamp;
+        std::uint32_t slot;
+        std::uint32_t gen;
+    };
+
+    /** "Greater" over (when, rank, stamp): std::push_heap et al.
+     *  build a max-heap, so this puts the earliest event in front. */
+    struct After
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            if (a.rank != b.rank)
+                return a.rank > b.rank;
+            return a.stamp > b.stamp;
+        }
+    };
+
+    bool stale(const Entry &e) const
+    {
+        return slots_[e.slot].gen != e.gen;
+    }
+
+    /** Pop stale (cancelled) entries off the top of the heap. */
+    void dropStale();
+
+    /** Pop the front heap entry (must not be empty). */
+    Entry popEntry();
+
+    /** Release a slot back to the free list, bumping its generation. */
+    void freeSlot(std::uint32_t slot);
+
+    /** Fire the event referenced by a (valid) heap entry. */
+    void fire(const Entry &e);
+
+    /** Rebuild the heap without stale entries when they dominate. */
+    void maybeCompact();
+
+    std::uint64_t compactions_ = 0;
+    std::uint64_t containerGrowths_ = 0;
+    std::size_t staleInHeap_ = 0;
+    std::vector<Record> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::vector<Entry> heap_;
+};
+
+/**
+ * One node's event queue: the clock, stamps, counters and flight
+ * recorder of the node, over the EventHeap that orders its events.
+ * Components hold an EventQueue and see only schedule / scheduleIn /
+ * deschedule / now.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
-    ~EventQueue() = default;
+    /** A standalone queue (node 0) that owns its heap. */
+    EventQueue();
+
+    /** Node @p node's view of @p heap, shared with the other nodes of
+     *  its shard. Stamps carry the node id in their high bits. */
+    EventQueue(EventHeap &heap, std::uint32_t node);
+
+    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulated time. */
+    /** Current simulated time: the tick of this node's most recently
+     *  fired event (0 before any fired). */
     Tick now() const { return curTick_; }
 
-    /**
-     * Tick of the most recently fired event (0 before any fired).
-     * Unlike now(), this never advances past events: run(limit) moves
-     * now() to the limit even when the stretch was empty, which is
-     * window-shape dependent under the sharded engine, while the last
-     * fired tick is canonical — the engine's merged clock uses it.
-     */
-    Tick lastFiredTick() const { return lastFired_; }
-
     /** Per-source sequence bits in a stamp; the high bits carry the
-     *  stamp source id (the owning node under the sharded engine). */
+     *  stamp source id (the node). */
     static constexpr unsigned stampSeqBits = 44;
-
-    /**
-     * Brand this queue's stamps with an originating-source id (the
-     * node id + engine convention). Must be set before any event is
-     * scheduled; the default source 0 keeps the plain-counter
-     * insertion order.
-     */
-    void
-    setStampSource(std::uint32_t id)
-    {
-        SHRIMP_ASSERT(nextSeq_ == 1, "stamp source set after events");
-        stampBase_ = std::uint64_t(id) << stampSeqBits;
-    }
 
     /**
      * Allocate the next canonical stamp for an event originating on
@@ -342,7 +481,7 @@ class EventQueue
      * on the *originating* node's queue at post() time.
      */
     EventHandle scheduleStamped(Tick when, std::uint64_t stamp,
-                                const char *name, EventCallback fn,
+                                const char *name, EventCallback &&fn,
                                 EventPriority prio =
                                     EventPriority::Default);
 
@@ -359,57 +498,39 @@ class EventQueue
      * and is now cancelled; false if it had already fired, was
      * already cancelled, or the slot has been recycled.
      */
-    bool deschedule(EventHandle handle);
+    bool deschedule(EventHandle handle) { return heap_->cancel(handle); }
 
-    /** True if no events remain. */
+    /** True if no events of this node remain. */
     bool empty() const { return liveEvents_ == 0; }
 
-    /**
-     * Tick of the earliest pending event (maxTick when none); drops
-     * stale cancelled entries first. The sharded engine uses this to
-     * plan conservative windows.
-     */
-    Tick nextEventTick() { return nextEventKey().first; }
-
-    /** (tick, priority) of the earliest pending event;
-     *  (maxTick, 0) when the queue is empty. */
-    std::pair<Tick, std::int32_t> nextEventKey();
-
-    /** Number of pending (non-cancelled) events. */
+    /** Number of this node's pending (non-cancelled) events. */
     std::size_t pendingEvents() const { return liveEvents_; }
 
     /**
-     * Run until the queue drains or @p limit ticks is reached.
-     * @return The tick at which execution stopped.
+     * Run the heap until it drains or its next event lies past
+     * @p limit. On a standalone queue these are exactly this queue's
+     * events; the engine runs shard heaps itself.
+     * @return now() afterwards.
      */
-    Tick run(Tick limit = maxTick);
+    Tick
+    run(Tick limit = maxTick)
+    {
+        heap_->runTo(limit);
+        return curTick_;
+    }
 
-    /** Execute exactly one event, if any. Returns false if empty. */
-    bool step();
+    /** Execute exactly one event of the heap, if any. Returns false if
+     *  it is empty. */
+    bool step() { return heap_->step(); }
 
-    /** Total events executed over the queue's lifetime. */
+    /** Events of this node executed over the queue's lifetime. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    // ------------------------------------------- self-perf counters
-    /** Events cancelled over the queue's lifetime. */
+    /** Events of this node cancelled over the queue's lifetime. */
     std::uint64_t eventsCancelled() const { return cancelled_; }
 
-    /** Stale-entry heap compactions performed. */
-    std::uint64_t compactions() const { return compactions_; }
-
-    /**
-     * Container-growth allocations on the scheduling path (slab, heap
-     * and free-list growth). Flat in the steady state: once the slab
-     * and heap reach the workload's high-water mark, scheduling
-     * allocates nothing.
-     */
-    std::uint64_t containerGrowths() const { return containerGrowths_; }
-
-    /** Heap entries currently held, including stale (cancelled) ones. */
-    std::size_t heapEntries() const { return heap_.size(); }
-
-    /** Slab capacity in event records (the high-water mark). */
-    std::size_t slabSlots() const { return slots_.size(); }
+    /** The heap this queue schedules into (the self-perf counters). */
+    const EventHeap &heap() const { return *heap_; }
 
     /** Name this queue's flight recorder in post-mortem dumps. */
     void setFlightLabel(std::string label)
@@ -421,79 +542,19 @@ class EventQueue
     const FlightRecorder &flightRecorder() const { return flight_; }
 
   private:
-    /** One slab slot: a (possibly recycled) event record. */
-    struct Record
-    {
-        Tick when = 0;
-        /** Canonical stamp: (source id << stampSeqBits) | counter. */
-        std::uint64_t seq = 0;
-        const char *name = nullptr;
-        EventCallback fn;
-        std::uint32_t gen = 0;
-        std::int32_t prio = 0;
-        bool inUse = false;
-    };
+    friend class EventHeap;
 
-    /** Heap entry: ordering keys + slab reference; cancelled events
-     *  are detected by a generation mismatch with the slot. */
-    struct HeapEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::int32_t prio;
-        std::uint32_t slot;
-        std::uint32_t gen;
-    };
-
-    /** "Greater" over (when, prio, seq): std::push_heap et al. build
-     *  a max-heap, so this puts the earliest event at the front. */
-    struct After
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
-        }
-    };
-
-    bool stale(const HeapEntry &e) const
-    {
-        return slots_[e.slot].gen != e.gen;
-    }
-
-    /** Pop stale (cancelled) entries off the top of the heap. */
-    void dropStale();
-
-    /** Pop the front heap entry (must not be empty). */
-    HeapEntry popEntry();
-
-    /** Release a slot back to the free list, bumping its generation. */
-    void freeSlot(std::uint32_t slot);
-
-    /** Fire the event referenced by a (valid) heap entry. */
-    void fire(const HeapEntry &e);
-
-    /** Rebuild the heap without stale entries when they dominate. */
-    void maybeCompact();
-
+    /** Set only on a standalone queue. */
+    std::unique_ptr<EventHeap> ownHeap_;
+    EventHeap *heap_;
     Tick curTick_ = 0;
-    Tick lastFired_ = 0;
     std::uint64_t nextSeq_ = 1;
-    /** High stamp bits: the queue's source id (see setStampSource). */
+    /** High stamp bits: the node id. */
     std::uint64_t stampBase_ = 0;
+    std::uint32_t node_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t cancelled_ = 0;
-    std::uint64_t compactions_ = 0;
-    std::uint64_t containerGrowths_ = 0;
     std::size_t liveEvents_ = 0;
-    std::size_t staleInHeap_ = 0;
-    std::vector<Record> slots_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::vector<HeapEntry> heap_;
     FlightRecorder flight_;
 };
 

@@ -68,16 +68,6 @@ SpinBarrier::spinUntilReleased(std::uint64_t phase) const
     }
 }
 
-void
-WinnerTree::reset(std::size_t n)
-{
-    keys_.assign(n, {maxTick, 0});
-    win_.assign(2 * n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        win_[n + i] = std::uint32_t(i);
-    rebuild([](std::size_t) { return Key{maxTick, 0}; });
-}
-
 ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
                              Tick lookahead)
     : ShardedEngine(nodes, shards,
@@ -88,33 +78,22 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
 
 ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
                              const PairLookahead &la)
-    : shards_(std::min(std::max(shards, 1u), std::max(nodes, 1u)))
+    : shards_(std::min(std::max(shards, 1u), std::max(nodes, 1u))),
+      shardStates_(shards_)
 {
     SHRIMP_ASSERT(nodes > 0, "engine needs at least one node");
     SHRIMP_ASSERT(la, "engine needs a lookahead function");
+    for (ShardState &st : shardStates_)
+        st.postedMin.assign(shards_, maxTick);
     queues_.reserve(nodes);
     for (unsigned n = 0; n < nodes; ++n) {
-        queues_.push_back(std::make_unique<EventQueue>());
+        // The view brands its stamps with the node id: ties at equal
+        // (tick, priority, node) then execute in (source node,
+        // per-source order) regardless of which shard drained the
+        // message when.
+        queues_.push_back(
+            std::make_unique<EventQueue>(shardStates_[shardOf(n)].heap, n));
         queues_.back()->setFlightLabel("node" + std::to_string(n));
-        // Brand the queue's stamps with its node id: ties at equal
-        // (tick, priority) then execute in (source node, per-source
-        // order) regardless of which shard drained the message when.
-        queues_.back()->setStampSource(n);
-    }
-
-    shardStates_.resize(shards_);
-    nodeShardIdx_.resize(nodes, 0);
-    for (unsigned n = 0; n < nodes; ++n)
-        shardStates_[n % shards_].nodes.push_back(n);
-    for (unsigned s = 0; s < shards_; ++s) {
-        ShardState &st = shardStates_[s];
-        st.queues.reserve(st.nodes.size());
-        for (std::size_t i = 0; i < st.nodes.size(); ++i) {
-            nodeShardIdx_[st.nodes[i]] = std::uint32_t(i);
-            st.queues.push_back(queues_[st.nodes[i]].get());
-        }
-        st.tree.reset(st.queues.size());
-        st.postedMin.assign(shards_, maxTick);
     }
 
     boxes_.reserve(std::size_t(shards_) * shards_);
@@ -169,16 +148,15 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
     const std::uint64_t stamp = queues_[src]->allocStamp();
     ShardState &st = shardStates_[ss];
     if (ss == ds) {
-        // Same shard: deliver directly. The merged selection loop
-        // executes this shard's queues in global (tick, priority)
-        // order, so an event landing at least one tick in the future
-        // is picked up at its exact time with no mailbox hop and —
-        // crucially — without clamping any window: the shard-pair
-        // diagonal never constrains the horizon.
+        // Same shard: deliver directly. The shard heap fires every
+        // node's events in global (tick, priority, node) order, so an
+        // event landing at least one tick in the future is picked up
+        // at its exact time with no mailbox hop and — crucially —
+        // without clamping any window: the shard-pair diagonal never
+        // constrains the horizon.
         queues_[dst]->scheduleStamped(when, stamp, name, std::move(fn),
                                       prio);
         ++st.directPosts;
-        st.tree.lower(nodeShardIdx_[dst], {when, std::int32_t(prio)});
         return;
     }
     Mailbox &mb = box(ss, ds);
@@ -206,48 +184,37 @@ ShardedEngine::windowEndFor(Tick start, Tick limit) const
 std::size_t
 ShardedEngine::drainShard(unsigned dst_shard, bool both)
 {
-    ShardState &st = shardStates_[dst_shard];
-    auto &batch = st.drainBuf;
+    // Delivery order does not matter: the shard heap orders events by
+    // (tick, priority, node, stamp), and the stamp (source node,
+    // per-source counter) makes every key unique, so the execution
+    // order cannot depend on how nodes map to shards or how drains
+    // were batched.
+    std::size_t delivered = 0;
+    auto deliver = [this, &delivered](CrossMsg &m) {
+        queues_[m.dst]->scheduleStamped(m.when, m.stamp, m.name,
+                                        std::move(m.fn),
+                                        EventPriority(m.prio));
+        ++delivered;
+    };
     for (unsigned src = 0; src < shards_; ++src) {
         Mailbox &mb = box(src, dst_shard);
-        const std::size_t before = batch.size();
+        const std::size_t before = delivered;
         CrossMsg m;
         while (mb.ring.tryPop(m))
-            batch.push_back(std::move(m));
+            deliver(m);
         // Only the *previous* round's spill is safe to touch while
         // producers run (they write spill[parity]); the sequential
         // entry drain takes both.
         auto takeSpill = [&](std::vector<CrossMsg> &spill) {
             for (auto &spilled : spill)
-                batch.push_back(std::move(spilled));
+                deliver(spilled);
             spill.clear();
         };
         takeSpill(mb.spill[ctrl_.parity ^ 1]);
         if (both)
             takeSpill(mb.spill[ctrl_.parity]);
-        mb.delivered += batch.size() - before;
+        mb.delivered += delivered - before;
     }
-    // Canonical delivery order: (tick, priority, stamp). The stamp is
-    // (source node, per-source counter), so the insertion sequence —
-    // and hence the (tick, priority, stamp) execution order — does not
-    // depend on how nodes map to shards or how drains were batched.
-    // Stamps are unique, so the keys are too and an unstable sort
-    // gives the same order without stable_sort's temporary buffer.
-    std::sort(batch.begin(), batch.end(),
-              [](const CrossMsg &a, const CrossMsg &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.prio != b.prio)
-                      return a.prio < b.prio;
-                  return a.stamp < b.stamp;
-              });
-    for (auto &m : batch) {
-        queues_[m.dst]->scheduleStamped(m.when, m.stamp, m.name,
-                                        std::move(m.fn),
-                                        EventPriority(m.prio));
-    }
-    const std::size_t delivered = batch.size();
-    batch.clear();
     return delivered;
 }
 
@@ -370,39 +337,6 @@ ShardedEngine::planRound()
 }
 
 void
-ShardedEngine::executeShard(unsigned s)
-{
-    ShardState &st = shardStates_[s];
-    const Tick end = st.windowEnd;
-    if (st.queues.size() == 1) {
-        // Single node: the queue's own run loop is the fast path (no
-        // same-shard cross traffic can exist).
-        st.queues[0]->run(end);
-        return;
-    }
-    // Merged selection over the shard's queues: execute in global
-    // (tick, priority) order, ties to the lowest node, so a direct
-    // same-shard delivery one tick out is observed at its exact time.
-    // The tree's keys are kept exact — refreshed after each step,
-    // decreased by post() on direct delivery — so its winner is the
-    // queue a full scan would pick.
-    WinnerTree &tree = st.tree;
-    tree.rebuild([&st](std::size_t i) {
-        return st.queues[i]->nextEventKey();
-    });
-    for (;;) {
-        const std::size_t best = tree.top();
-        // The empty-queue sentinel (maxTick) passes the window filter
-        // when the horizon itself is maxTick — nothing to run then.
-        const Tick when = tree.topKey().first;
-        if (when > end || when == maxTick)
-            break;
-        st.queues[best]->step();
-        tree.set(best, st.queues[best]->nextEventKey());
-    }
-}
-
-void
 ShardedEngine::noteError()
 {
     std::lock_guard<std::mutex> g(errMu_);
@@ -426,12 +360,6 @@ ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
     if (prof)
         prof->noteSpawn(worker, t_enter, t);
     ShardState &st = shardStates_[worker];
-    auto executedHere = [&]() {
-        std::uint64_t n = 0;
-        for (EventQueue *q : st.queues)
-            n += q->eventsExecuted();
-        return n;
-    };
     for (;;) {
         barrier_->arriveAndWait();
         if (prof) {
@@ -457,21 +385,18 @@ ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
             prof->noteDrain(worker, t, n, drained);
             t = n;
         }
-        const std::uint64_t before = prof ? executedHere() : 0;
+        std::uint64_t executed = 0;
         try {
-            executeShard(worker);
+            executed = st.heap.runTo(st.windowEnd);
         } catch (...) {
             noteError();
         }
         // Publish this shard's earliest pending tick for the next
-        // plan; the barrier provides the happens-before edge. A merged
-        // shard's tree root already holds it.
-        st.localNext = st.queues.size() == 1
-                           ? st.queues[0]->nextEventTick()
-                           : st.tree.topKey().first;
+        // plan; the barrier provides the happens-before edge.
+        st.localNext = st.heap.nextTick();
         if (prof) {
             const std::uint64_t n = prof->nowNs();
-            prof->noteExecute(worker, t, n, executedHere() - before);
+            prof->noteExecute(worker, t, n, executed);
             t = n;
         }
     }
@@ -490,12 +415,8 @@ ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
     ctrl_ = Control{};
     ctrl_.limit = limit;
     ctrl_.pred = pred;
-    for (unsigned s = 0; s < shards_; ++s) {
-        ShardState &st = shardStates_[s];
-        Tick local_next = maxTick;
-        for (EventQueue *q : st.queues)
-            local_next = std::min(local_next, q->nextEventTick());
-        st.localNext = local_next;
+    for (ShardState &st : shardStates_) {
+        st.localNext = st.heap.nextTick();
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
     }
     const unsigned workers = shards_;
@@ -549,8 +470,8 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
         if (pred())
             break;
         Tick next = maxTick;
-        for (auto &q : queues_)
-            next = std::min(next, q->nextEventTick());
+        for (ShardState &st : shardStates_)
+            next = std::min(next, st.heap.nextTick());
         if (next == maxTick || next > limit)
             break;
         const Tick window_end = windowEndFor(next, limit);
@@ -558,18 +479,19 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
         bool stop = false;
         for (;;) {
             // Step the globally earliest event by (tick, priority,
-            // node) — a canonical interleaving that cannot depend on
-            // the shard count, so host-shared rendezvous state read
-            // during setup observes the same history under any
-            // --shards value.
-            EventQueue *best = nullptr;
-            std::pair<Tick, std::int32_t> best_key{maxTick, 0};
-            for (NodeId n = 0; n < nodeCount(); ++n) {
-                auto key = queues_[n]->nextEventKey();
+            // node) — each heap's front is its shard's earliest, and
+            // nodes never tie — a canonical interleaving that cannot
+            // depend on the shard count, so host-shared rendezvous
+            // state read during setup observes the same history under
+            // any --shards value.
+            EventHeap *best = nullptr;
+            EventHeap::Key best_key;
+            for (ShardState &st : shardStates_) {
+                const EventHeap::Key key = st.heap.nextKey();
                 if (key.first > window_end)
                     continue;
                 if (!best || key < best_key) {
-                    best = queues_[n].get();
+                    best = &st.heap;
                     best_key = key;
                 }
             }
@@ -591,12 +513,9 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
 Tick
 ShardedEngine::now() const
 {
-    // Max over *fired* ticks, not queue clocks: run(limit) parks an
-    // idle queue's clock at its window end, which depends on how the
-    // windows were shaped; the last fired tick does not.
     Tick t = 0;
     for (const auto &q : queues_)
-        t = std::max(t, q->lastFiredTick());
+        t = std::max(t, q->now());
     return t;
 }
 

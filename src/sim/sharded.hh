@@ -1,8 +1,10 @@
 /**
  * @file
- * The sharded simulation core: one EventQueue per node, executed in
- * distance-aware conservative time windows (Chandy-Misra-style) by a
- * pool of worker threads, one shard of nodes per worker.
+ * The sharded simulation core: one event heap per shard of nodes,
+ * executed in distance-aware conservative time windows
+ * (Chandy-Misra-style) by a pool of worker threads, one shard per
+ * worker. Each node schedules through its own EventQueue, a view over
+ * its shard's heap.
  *
  * Synchronization is driven by two inputs instead of one global
  * horizon:
@@ -28,20 +30,20 @@
  *
  * One barrier per round: the plan runs in the barrier's completion
  * step (every worker parked), and each worker then drains its inbox
- * and executes its window — there is no separate post-execute sync
- * barrier. A shard holding several nodes executes them with a merged
- * (tick, priority, node) selection loop over a tournament tree of its
- * queues' next-event keys, so same-shard cross-node posts are
- * delivered directly into the destination queue without clamping
- * anyone's horizon, and picking an event costs O(log nodes).
+ * and runs its shard heap to the window end — there is no separate
+ * post-execute sync barrier. The heap fires its nodes' events in
+ * (tick, priority, node, stamp) order, whether the shard holds one
+ * node or many, so same-shard cross-node posts go straight into it
+ * without clamping anyone's horizon.
  *
  * Cross-shard messages travel through per-(source shard, destination
  * shard) SPSC mailboxes and carry a canonical *stamp* allocated from
  * the originating node's queue at post() time
- * (see EventQueue::allocStamp). Queues order ties by that stamp, so
- * the execution order at equal (tick, priority) is (source node,
- * per-source order) no matter when a message was drained — which is
- * what makes `--shards=1` and `--shards=N` bit-identical in sim time.
+ * (see EventQueue::allocStamp). The heap orders ties within a node by
+ * that stamp, so the execution order at equal (tick, priority, node)
+ * is (source node, per-source order) no matter when a message was
+ * drained — which is what makes `--shards=1` and `--shards=N`
+ * bit-identical in sim time.
  *
  * Barriers are also where the world is quiescent, so the invariant
  * auditor's hook and the stop predicate run in the barrier completion
@@ -191,107 +193,22 @@ class SpinBarrier
 };
 
 /**
- * A tournament (winner) tree over a fixed number of cached
- * (tick, priority) keys — the merged in-shard loop's event selection.
- * top() names the leaf holding the smallest key, ties broken by the
- * lowest index, which is exactly the pick of a linear min-scan; it is
- * O(1), and changing one key replays that leaf's path to the root in
- * O(log n).
- *
- * Layout: leaf i lives at position n + i and internal node p
- * (1 <= p < n) holds the winning leaf of its children 2p and 2p + 1,
- * so position 1 is the overall winner for any n >= 1. (Min with an
- * index tie-break is a total order, so it does not matter that for n
- * not a power of two some pairings cross levels.)
- */
-class WinnerTree
-{
-  public:
-    using Key = std::pair<Tick, std::int32_t>;
-
-    /** @p n leaves, every key the empty-queue sentinel (maxTick, 0). */
-    explicit WinnerTree(std::size_t n = 0) { reset(n); }
-
-    void reset(std::size_t n);
-
-    std::size_t size() const { return keys_.size(); }
-    const Key &key(std::size_t i) const { return keys_[i]; }
-
-    /** The leaf holding the smallest key (needs size() >= 1). */
-    std::size_t top() const { return win_[1]; }
-    const Key &topKey() const { return keys_[win_[1]]; }
-
-    /** Set leaf @p i's key to @p k, up or down. */
-    void
-    set(std::size_t i, const Key &k)
-    {
-        keys_[i] = k;
-        for (std::size_t p = (size() + i) >> 1; p != 0; p >>= 1)
-            win_[p] = winner(win_[2 * p], win_[2 * p + 1]);
-    }
-
-    /** Decrease-key: lower leaf @p i's key to @p k if that is
-     *  smaller; otherwise leave it. */
-    void
-    lower(std::size_t i, const Key &k)
-    {
-        if (!(k < keys_[i]))
-            return;
-        keys_[i] = k;
-        const auto leaf = std::uint32_t(i);
-        for (std::size_t p = (size() + i) >> 1; p != 0; p >>= 1) {
-            // A lowered key only ever climbs: once a subtree keeps
-            // another winner, every enclosing subtree does too.
-            if (winner(leaf, win_[p]) != leaf)
-                break;
-            win_[p] = leaf;
-        }
-    }
-
-    /** Reload every key from @p keyOf(i) and recompute all matches. */
-    template <typename KeyOf>
-    void
-    rebuild(KeyOf &&keyOf)
-    {
-        const std::size_t n = size();
-        for (std::size_t i = 0; i < n; ++i)
-            keys_[i] = keyOf(i);
-        for (std::size_t p = n; p > 1;) {
-            --p;
-            win_[p] = winner(win_[2 * p], win_[2 * p + 1]);
-        }
-    }
-
-  private:
-    std::uint32_t
-    winner(std::uint32_t a, std::uint32_t b) const
-    {
-        if (keys_[b] < keys_[a] || (keys_[b] == keys_[a] && b < a))
-            return b;
-        return a;
-    }
-
-    std::vector<Key> keys_;
-    /** [0] unused; [1, n) match winners; [n, 2n) leaf i at n + i. */
-    std::vector<std::uint32_t> win_;
-};
-
-/**
- * The engine: per-node queues, shard-of-nodes worker partitioning,
- * mailboxes, and the windowed run loop.
+ * The engine: per-node queues over per-shard heaps, shard-of-nodes
+ * worker partitioning, mailboxes, and the windowed run loop.
  *
  * Two run modes:
  *  - run()/runUntil(): the parallel data-phase loop. Within a window
- *    each node's queue executes independently, so node state must not
- *    be read across nodes except through post(). The stop predicate
+ *    each shard executes independently, so node state must not be
+ *    read across nodes except through post(). The stop predicate
  *    is evaluated at window barriers — note that a shard decoupled
  *    from all cross-traffic may execute all the way to the limit in
  *    one window, so the predicate's granularity is the window, not
  *    the event.
  *  - runSetup(): a sequential phase for workload setup that *does*
  *    rendezvous through host-shared state (e.g. msg::Channel's
- *    export/import flags). All queues are interleaved in one global
- *    canonical (tick, priority, node) order on the calling thread, so
+ *    export/import flags). All shard heaps are interleaved in one
+ *    global canonical (tick, priority, node) order on the calling
+ *    thread, so
  *    cross-node host reads are both race-free and shard-count
  *    independent; the predicate is checked after every event.
  */
@@ -379,11 +296,10 @@ class ShardedEngine : public NodeRouter
 
     // --------------------------------------------- merged views
     /**
-     * Global sim time: the max over per-node *last fired* ticks. The
-     * fired tick — unlike EventQueue::now(), which run(limit) parks
-     * at the window end even when the stretch was empty — does not
-     * depend on how windows were shaped, so this value is canonical
-     * across shard counts.
+     * Global sim time: the max over the node clocks. A node's clock
+     * is the tick of its last fired event, which does not depend on
+     * how windows were shaped, so this value is canonical across
+     * shard counts.
      */
     Tick now() const;
 
@@ -446,38 +362,32 @@ class ShardedEngine : public NodeRouter
 
     /**
      * Per-shard working state, one cache line set per shard (the
-     * alignment keeps one shard's hot fields — cached keys, promise
-     * row, counters — off every other shard's lines; the window loop
+     * alignment keeps one shard's hot fields — heap, promise row,
+     * counters — off every other shard's lines; the window loop
      * touches these every event).
      *
      * Ownership: the shard's own worker writes everything during its
-     * round; `windowEnd` is written by the barrier completion (all
-     * workers parked) and read by the owner; `localNext` and
-     * `postedMin` are written by the owner and read by the completion.
-     * The barrier provides the happens-before edges in both
-     * directions, so none of it needs atomics.
+     * round, including every push into `heap` (its own nodes' events,
+     * same-shard posts, its inbox drain); `windowEnd` is written by
+     * the barrier completion (all workers parked) and read by the
+     * owner; `localNext` and `postedMin` are written by the owner and
+     * read by the completion. The barrier provides the happens-before
+     * edges in both directions, so none of it needs atomics.
      */
     struct alignas(64) ShardState
     {
-        /** Earliest pending tick across this shard's queues,
-         *  published at the end of each round. */
+        /** Earliest pending tick in this shard's heap, published at
+         *  the end of each round. */
         Tick localNext = maxTick;
         /** This round's inclusive execution horizon (completion). */
         Tick windowEnd = 0;
         /** postedMin[d]: earliest cross-post staged toward shard d
          *  this round — the shard's promise to its peers. */
         std::vector<Tick> postedMin;
-        /** The nodes this shard executes, ascending. */
-        std::vector<NodeId> nodes;
-        /** queues[i] == engine queue of nodes[i]. */
-        std::vector<EventQueue *> queues;
-        /** Cached (tick, prio) next-event keys of queues[i], for the
-         *  merged selection loop: rebuilt when executeShard starts,
-         *  refreshed after each step, lowered by post() on same-shard
-         *  direct delivery. */
-        WinnerTree tree;
-        /** Drain scratch, reused (capacity persists) across rounds. */
-        std::vector<CrossMsg> drainBuf;
+        /** Every pending event of the shard's nodes, in (tick,
+         *  priority, node, stamp) order; the nodes' EventQueues view
+         *  it. */
+        EventHeap heap;
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
         /** The worker's last profiler clock read of the run; the
@@ -511,9 +421,8 @@ class ShardedEngine : public NodeRouter
     /**
      * Pop every mailbox bound for @p dst_shard — the ring plus the
      * previous round's spill (both spills when @p both, the
-     * sequential entry drain) — and schedule the messages, sorted by
-     * their unique (tick, priority, stamp) keys, into the destination
-     * queues. @return Number of messages delivered.
+     * sequential entry drain) — and schedule the messages into the
+     * destination queues. @return Number of messages delivered.
      */
     std::size_t drainShard(unsigned dst_shard, bool both);
 
@@ -523,10 +432,6 @@ class ShardedEngine : public NodeRouter
     /** Barrier completion: audit hook, predicate, promise-based
      *  per-shard horizons for the next round. */
     void planRound();
-
-    /** Execute shard @p s's queues up to its windowEnd: the single
-     *  queue directly, several via the merged tournament-tree loop. */
-    void executeShard(unsigned s);
 
     /** One worker's round loop. @p prof is the profiler when one is
      *  attached and running (else null); @p t_enter is its clock at
@@ -543,10 +448,11 @@ class ShardedEngine : public NodeRouter
     /** Shard-pair lookahead matrix, row-major [src * shards_ + dst]:
      *  min over the member node pairs of the per-node-pair floor. */
     std::vector<Tick> pairL_;
-    std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** Index of each node within its shard's queues and tree. */
-    std::vector<std::uint32_t> nodeShardIdx_;
+    /** Sized once at construction (heaps never move); declared
+     *  before queues_, which view its heaps, so the queues go first
+     *  on destruction. */
     std::vector<ShardState> shardStates_;
+    std::vector<std::unique_ptr<EventQueue>> queues_;
     std::vector<std::unique_ptr<Mailbox>> boxes_;
     /** Completion scratch: per-shard earliest possible next event. */
     std::vector<Tick> nextEvent_;

@@ -139,6 +139,73 @@ TEST(AutoUpdate, UnmapStopsPropagation)
     EXPECT_EQ(send.ni()->autoUpdatesSent(), 1u);
 }
 
+TEST(AutoUpdate, ExitRevokesTheBinding)
+{
+    // A binding names a physical page, so it has to die with the
+    // process that made it: the frame's next owner stores into its own
+    // private page, and nothing may reach the remote node.
+    System sys(niConfig());
+    auto &send = sys.node(0);
+    auto &recv = sys.node(1);
+
+    struct Shared
+    {
+        std::vector<Addr> rxPages;
+        bool exported = false;
+        bool binderDone = false;
+        // Distinct and never page-aligned until the syscalls fill in
+        // real frame addresses.
+        Addr binderFrame = 1;
+        Addr reuserFrame = 2;
+    } shared;
+
+    recv.kernel().spawn(
+        "receiver", [&](os::UserContext &ctx) -> sim::ProcTask {
+            Addr buf = co_await ctx.sysAllocMemory(4096);
+            shared.rxPages = co_await sysExportRange(ctx, buf, 4096);
+            shared.exported = true;
+        });
+
+    send.kernel().spawn(
+        "binder", [&](os::UserContext &ctx) -> sim::ProcTask {
+            Addr buf = co_await ctx.sysAllocMemory(4096);
+            while (!shared.exported)
+                co_await ctx.compute(500);
+            bool ok = co_await sysMapAutoUpdate(
+                ctx, *send.ni(), buf, recv.id(), shared.rxPages[0]);
+            EXPECT_TRUE(ok);
+            co_await ctx.store(buf, 1); // the one update that is due
+            co_await ctx.syscall([&](os::Kernel &k, os::Process &p,
+                                     os::SyscallControl &) {
+                shared.binderFrame =
+                    p.pageTable().lookup(k.layout().pageOf(buf))
+                        ->frameAddr;
+            });
+            // Exits right here, with the binding still in place.
+            shared.binderDone = true;
+        });
+
+    send.kernel().spawn(
+        "reuser", [&](os::UserContext &ctx) -> sim::ProcTask {
+            while (!shared.binderDone)
+                co_await ctx.compute(500);
+            Addr buf = co_await ctx.sysAllocMemory(4096);
+            co_await ctx.store(buf, 0x5EC2E7); // private: must NOT leave
+            co_await ctx.syscall([&](os::Kernel &k, os::Process &p,
+                                     os::SyscallControl &) {
+                shared.reuserFrame =
+                    p.pageTable().lookup(k.layout().pageOf(buf))
+                        ->frameAddr;
+            });
+        });
+
+    sys.runUntilAllDone(Tick(30) * tickSec);
+    sys.run();
+    ASSERT_EQ(shared.reuserFrame, shared.binderFrame)
+        << "precondition: the reuser got the exited binder's frame";
+    EXPECT_EQ(send.ni()->autoUpdatesSent(), 1u);
+}
+
 TEST(AutoUpdate, SnoopDuringRunningTransferDoesNotCorruptIt)
 {
     // Regression test: while the UDMA engine is mid-transfer (its

@@ -128,9 +128,9 @@ TEST(EventSlabFuzz, CancelHeavyLoadCompactsHeap)
         if (rng.below(100) < 95 && eq.deschedule(handles[i]))
             ++cancelled;
     }
-    EXPECT_GE(eq.compactions(), 1u)
+    EXPECT_GE(eq.heap().compactions(), 1u)
         << "cancel-heavy load must compact the heap";
-    EXPECT_LE(eq.heapEntries(), std::size_t(2 * (total - cancelled)))
+    EXPECT_LE(eq.heap().heapEntries(), std::size_t(2 * (total - cancelled)))
         << "stale entries must not dominate the heap after cancels";
 
     eq.run();
@@ -177,11 +177,11 @@ TEST(EventSlabFuzz, SteadyStateIsAllocationFree)
 
     while (fired < 50000 && eq.step()) {
     }
-    std::uint64_t growths0 = eq.containerGrowths();
+    std::uint64_t growths0 = eq.heap().containerGrowths();
     std::uint64_t fallbacks0 = EventCallback::heapFallbacks();
     while (fired < 150000 && eq.step()) {
     }
-    EXPECT_EQ(eq.containerGrowths(), growths0)
+    EXPECT_EQ(eq.heap().containerGrowths(), growths0)
         << "steady-state scheduling must not grow slab/heap storage";
     EXPECT_EQ(EventCallback::heapFallbacks(), fallbacks0)
         << "small callbacks must stay in inline storage";

@@ -11,10 +11,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "sim/random.hh"
 #include "sim/sharded.hh"
 
 using namespace shrimp;
@@ -246,10 +249,9 @@ TEST(Sharded, SameShardCrossPostsDeliverDirectly)
 
 TEST(Sharded, MergedShardFiresEqualKeysInAscendingNodeOrder)
 {
-    // 17 nodes on one shard run through the merged tournament-tree
-    // loop (17 leaves: not a power of two, so some matches cross tree
-    // levels). Same tick, same priority on every node — scheduled in
-    // scrambled node order — must still fire in ascending node order.
+    // 17 nodes share one shard heap. Same tick, same priority on every
+    // node — scheduled in scrambled node order — must still fire in
+    // ascending node order.
     ShardedEngine eng(17, 1, 10);
     std::vector<int> order;
     for (unsigned k = 0; k < 17; ++k) {
@@ -267,9 +269,9 @@ TEST(Sharded, MergedShardFiresEqualKeysInAscendingNodeOrder)
 TEST(Sharded, MergedShardPostOneTickOutFiresAtItsTick)
 {
     // Node 16 posts to node 3 one tick out (the lookahead is 1): the
-    // decrease-key must surface it at exactly tick 11 — after node 2's
+    // shard heap must surface it at exactly tick 11 — after node 2's
     // tick-11 event, before node 5's, and before node 3's own tick-12
-    // event that was the leaf's key when the post arrived.
+    // event that was its earliest when the post arrived.
     ShardedEngine eng(17, 1, 1);
     std::vector<std::pair<Tick, int>> seen;
     auto note = [&eng, &seen](NodeId n) {
@@ -291,6 +293,169 @@ TEST(Sharded, MergedShardPostOneTickOutFiresAtItsTick)
         {10, 16}, {11, 2}, {11, 3}, {11, 5}, {12, 3}};
     EXPECT_EQ(seen, want);
     EXPECT_EQ(eng.crossPosts(), 1u);
+}
+
+namespace
+{
+
+/** One fired event as its node saw it: the node's clock, the
+ *  priority, and the (origin node, per-origin count) identity. */
+using Fired = std::tuple<Tick, int, NodeId, std::uint64_t>;
+
+/** The engine's full order: (tick, priority, node, origin node,
+ *  per-origin count). The count rises in the order the origin
+ *  allocates stamps, so it orders ties exactly as the stamp does. */
+using OrderKey = std::tuple<Tick, int, NodeId, NodeId, std::uint64_t>;
+
+/**
+ * A random workload for the engine-order test. Each node draws from
+ * its own RNG, seeded by (seed, node), and only inside its own events,
+ * so a node that fires the same sequence makes the same choices under
+ * any shard layout. Until its node's budget runs out, each fired
+ * event twice picks one of three actions: schedule on its own node
+ * (possibly at the same tick), cancel one of its node's handles, or
+ * post to another node one lookahead or more ahead.
+ */
+class OrderFuzz
+{
+  public:
+    OrderFuzz(unsigned seed, unsigned nodes, Tick lookahead,
+              unsigned shards)
+        : eng_(nodes, shards, lookahead), lookahead_(lookahead),
+          shadowed_(eng_.shardCount() == 1), fired_(nodes),
+          mine_(nodes), made_(nodes, 0), budget_(nodes, 160)
+    {
+        for (NodeId n = 0; n < nodes; ++n)
+            rng_.emplace_back(std::uint64_t(seed) << 32 | n);
+        // A narrow start across three priorities: ties are common.
+        for (NodeId n = 0; n < nodes; ++n) {
+            for (int k = 0; k < 4; ++k)
+                add(n, n, 1 + rng_[n].below(4));
+        }
+    }
+
+    /** Run to completion; every node's firing sequence. */
+    const std::vector<std::vector<Fired>> &
+    run()
+    {
+        eng_.run();
+        return fired_;
+    }
+
+    /** One shard only: events that were not the shadow model's
+     *  minimum when they fired, and events it still holds. */
+    unsigned outOfOrder() const { return outOfOrder_; }
+    std::size_t shadowLeft() const { return shadow_.size(); }
+
+  private:
+    /** Create one event from @p origin for @p node at @p when:
+     *  scheduled on its own queue, or posted across nodes. */
+    void
+    add(NodeId origin, NodeId node, Tick when)
+    {
+        static constexpr EventPriority prios[] = {
+            EventPriority::DeviceCompletion, EventPriority::Default,
+            EventPriority::CpuResume};
+        const EventPriority prio = prios[rng_[origin].below(3)];
+        const OrderKey key{when, int(prio), node, origin,
+                           made_[origin]++};
+        auto fire = [this, key] { onFire(key); };
+        if (origin == node) {
+            mine_[node].emplace_back(
+                eng_.queue(node).schedule(when, "test.fuzz", fire, prio),
+                key);
+        } else {
+            eng_.post(origin, node, when, "test.fuzz", fire, prio);
+        }
+        if (shadowed_)
+            shadow_.insert(key);
+    }
+
+    void
+    onFire(const OrderKey &key)
+    {
+        const auto [when, prio, node, origin, count] = key;
+        if (shadowed_) {
+            if (shadow_.empty() || *shadow_.begin() != key
+                || eng_.queue(node).now() != when)
+                ++outOfOrder_;
+            shadow_.erase(key);
+        }
+        fired_[node].emplace_back(eng_.queue(node).now(), prio, origin,
+                                  count);
+        Random &rng = rng_[node];
+        for (int k = 0; k < 2 && budget_[node] > 0; ++k) {
+            --budget_[node];
+            switch (rng.below(3)) {
+              case 0:
+                add(node, node, when + rng.below(3));
+                break;
+              case 1:
+                cancelOne(node);
+                break;
+              default: {
+                const unsigned n = eng_.nodeCount();
+                const NodeId dst =
+                    NodeId((node + 1 + rng.below(n - 1)) % n);
+                add(node, dst, when + lookahead_ + rng.below(3));
+                break;
+              }
+            }
+        }
+    }
+
+    /** Deschedule a random handle of @p node's own events, pending
+     *  or not (a fired or cancelled one is a detected no-op). */
+    void
+    cancelOne(NodeId node)
+    {
+        auto &mine = mine_[node];
+        if (mine.empty())
+            return;
+        const std::size_t i = rng_[node].below(mine.size());
+        if (eng_.queue(node).deschedule(mine[i].first) && shadowed_)
+            shadow_.erase(mine[i].second);
+        mine[i] = mine.back();
+        mine.pop_back();
+    }
+
+    ShardedEngine eng_;
+    const Tick lookahead_;
+    const bool shadowed_;
+    std::vector<Random> rng_;
+    std::vector<std::vector<Fired>> fired_;
+    std::vector<std::vector<std::pair<EventHandle, OrderKey>>> mine_;
+    std::vector<std::uint64_t> made_;
+    std::vector<unsigned> budget_;
+    std::set<OrderKey> shadow_;
+    unsigned outOfOrder_ = 0;
+};
+
+} // namespace
+
+TEST(Sharded, RandomizedOrderIsCanonicalOnEveryShardLayout)
+{
+    // On one shard every event must be the shadow model's minimum when
+    // it fires; on 2, 3 and one-per-node shards every node must fire
+    // exactly the one-shard sequence.
+    for (unsigned seed = 0; seed < 24; ++seed) {
+        const unsigned nodes = 2 + seed % 16;
+        const Tick lookahead = 1 + seed % 5;
+        OrderFuzz ref(seed, nodes, lookahead, 1);
+        const auto want = ref.run();
+        EXPECT_EQ(ref.outOfOrder(), 0u) << "seed " << seed;
+        EXPECT_EQ(ref.shadowLeft(), 0u) << "seed " << seed;
+        std::size_t total = 0;
+        for (const auto &seq : want)
+            total += seq.size();
+        ASSERT_GT(total, std::size_t(nodes) * 40) << "seed " << seed;
+        for (unsigned shards : {2u, 3u, nodes}) {
+            OrderFuzz run(seed, nodes, lookahead, shards);
+            EXPECT_EQ(run.run(), want)
+                << "seed " << seed << ", " << nodes << " nodes, "
+                << shards << " shards, lookahead " << lookahead;
+        }
+    }
 }
 
 namespace

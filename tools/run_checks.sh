@@ -550,9 +550,10 @@ step_seqscale() {
     echo
     echo "== sequential-scaling gate (--shards=1 ns/event, 256 vs 4 nodes) =="
     ensure_release_target multinode_traffic
-    # One thread running every node's queue must pay about the same
-    # per event at any node count; a per-event scan over the node
-    # queues grew 7-11x from 4 to 256 nodes. Both shapes move 1024
+    # One thread running every node's events from one shard heap
+    # must pay about the same per event at any node count; the old
+    # per-event scan over per-node queues grew 7-11x from 4 to 256
+    # nodes, and one heap reads ~1.6-2.0x. Both shapes move 1024
     # records of 1 KiB, so they simulate a similar number of events,
     # and the gated figure is a ratio of two runs on one host, so
     # runner speed cancels out.

@@ -39,10 +39,12 @@
  *       `// shrimp-lint: shard-safe(<reason>)` annotation. Shard
  *       workers run concurrently; cross-shard data must flow through
  *       SpscRing mailboxes, not globals.
- *   S2  event labels passed to EventQueue::schedule/scheduleIn must
- *       be string literals (the queue stores the pointer): an
- *       argument built from `.c_str()`, `std::string`, `to_string`,
- *       or `+` concatenation dangles once the temporary dies.
+ *   S2  event labels passed to any entry point that stores them —
+ *       EventQueue::schedule/scheduleIn/scheduleStamped,
+ *       NodeRouter::post, NetworkInterface::postToNode — must be
+ *       string literals (the queue stores the pointer): an argument
+ *       built from `.c_str()`, `std::string`, `to_string`, or `+`
+ *       concatenation dangles once the temporary dies.
  *
  * Suppressions:
  *   // shrimp-lint: allow(D1) <reason>          one rule (or a comma
@@ -1016,14 +1018,33 @@ checkMutableStatics(const SourceFile &f, const Suppressions &sup,
     }
 }
 
+/** Calls that store an event label: the callee and the label's
+ *  argument index. The callback always follows the label. */
+struct LabelSink
+{
+    const char *callee;
+    std::size_t labelArg;
+};
+
+const LabelSink kLabelSinks[] = {
+    {"schedule", 1},        // (when, name, fn, ...)
+    {"scheduleIn", 1},      // (delay, name, fn, ...)
+    {"scheduleStamped", 2}, // (when, stamp, name, fn, ...)
+    {"post", 3},            // (src, dst, when, name, fn, prio)
+    {"postToNode", 2},      // (dst, when, name, fn)
+};
+
 void
 checkEventLabels(const SourceFile &f, const Suppressions &sup,
                  std::vector<Finding> &out)
 {
     const auto &t = f.lexed.toks;
     for (std::size_t i = 0; i < t.size(); ++i) {
-        if (!(isIdent(t, i, "schedule") || isIdent(t, i, "scheduleIn"))
-            || !isPunct(t, i + 1, "("))
+        const LabelSink *sink = nullptr;
+        for (const auto &s : kLabelSinks)
+            if (isIdent(t, i, s.callee))
+                sink = &s;
+        if (!sink || !isPunct(t, i + 1, "("))
             continue;
         std::size_t end = skipBalanced(t, i + 1, "(", ")");
         // Split top-level args.
@@ -1048,9 +1069,9 @@ checkEventLabels(const SourceFile &f, const Suppressions &sup,
                 argStart = k + 1;
             }
         }
-        if (args.size() < 3)
-            continue; // not the (when, name, fn) shape
-        auto [lb, le] = args[1];
+        if (args.size() < sink->labelArg + 2)
+            continue; // too few arguments for a label and a callback
+        auto [lb, le] = args[sink->labelArg];
         bool bad = false;
         std::string why;
         int parenDepth = 0;
