@@ -1,8 +1,10 @@
 #include "shrimp/network_interface.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
-#include <ranges>
+#include <type_traits>
+#include <utility>
 
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
@@ -25,6 +27,13 @@ netInstant(NodeId src, const char *what, Tick at, NodeId dst,
                          at, "dst", dst, "seq", seq);
     }
 }
+
+/** EventCallback stores an F in place, without the heap fallback. */
+template <typename F>
+constexpr bool storedInline =
+    sizeof(F) <= sim::EventCallback::inlineBytes
+    && alignof(F) <= alignof(std::max_align_t)
+    && std::is_nothrow_move_constructible_v<F>;
 
 constexpr std::uint64_t fnvBasis = 14695981039346656037ull;
 constexpr std::uint64_t fnvPrime = 1099511628211ull;
@@ -157,15 +166,11 @@ NetworkInterface::transferStarting(bool to_device, Addr dev_offset,
     const NiptEntry &e = nipt_.get(idx);
     SHRIMP_ASSERT(e.valid, "transfer started against invalid NIPT entry");
 
-    TxMessage msg;
-    msg.dstNode = e.dstNode;
-    msg.dstBase = e.dstPage * pageBytes_ + dev_offset % pageBytes_;
-    msg.total = nbytes;
-    msg.startTick = eq_.now();
-    msg.data.reserve(nbytes);
-    txq_.push_back(std::move(msg));
     SHRIMP_ASSERT(!engineMsg_, "engine already has an open message");
-    engineMsg_ = &txq_.back();
+    engineMsg_ = &queueMessage(
+        e.dstNode, e.dstPage * pageBytes_ + dev_offset % pageBytes_,
+        nbytes);
+    engineMsg_->data.reserve(nbytes);
     ++sent_;
     trace::log(eq_.now(), trace::Category::Ni, "node ", node_,
                " deliberate update: ", nbytes, " B -> node ",
@@ -179,13 +184,35 @@ NetworkInterface::transferFinished(bool to_device, Addr dev_offset,
     (void)to_device;
     (void)dev_offset;
     (void)nbytes;
-    if (engineMsg_ && engineMsg_->pushed < engineMsg_->total) {
-        // Aborted transfer: truncate the open message so the pump can
-        // retire what was already pushed instead of waiting forever.
-        engineMsg_->total = engineMsg_->pushed;
+    TxMessage *msg = std::exchange(engineMsg_, nullptr);
+    if (msg && msg->pushed < msg->total) {
+        // Aborted transfer: truncate the message so the pump can
+        // launch and retire what was already pushed instead of
+        // waiting forever. The receiver gets that prefix but no
+        // completion: no chunk of the message carries msgEnd.
+        msg->total = msg->pushed;
+        msg->aborted = true;
         pump();
     }
-    engineMsg_ = nullptr;
+}
+
+NetworkInterface::TxMessage &
+NetworkInterface::queueMessage(NodeId dst_node, Addr dst_base,
+                               std::uint32_t total)
+{
+    if (spareMsgs_.empty())
+        txq_.emplace_back();
+    else
+        txq_.splice(txq_.end(), spareMsgs_, spareMsgs_.begin());
+    TxMessage &msg = txq_.back();
+    std::vector<std::uint8_t> buf = std::move(msg.data);
+    buf.clear();
+    msg = TxMessage{.dstNode = dst_node,
+                    .dstBase = dst_base,
+                    .total = total,
+                    .startTick = eq_.now(),
+                    .data = std::move(buf)};
+    return msg;
 }
 
 std::uint32_t
@@ -241,11 +268,11 @@ NetworkInterface::snoopStore(Addr paddr, std::uint64_t value)
     // stores stay contiguous (and the packet stays small).
     if (pendingAuto_.valid
             && pendingAuto_.dstNode == it->second.dstNode
-            && pendingAuto_.dstBase + pendingAuto_.data.size()
-                   == dst_addr
-            && pendingAuto_.data.size() < 504) {
-        pendingAuto_.data.insert(pendingAuto_.data.end(), bytes,
-                                 bytes + 8);
+            && pendingAuto_.dstBase + pendingAuto_.len == dst_addr
+            && pendingAuto_.len < pendingAuto_.data.size() - 8) {
+        std::memcpy(pendingAuto_.data.data() + pendingAuto_.len, bytes,
+                    8);
+        pendingAuto_.len += 8;
         ++autoCombined_;
         return true;
     }
@@ -255,7 +282,8 @@ NetworkInterface::snoopStore(Addr paddr, std::uint64_t value)
     pendingAuto_.valid = true;
     pendingAuto_.dstNode = it->second.dstNode;
     pendingAuto_.dstBase = dst_addr;
-    pendingAuto_.data.assign(bytes, bytes + 8);
+    std::memcpy(pendingAuto_.data.data(), bytes, 8);
+    pendingAuto_.len = 8;
     autoFlushEvent_ = eq_.scheduleIn(
         params_.autoCombineWindow(), "ni.autoflush",
         [this] {
@@ -275,21 +303,19 @@ NetworkInterface::flushAutoUpdates()
         eq_.deschedule(autoFlushEvent_);
         autoFlushEvent_ = sim::EventHandle();
     }
-    TxMessage msg;
-    msg.dstNode = pendingAuto_.dstNode;
-    msg.dstBase = pendingAuto_.dstBase;
-    msg.total = std::uint32_t(pendingAuto_.data.size());
+    TxMessage &msg = queueMessage(pendingAuto_.dstNode,
+                                  pendingAuto_.dstBase, pendingAuto_.len);
     msg.pushed = msg.total;
-    msg.startTick = eq_.now();
-    msg.data = std::move(pendingAuto_.data);
+    msg.data.assign(pendingAuto_.data.begin(),
+                    pendingAuto_.data.begin() + pendingAuto_.len);
     // Control packets enter unconditionally, even into a near-full
     // FIFO: they are tiny, the channel-layer credit protocol bounds
     // how many can be outstanding, and snoopStore reuses pendingAuto_
     // immediately after this call, so deferring would lose them. The
     // engine's data path is the one throttled by pushCapacity().
     txFifoBytes_ += msg.total;
-    txq_.push_back(std::move(msg));
-    pendingAuto_ = PendingAuto();
+    pendingAuto_.valid = false;
+    pendingAuto_.len = 0;
     ++autoSent_;
     ++sent_;
     trace::log(eq_.now(), trace::Category::Ni, "node ", node_,
@@ -415,36 +441,26 @@ NetworkInterface::transmit(NodeId dst, const TxChunk &chunk,
 {
     if (retransmit) {
         ++retransmits_;
-        netInstant(node_, "retransmit", eq_.now(), dst, chunk.seq);
+        netInstant(node_, "retransmit", eq_.now(), dst, chunk.h.seq);
     }
 
     // Every chunk carries its own header on the wire (the sequence
     // number and checksum travel with each packet, not only the
-    // message-opening one).
-    ChunkHeader h;
-    h.src = node_;
-    h.seq = chunk.seq;
-    h.dstAddr = chunk.dstAddr;
-    h.msgStart = chunk.msgStart;
-    h.msgEnd = chunk.msgEnd;
-    h.senderStart = chunk.senderStart;
-    h.checksum = chunk.checksum;
-
-    // The retransmit buffer keeps the pristine payload; the wire copy
-    // is what the fault model may mangle.
-    return launchChunk(dst, h, chunk.data);
+    // message-opening one). The retransmit buffer keeps the pristine
+    // payload; the wire copy is what the fault model may mangle.
+    return launchChunk(dst, chunk.h, chunk.data.clone());
 }
 
 void
 NetworkInterface::forwardChunk(NodeId dst, const ChunkHeader &h,
-                               std::vector<std::uint8_t> data)
+                               Payload data)
 {
     launchChunk(dst, h, std::move(data));
 }
 
 Tick
 NetworkInterface::launchChunk(NodeId dst, const ChunkHeader &h,
-                              std::vector<std::uint8_t> payload)
+                              Payload payload)
 {
     std::uint64_t wire_bytes = payload.size() + params_.niHeaderBytes;
     // One hop of the dimension-order route: this node's own outgoing
@@ -458,18 +474,22 @@ NetworkInterface::launchChunk(NodeId dst, const ChunkHeader &h,
     // peer pointer is only dereferenced when the event fires, on that
     // node's own shard.
     NetworkInterface *peer = net_.ni(hop);
-    auto handoff = [&](Tick when, std::vector<std::uint8_t> bytes) {
+    auto handoff = [&](Tick when, Payload bytes) {
         if (hop == dst) {
-            postToNode(dst, when, "ni.deliver",
-                       [peer, h, bytes = std::move(bytes)]() mutable {
-                           peer->rxDeliver(h, std::move(bytes));
-                       });
+            auto deliver = [peer, h, bytes = std::move(bytes)]() mutable {
+                peer->rxDeliver(h, std::move(bytes));
+            };
+            static_assert(storedInline<decltype(deliver)>,
+                          "ni.deliver must fit the inline buffer");
+            postToNode(dst, when, "ni.deliver", std::move(deliver));
         } else {
-            postToNode(hop, when, "ni.fwd",
-                       [peer, dst, h,
-                        bytes = std::move(bytes)]() mutable {
-                           peer->forwardChunk(dst, h, std::move(bytes));
-                       });
+            auto forward = [peer, dst, h,
+                            bytes = std::move(bytes)]() mutable {
+                peer->forwardChunk(dst, h, std::move(bytes));
+            };
+            static_assert(storedInline<decltype(forward)>,
+                          "ni.fwd must fit the inline buffer");
+            postToNode(hop, when, "ni.fwd", std::move(forward));
         }
     };
 
@@ -487,8 +507,8 @@ NetworkInterface::launchChunk(NodeId dst, const ChunkHeader &h,
         netInstant(node_, "drop", eq_.now(), hop, h.seq);
         return injected;
       case FaultAction::Corrupt:
-        if (!payload.empty())
-            payload[fd.aux % payload.size()] ^= 0xFF;
+        if (payload.size() != 0)
+            payload.data()[fd.aux % payload.size()] ^= 0xFF;
         trace::log(eq_.now(), trace::Category::NetFault, "node ",
                    node_, " -> ", hop, " seq ", h.seq,
                    " corrupted on the wire");
@@ -497,7 +517,7 @@ NetworkInterface::launchChunk(NodeId dst, const ChunkHeader &h,
       case FaultAction::Duplicate: {
         // The copy takes one extra hop, so it still satisfies the
         // sharded lookahead rule and arrives after the original.
-        std::vector<std::uint8_t> copy = payload;
+        Payload copy = payload.clone();
         trace::log(eq_.now(), trace::Category::NetFault, "node ",
                    node_, " -> ", hop, " seq ", h.seq,
                    " duplicated on the wire");
@@ -595,16 +615,16 @@ NetworkInterface::fastRetransmitPass(NodeId dst, TxFlow &flow)
     //    scoreboard later contradicts are counted in rescueSpurious.
     constexpr unsigned dupThresh = 3;
     const unsigned thresh = std::min<std::size_t>(
-        dupThresh,
-        std::max<std::size_t>(1, flow.unacked.size() - 1));
+        dupThresh, std::max<std::size_t>(
+                       1, std::size_t(flow.nextSeq - flow.cumAcked) - 1));
     Tick rescueQuiet = wireRoundTripFloor(dst);
     if (flow.rtt.valid && flow.rtt.srtt > rescueQuiet)
         rescueQuiet = flow.rtt.srtt;
     std::vector<RtxHole> &holes = rtxHoles_;
     holes.clear();
     unsigned sackedAbove = 0;
-    for (std::size_t i = flow.unacked.size(); i-- > 0;) {
-        const TxChunk &c = flow.unacked[i];
+    for (std::uint64_t seq = flow.nextSeq; seq-- > flow.cumAcked;) {
+        const TxChunk &c = flow.unacked.at(seq);
         if (c.sacked) {
             ++sackedAbove;
             continue;
@@ -612,14 +632,14 @@ NetworkInterface::fastRetransmitPass(NodeId dst, TxFlow &flow)
         if (sackedAbove < thresh)
             continue;
         if (!c.epochResent) {
-            holes.push_back({i, false});
+            holes.push_back({seq, false});
         } else if (flow.sackSerial - c.resendSerial >= dupThresh
                    && eq_.now() >= c.lastResend + rescueQuiet) {
-            holes.push_back({i, true});
+            holes.push_back({seq, true});
         }
     }
     for (auto it = holes.rbegin(); it != holes.rend(); ++it) {
-        TxChunk &c = flow.unacked[it->idx];
+        TxChunk &c = flow.unacked.at(it->seq);
         c.epochResent = true;
         c.rexmitted = true;
         c.resendSerial = flow.sackSerial;
@@ -629,9 +649,9 @@ NetworkInterface::fastRetransmitPass(NodeId dst, TxFlow &flow)
             c.rescueTick = eq_.now();
         }
         ++fastRetransmits_;
-        netInstant(node_, "fastrtx", eq_.now(), dst, c.seq);
+        netInstant(node_, "fastrtx", eq_.now(), dst, it->seq);
         trace::log(eq_.now(), trace::Category::NetFault, "node ",
-                   node_, " fast retransmit seq ", c.seq,
+                   node_, " fast retransmit seq ", it->seq,
                    " toward node ", dst);
         transmit(dst, c, /*retransmit=*/true);
     }
@@ -646,10 +666,10 @@ NetworkInterface::onRetryTimeout(NodeId dst)
     if (flow.unacked.empty())
         return;
     ++timeouts_;
-    netInstant(node_, "rto", eq_.now(), dst, flow.unacked.front().seq);
+    netInstant(node_, "rto", eq_.now(), dst, flow.cumAcked);
     bool any_unsacked = false;
-    for (const TxChunk &c : flow.unacked)
-        if (!c.sacked) {
+    for (std::uint64_t seq = flow.cumAcked; seq < flow.nextSeq; ++seq)
+        if (!flow.unacked.at(seq).sacked) {
             any_unsacked = true;
             break;
         }
@@ -659,7 +679,7 @@ NetworkInterface::onRetryTimeout(NodeId dst)
         // No data is missing, so nothing is "lost": poke the receiver
         // with the oldest chunk (it dup-drops and re-acks the current
         // cum) without collapsing the window.
-        TxChunk &c = flow.unacked.front();
+        TxChunk &c = flow.unacked.at(flow.cumAcked);
         c.rexmitted = true;
         c.lastResend = eq_.now();
         transmit(dst, c, /*retransmit=*/true);
@@ -670,16 +690,16 @@ NetworkInterface::onRetryTimeout(NodeId dst)
     }
     trace::log(eq_.now(), trace::Category::NetFault, "node ", node_,
                " retransmit timeout toward node ", dst,
-               ": resending first hole past seq ",
-               flow.unacked.front().seq);
+               ": resending first hole past seq ", flow.cumAcked);
     // New epoch: every hole becomes eligible for one more resend.
-    for (TxChunk &c : flow.unacked)
-        c.epochResent = false;
+    for (std::uint64_t seq = flow.cumAcked; seq < flow.nextSeq; ++seq)
+        flow.unacked.at(seq).epochResent = false;
     // Selective repeat: resend only the first chunk the receiver does
     // not hold. The rest of the window is repaired ack-clocked in
     // rxAck as the cumulative ack climbs toward the recovery point —
     // never re-flooded blind like go-back-N did.
-    for (TxChunk &c : flow.unacked) {
+    for (std::uint64_t seq = flow.cumAcked; seq < flow.nextSeq; ++seq) {
+        TxChunk &c = flow.unacked.at(seq);
         if (c.sacked)
             continue;
         c.epochResent = true;
@@ -710,7 +730,10 @@ NetworkInterface::pump()
            && txq_.front().launched == txq_.front().total) {
         SHRIMP_ASSERT(engineMsg_ != &txq_.front(),
                       "retiring the engine's open message");
-        txq_.pop_front();
+        if (spareMsgs_.size() < maxSpareMsgs)
+            spareMsgs_.splice(spareMsgs_.begin(), txq_, txq_.begin());
+        else
+            txq_.pop_front();
     }
     if (txq_.empty())
         return;
@@ -753,25 +776,22 @@ NetworkInterface::pump()
         return;
     flow.credits -= q;
 
-    bool msg_start = msg.launched == 0;
-    bool msg_end = msg.launched + q == msg.total;
-
+    const std::uint64_t seq = flow.nextSeq++;
     TxChunk chunk;
-    chunk.seq = flow.nextSeq++;
-    chunk.dstAddr = msg.dstBase + msg.launched;
-    chunk.msgStart = msg_start;
-    chunk.msgEnd = msg_end;
-    chunk.senderStart = msg.startTick;
+    ChunkHeader &h = chunk.h;
+    h.src = node_;
+    h.msgStart = msg.launched == 0;
+    h.msgEnd = !msg.aborted && msg.launched + q == msg.total;
+    h.seq = seq;
+    h.dstAddr = msg.dstBase + msg.launched;
+    h.senderStart = msg.startTick;
+    chunk.data = Payload::copyOf(msg.data.data() + msg.launched, q);
+    h.checksum = chunkChecksum(node_, h.seq, h.dstAddr, h.msgStart,
+                               h.msgEnd, chunk.data.data(), q);
     chunk.firstSent = eq_.now();
-    chunk.data.assign(msg.data.begin() + msg.launched,
-                      msg.data.begin() + msg.launched + q);
-    chunk.checksum =
-        chunkChecksum(node_, chunk.seq, chunk.dstAddr, msg_start,
-                      msg_end, chunk.data.data(), chunk.data.size());
-    flow.unacked.push_back(std::move(chunk));
+    const TxChunk &sent = flow.unacked.insert(seq, std::move(chunk));
 
-    Tick injected =
-        transmit(msg.dstNode, flow.unacked.back(), /*retransmit=*/false);
+    Tick injected = transmit(msg.dstNode, sent, /*retransmit=*/false);
     armRetry(msg.dstNode, flow);
 
     pumpBusy_ = true;
@@ -781,9 +801,8 @@ NetworkInterface::pump()
             pumpBusy_ = false;
             SHRIMP_ASSERT(txFifoBytes_ >= q, "tx FIFO underflow");
             txFifoBytes_ -= q;
-            // Deque references stay valid across push/pop of other
-            // elements, and this message cannot be retired while it
-            // has unlaunched bytes.
+            // List elements stay put, and this message cannot be
+            // retired while it has unlaunched bytes.
             msgp->launched += q;
             if (engineWakeup_)
                 engineWakeup_(); // outgoing FIFO space freed
@@ -817,10 +836,11 @@ NetworkInterface::rxAck(NodeId dst, AckInfo ack)
     if (ack.sack != 0 && !fcfg.ignoreSack) {
         Tick rtt_sent = 0;
         bool have_rtt = false;
-        for (TxChunk &c : flow.unacked) {
-            if (c.sacked || c.seq < ack.cum)
+        for (std::uint64_t seq = ack.cum; seq < flow.nextSeq; ++seq) {
+            TxChunk &c = flow.unacked.at(seq);
+            if (c.sacked)
                 continue;
-            std::uint64_t off = c.seq - ack.cum;
+            std::uint64_t off = seq - ack.cum;
             if (off < sackWindow && (ack.sack >> off) & 1) {
                 c.sacked = true;
                 ++flow.sackSerial;
@@ -849,24 +869,24 @@ NetworkInterface::rxAck(NodeId dst, AckInfo ack)
         if (!flow.unacked.empty())
             ++flow.dupAcks; // receiver alive but stuck on a hole
     } else {
+        SHRIMP_ASSERT(ack.cum <= flow.nextSeq, "ack of unsent seq ",
+                      ack.cum, " from node ", dst);
         flow.dupAcks = 0;
         std::uint32_t acked_bytes = 0;
         std::uint64_t acked_chunks = 0;
-        while (!flow.unacked.empty()
-               && flow.unacked.front().seq < ack.cum) {
-            TxChunk &c = flow.unacked.front();
+        for (; flow.cumAcked < ack.cum; ++flow.cumAcked) {
+            // Retiring the chunk releases its payload.
+            const TxChunk c = flow.unacked.take(flow.cumAcked);
             // Same spurious-rescue evidence as the SACK path: a
             // cumulative ack covering a rescued chunk inside the
             // rescue's own round trip was answering an earlier copy.
             if (c.rescued && !c.sacked
                 && eq_.now() < c.rescueTick + wireRoundTripFloor(dst))
                 ++rescueSpurious_;
-            flow.credits += std::uint32_t(c.data.size());
-            acked_bytes += std::uint32_t(c.data.size());
+            flow.credits += c.data.size();
+            acked_bytes += c.data.size();
             ++acked_chunks;
-            flow.unacked.pop_front();
         }
-        flow.cumAcked = ack.cum;
         SHRIMP_ASSERT(flow.credits <= params_.niFifoBytes,
                       "credit window overflow toward node ", dst);
         flow.cwnd.onAck(acked_bytes);
@@ -879,8 +899,10 @@ NetworkInterface::rxAck(NodeId dst, AckInfo ack)
                 flow.inRtoRecovery = false;
             } else {
                 std::uint64_t budget = acked_chunks + 1;
-                for (TxChunk &c : flow.unacked) {
-                    if (budget == 0 || c.seq >= flow.recoveryPoint)
+                for (std::uint64_t seq = flow.cumAcked;
+                     seq < flow.nextSeq; ++seq) {
+                    TxChunk &c = flow.unacked.at(seq);
+                    if (budget == 0 || seq >= flow.recoveryPoint)
                         break;
                     if (c.sacked || c.epochResent)
                         continue;
@@ -938,8 +960,7 @@ NetworkInterface::sendAck(NodeId src)
 
     AckInfo ack;
     ack.cum = flow.drained;
-    ack.sack =
-        sackEncode(flow.drained, flow.expected, std::views::keys(flow.ooo));
+    ack.sack = sackEncode(flow.drained, flow.expected, flow.ooo.seqs());
     // ECN-style congestion mark: several senders' credit windows have
     // converged on this node and overcommitted the incoming FIFO
     // beyond its nominal capacity. Purely local state, so the mark is
@@ -997,8 +1018,7 @@ NetworkInterface::launchAck(NodeId dst, NodeId origin, AckInfo ack)
 }
 
 void
-NetworkInterface::rxDeliver(const ChunkHeader &h,
-                            std::vector<std::uint8_t> data)
+NetworkInterface::rxDeliver(const ChunkHeader &h, Payload data)
 {
     std::uint64_t want =
         chunkChecksum(h.src, h.seq, h.dstAddr, h.msgStart, h.msgEnd,
@@ -1011,7 +1031,7 @@ NetworkInterface::rxDeliver(const ChunkHeader &h,
         return; // no ack: the sender's timer recovers it
     }
     RxFlow &flow = rxFlowFor(h.src);
-    if (h.seq < flow.expected || flow.ooo.count(h.seq) != 0) {
+    if (h.seq < flow.expected || flow.ooo.contains(h.seq)) {
         // Already held (duplicate or retransmission overlap). Re-ack
         // so a sender whose ack was lost makes progress — and hands
         // it the current SACK view while we are at it.
@@ -1024,8 +1044,7 @@ NetworkInterface::rxDeliver(const ChunkHeader &h,
     // fits the resequencing window by construction.
     SHRIMP_ASSERT(h.seq < flow.drained + sackWindow,
                   "chunk past the SACK window from node ", h.src);
-    auto len = std::uint32_t(data.size());
-    rxFifoBytes_ += len;
+    rxFifoBytes_ += data.size();
     if (h.seq > flow.expected) {
         // Past a gap (an earlier chunk is missing): park it in the
         // resequencing buffer and send an immediate duplicate ack so
@@ -1036,25 +1055,16 @@ NetworkInterface::rxDeliver(const ChunkHeader &h,
                    node_, " buffering out-of-order chunk seq ", h.seq,
                    " from node ", h.src, " (expected ", flow.expected,
                    ")");
-        flow.ooo.emplace(h.seq,
-                         RxChunk{h.src, h.seq, h.dstAddr,
-                                 std::move(data), h.msgStart, h.msgEnd,
-                                 h.senderStart});
+        flow.ooo.insert(h.seq, RxChunk{h, std::move(data)});
         sendAck(h.src);
         return;
     }
     // In order: accept it, then release everything the buffer holds
     // contiguously behind it.
-    flow.expected = h.seq + 1;
-    rxChunks_.push_back(RxChunk{h.src, h.seq, h.dstAddr,
-                                std::move(data), h.msgStart, h.msgEnd,
-                                h.senderStart});
-    auto it = flow.ooo.begin();
-    while (it != flow.ooo.end() && it->first == flow.expected) {
-        flow.expected = it->first + 1;
-        rxChunks_.push_back(std::move(it->second));
-        it = flow.ooo.erase(it);
-    }
+    rxChunks_.push_back(RxChunk{h, std::move(data)});
+    for (flow.expected = h.seq + 1; flow.ooo.contains(flow.expected);
+         ++flow.expected)
+        rxChunks_.push_back(flow.ooo.take(flow.expected));
     // Ack the arrival itself (the SACK bits cover [drained, expected)
     // so the sender sees the chunk land now), not just the eventual
     // drain: loss evidence and the sender's silence clock must run at
@@ -1069,42 +1079,44 @@ NetworkInterface::rxPump()
     if (rxDmaBusy_ || rxChunks_.empty())
         return;
     const RxChunk &c = rxChunks_.front();
-    auto len = std::uint32_t(c.data.size());
+    const std::uint32_t len = c.data.size();
 
     // Receive-side EISA DMA logic: start latency on each new packet,
     // then burst the chunk across the receiving node's I/O bus.
-    Tick earliest = eq_.now() + (c.msgStart ? params_.rxDmaStart() : 0);
+    Tick earliest = eq_.now() + (c.h.msgStart ? params_.rxDmaStart() : 0);
     Tick done = ioBus_.burstTransferAt(earliest, len);
 
     rxDmaBusy_ = true;
     eq_.schedule(
         done, "ni.rxdma",
         [this, len] {
-            RxChunk chunk = std::move(rxChunks_.front());
-            rxChunks_.pop_front();
-            memory_.writeBytes(chunk.dstAddr, chunk.data.data(), len);
+            // The chunk's payload is released once it is in memory.
+            const RxChunk chunk = rxChunks_.pop_front();
+            const ChunkHeader &h = chunk.h;
+            const std::uint8_t *bytes = chunk.data.data();
+            memory_.writeBytes(h.dstAddr, bytes, len);
             rxBytes_ += double(len);
-            RxFlow &flow = rxFlowFor(chunk.src);
-            for (std::uint8_t b : chunk.data)
-                fnvByte(flow.dataDigest, b);
+            RxFlow &flow = rxFlowFor(h.src);
+            for (std::uint32_t i = 0; i < len; ++i)
+                fnvByte(flow.dataDigest, bytes[i]);
             flow.touched = true;
-            flow.drained = chunk.seq + 1;
+            flow.drained = h.seq + 1;
             SHRIMP_ASSERT(rxFifoBytes_ >= len, "rx FIFO underflow");
             rxFifoBytes_ -= len;
             rxDmaBusy_ = false;
             // The cumulative ack doubles as the credit return: it
             // tells the sender this chunk left the incoming FIFO
             // (self-sends included, so the accounting is uniform).
-            sendAck(chunk.src);
-            if (chunk.msgEnd) {
+            sendAck(h.src);
+            if (h.msgEnd) {
                 // The completion flag/word becomes visible a little
                 // after the data (write buffers, ordering).
                 Tick when = eq_.now() + params_.rxCompletion();
                 Delivery d;
-                d.srcNode = chunk.src;
-                d.dstPhysAddr = chunk.dstAddr + len;
+                d.srcNode = h.src;
+                d.dstPhysAddr = h.dstAddr + len;
                 d.bytes = 0; // filled by callback users if needed
-                d.senderStartTick = chunk.senderStart;
+                d.senderStartTick = h.senderStart;
                 d.deliveredTick = when;
                 eq_.schedule(
                     when, "ni.delivered",
@@ -1154,23 +1166,24 @@ NetworkInterface::txFlowDebug() const
         dbg.dst = d;
         dbg.nextSeq = f.nextSeq;
         dbg.cumAcked = f.cumAcked;
-        dbg.unackedChunks = f.unacked.size();
+        dbg.unackedChunks = f.nextSeq - f.cumAcked;
         dbg.dupAcks = f.dupAcks;
         dbg.cwnd = f.cwnd.cwnd;
         dbg.ssthresh = f.cwnd.ssthresh;
         dbg.srttUs = f.rtt.valid ? ticksToUs(f.rtt.srtt) : 0;
         dbg.rtoUs = ticksToUs(f.retryTimeout);
         dbg.inRecovery = f.inRtoRecovery;
-        for (const TxChunk &c : f.unacked) {
+        for (std::uint64_t seq = f.cumAcked; seq < f.nextSeq; ++seq) {
+            const TxChunk &c = f.unacked.at(seq);
             dbg.unackedBytes += c.data.size();
             if (!c.sacked)
                 continue;
             ++dbg.sackedChunks;
             if (!dbg.sackRanges.empty()
-                && dbg.sackRanges.back().second + 1 == c.seq) {
-                dbg.sackRanges.back().second = c.seq;
+                && dbg.sackRanges.back().second + 1 == seq) {
+                dbg.sackRanges.back().second = seq;
             } else {
-                dbg.sackRanges.emplace_back(c.seq, c.seq);
+                dbg.sackRanges.emplace_back(seq, seq);
             }
         }
         out.push_back(dbg);

@@ -56,6 +56,15 @@
  * hop in the future (delayed or duplicated chunks land even later,
  * never earlier, so the engine's lookahead rule holds under faults).
  *
+ * A chunk's payload is a pooled net::Payload (transport.hh) with one
+ * owner at a time: the sender's retransmit buffer keeps the pristine
+ * copy until the cumulative ack retires it; each transmission puts a
+ * clone on the wire, owned by the ni.deliver / ni.fwd event that
+ * carries it; the receiver holds it in its resequencing buffer or
+ * receive queue until the receive DMA has written it to memory. No
+ * chunk allocates in steady state, and no NI event capture outgrows
+ * the event record's inline buffer.
+ *
  * On a mesh/torus topology (sim::TopologyConfig) packets are
  * forwarded hop by hop along the dimension-order route: every
  * intermediate node's NI re-launches the chunk (or ack) onto its own
@@ -75,9 +84,10 @@
 #ifndef SHRIMP_SHRIMP_NETWORK_INTERFACE_HH
 #define SHRIMP_SHRIMP_NETWORK_INTERFACE_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <vector>
 
@@ -115,18 +125,22 @@ struct Delivery
 /**
  * The simulated wire header of one chunk. Every field is covered by
  * the checksum together with the payload, so any corruption en route
- * is detected at the receiver.
+ * is detected at the receiver. The field order packs it into 40
+ * bytes, so a hop's event capture (peer, header, payload handle) fits
+ * EventCallback's inline buffer; the checksum hashes the fields by
+ * name, so the order is not part of the wire format.
  */
 struct ChunkHeader
 {
     NodeId src = 0;
-    std::uint64_t seq = 0;
-    Addr dstAddr = 0;
     bool msgStart = false;
     bool msgEnd = false;
+    std::uint64_t seq = 0;
+    Addr dstAddr = 0;
     Tick senderStart = 0;
     std::uint64_t checksum = 0;
 };
+static_assert(sizeof(ChunkHeader) == 40, "keep the hop captures inline");
 
 /** FNV-1a over the header fields and the payload bytes. */
 std::uint64_t chunkChecksum(NodeId src, std::uint64_t seq,
@@ -154,6 +168,53 @@ struct TxFlowDebug
     bool inRecovery = false;
     /** Contiguous [first, last] runs of SACKed seqs in the window. */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> sackRanges;
+};
+
+/**
+ * A FIFO over a power-of-two ring that doubles when full and never
+ * shrinks: once it has reached its high-water mark it pushes and pops
+ * without allocating, where a std::deque frees and reallocates blocks
+ * as its contents slide.
+ */
+template <typename T>
+class RingQueue
+{
+  public:
+    bool empty() const { return count_ == 0; }
+    T &front() { return slots_[head_]; }
+
+    void
+    push_back(T item)
+    {
+        if (count_ == slots_.size())
+            grow();
+        slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(item);
+        ++count_;
+    }
+
+    T
+    pop_front()
+    {
+        T item = std::move(slots_[head_]);
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --count_;
+        return item;
+    }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<T> bigger(slots_.empty() ? 16 : 2 * slots_.size());
+        for (std::size_t i = 0; i < count_; ++i)
+            bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+        slots_ = std::move(bigger);
+        head_ = 0;
+    }
+
+    std::vector<T> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
 };
 
 /** One node's SHRIMP NI. */
@@ -335,8 +396,8 @@ class NetworkInterface : public dma::UdmaDevice
     // Both entry points run on *this* node's shard: peers never call
     // them synchronously, they post events through the router.
 
-    /** A chunk arrives from the backplane. */
-    void rxDeliver(const ChunkHeader &h, std::vector<std::uint8_t> data);
+    /** A chunk arrives from the backplane; the NI takes its payload. */
+    void rxDeliver(const ChunkHeader &h, Payload data);
 
     /**
      * A chunk in transit toward @p dst arrives at this intermediate
@@ -345,8 +406,7 @@ class NetworkInterface : public dma::UdmaDevice
      * shard, so the link arbitration and the per-link fault draw are
      * canonically ordered.
      */
-    void forwardChunk(NodeId dst, const ChunkHeader &h,
-                      std::vector<std::uint8_t> data);
+    void forwardChunk(NodeId dst, const ChunkHeader &h, Payload data);
 
     /** An ack in transit toward flow sender @p dst arrives at this
      *  intermediate node: re-launch it (control path) likewise. */
@@ -363,6 +423,8 @@ class NetworkInterface : public dma::UdmaDevice
     void rxAck(NodeId dst, AckInfo ack);
 
   private:
+    /** One message in the outgoing FIFO. The pump copies each chunk
+     *  of it out of its buffer into a pooled Payload. */
     struct TxMessage
     {
         NodeId dstNode = 0;
@@ -371,18 +433,23 @@ class NetworkInterface : public dma::UdmaDevice
         std::uint32_t pushed = 0;
         std::uint32_t launched = 0;
         Tick startTick = 0;
+        /** The engine's transfer was aborted: total was cut to the
+         *  pushed prefix, and no chunk of it may carry msgEnd. */
+        bool aborted = false;
         std::vector<std::uint8_t> data;
     };
 
-    /** One unacknowledged chunk in the board's retransmit buffer. */
+    /**
+     * One unacknowledged chunk in the board's retransmit buffer. It
+     * owns the pristine payload; every (re)transmission puts a clone
+     * on the wire, which the fault model may mangle, and the payload
+     * is released when the cumulative ack retires the chunk.
+     */
     struct TxChunk
     {
-        std::uint64_t seq = 0;
-        Addr dstAddr = 0;
-        bool msgStart = false;
-        bool msgEnd = false;
-        Tick senderStart = 0;
-        std::uint64_t checksum = 0;
+        /** The wire header, checksum included (src is this node). */
+        ChunkHeader h;
+        Payload data;
         /** First-transmission tick (RTT sampling; Karn's rule). */
         Tick firstSent = 0;
         /** SACK scoreboard: the receiver holds this chunk. */
@@ -406,7 +473,6 @@ class NetworkInterface : public dma::UdmaDevice
         Tick rescueTick = 0;
         /** Ever retransmitted (disqualifies its RTT sample). */
         bool rexmitted = false;
-        std::vector<std::uint8_t> data;
     };
 
     /** Per-destination sender state (window, seq, retransmit). */
@@ -416,7 +482,9 @@ class NetworkInterface : public dma::UdmaDevice
         bool inited = false;
         std::uint64_t nextSeq = 0;
         std::uint64_t cumAcked = 0;
-        std::deque<TxChunk> unacked;
+        /** The retransmit buffer: exactly seqs [cumAcked, nextSeq),
+         *  at most sackWindow of them (pump's sequence window). */
+        SeqWindow<TxChunk> unacked;
         sim::EventHandle retryEvent;
         Tick retryTimeout = 0;
         RttEstimator rtt;
@@ -436,15 +504,12 @@ class NetworkInterface : public dma::UdmaDevice
         std::uint64_t lastCwndCutSeq = 0;
     };
 
+    /** A received chunk: it owns the wire copy's payload from
+     *  arrival until the receive DMA drains it into memory. */
     struct RxChunk
     {
-        NodeId src = 0;
-        std::uint64_t seq = 0;
-        Addr dstAddr = 0;
-        std::vector<std::uint8_t> data;
-        bool msgStart = false;
-        bool msgEnd = false;
-        Tick senderStart = 0;
+        ChunkHeader h;
+        Payload data;
     };
 
     /** Per-source receiver state (dedup, resequencing, digest). */
@@ -459,15 +524,20 @@ class NetworkInterface : public dma::UdmaDevice
         bool touched = false;
         /**
          * Resequencing buffer: chunks received past a gap, keyed by
-         * seq. Bounded by the sender's sackWindow (64 chunks): the
+         * seq. Every one lies in (expected, drained + sackWindow): the
          * sender never launches past cumAcked + 64, and cumAcked
          * never exceeds our drain watermark.
          */
-        std::map<std::uint64_t, RxChunk> ooo;
+        SeqWindow<RxChunk> ooo;
     };
 
     void pump();
     void rxPump();
+
+    /** Append a message to txq_, reusing a spare one's list node and
+     *  buffer capacity when there is one. */
+    TxMessage &queueMessage(NodeId dst_node, Addr dst_base,
+                            std::uint32_t total);
 
     std::uint32_t txFifoFree() const;
 
@@ -478,20 +548,20 @@ class NetworkInterface : public dma::UdmaDevice
 
     /**
      * Put one chunk on the wire toward @p dst: retransmit accounting
-     * plus the first launchChunk hop. Returns the injection-complete
-     * tick.
+     * plus the first launchChunk hop of a clone of its payload.
+     * Returns the injection-complete tick.
      */
     Tick transmit(NodeId dst, const TxChunk &chunk, bool retransmit);
 
     /**
      * One hop of a chunk's route toward @p dst: occupies this node's
      * outgoing physical link, consults that link's fault stream, and
-     * posts either the delivery (last hop) or the next forward.
-     * Returns the injection-complete tick. Shared by the sender's
-     * transmit() and every intermediate forwardChunk().
+     * posts either the delivery (last hop) or the next forward, whose
+     * capture takes @p payload over (a dropped chunk's is released
+     * here). Returns the injection-complete tick. Shared by the
+     * sender's transmit() and every intermediate forwardChunk().
      */
-    Tick launchChunk(NodeId dst, const ChunkHeader &h,
-                     std::vector<std::uint8_t> payload);
+    Tick launchChunk(NodeId dst, const ChunkHeader &h, Payload payload);
 
     /** One hop of an ack's route toward flow sender @p dst (control
      *  path: the link may drop or delay it, never corrupt). */
@@ -548,13 +618,15 @@ class NetworkInterface : public dma::UdmaDevice
     };
     std::map<Addr, AutoUpdateEntry> autoTable_;
 
-    /** The write-combining buffer: one open update packet. */
+    /** The write-combining buffer: one open update packet, held
+     *  inline (snoopStore combines up to 512 bytes). */
     struct PendingAuto
     {
         bool valid = false;
         NodeId dstNode = 0;
         Addr dstBase = 0;
-        std::vector<std::uint8_t> data;
+        std::uint32_t len = 0;
+        std::array<std::uint8_t, 512> data{};
     };
     PendingAuto pendingAuto_;
     sim::EventHandle autoFlushEvent_;
@@ -562,27 +634,34 @@ class NetworkInterface : public dma::UdmaDevice
     stats::Scalar autoCombined_;
 
     // Transmit state.
-    std::deque<TxMessage> txq_;
-    /** The message the UDMA engine is currently filling. References
-     *  into a deque stay valid across push/pop of other elements. */
+    /** The outgoing FIFO's messages, oldest first. A list, so a
+     *  message stays put while engineMsg_ or a pending ni.pump points
+     *  at it. */
+    std::list<TxMessage> txq_;
+    /** Retired messages, spliced out of txq_ and back in by
+     *  queueMessage() with their buffers: at most maxSpareMsgs. */
+    std::list<TxMessage> spareMsgs_;
+    static constexpr std::size_t maxSpareMsgs = 4;
+    /** The message the UDMA engine is currently filling. */
     TxMessage *engineMsg_ = nullptr;
     std::uint32_t txFifoBytes_ = 0;
     bool pumpBusy_ = false;
     static constexpr std::uint32_t pumpChunkBytes = 256;
     /** Sender flows, indexed by destination NodeId. */
     std::vector<TxFlow> txFlows_;
-    /** A hole fastRetransmitPass resends: chunk index in unacked, and
-     *  whether it is a rescue of an earlier resend. */
+    /** A hole fastRetransmitPass resends: its seq, and whether it is
+     *  a rescue of an earlier resend. */
     struct RtxHole
     {
-        std::size_t idx;
+        std::uint64_t seq;
         bool rescue;
     };
     /** fastRetransmitPass's scratch list, kept to reuse its storage. */
     std::vector<RtxHole> rtxHoles_;
 
     // Receive state.
-    std::deque<RxChunk> rxChunks_;
+    /** Chunks accepted in order, waiting for the receive DMA. */
+    RingQueue<RxChunk> rxChunks_;
     /** Incoming-FIFO occupancy. Per-destination sender windows may
      *  transiently overcommit it when several nodes converge on one
      *  receiver (bounded by N x niFifoBytes), like virtual-channel

@@ -6,11 +6,16 @@
  * and the AIMD congestion window layered on the per-destination
  * credit scheme.
  *
+ * It also holds the buffers a chunk travels in: the pooled Payload
+ * and the seq-indexed SeqWindow behind the sender's retransmit buffer
+ * and the receiver's resequencing buffer.
+ *
  * These are pure, event-queue-free value types so the unit tests can
  * exercise the encode/decode round trip, the estimator convergence,
- * and the slow-start/halving state machine without building a
- * two-node world. The NetworkInterface owns one RttEstimator and one
- * CongestionWindow per sender flow.
+ * the slow-start/halving state machine and the buffers without
+ * building a two-node world. The NetworkInterface owns one
+ * RttEstimator, CongestionWindow and retransmit window per sender
+ * flow, and one resequencing window per receiver flow.
  *
  * Determinism: everything here is arithmetic on values the owning
  * shard already holds — no clocks, no randomness, no cross-node
@@ -21,10 +26,16 @@
 #ifndef SHRIMP_SHRIMP_TRANSPORT_HH
 #define SHRIMP_SHRIMP_TRANSPORT_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/coro.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace shrimp::net
@@ -91,6 +102,209 @@ sackDecode(std::uint64_t cum, std::uint64_t bits)
     }
     return out;
 }
+
+/**
+ * One chunk's payload: a move-only handle to a fixed-size buffer
+ * (`capacity` bytes plus the length) from sim::FramePool, so a chunk
+ * in steady state reuses a released buffer instead of allocating.
+ * clone() is the only copy; moving hands the buffer over and leaves
+ * the source empty, so each buffer has exactly one owner. The buffer
+ * goes back to the releasing thread's pool, which may be another
+ * shard's than the one that filled it.
+ */
+class Payload
+{
+  public:
+    /** The largest payload: one pump chunk. */
+    static constexpr std::uint32_t capacity = 256;
+
+    Payload() = default;
+    Payload(Payload &&other) noexcept
+        : buf_(std::exchange(other.buf_, nullptr))
+    {
+    }
+
+    Payload &
+    operator=(Payload &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            buf_ = std::exchange(other.buf_, nullptr);
+        }
+        return *this;
+    }
+
+    Payload(const Payload &) = delete;
+    Payload &operator=(const Payload &) = delete;
+    ~Payload() { release(); }
+
+    /** A payload holding a copy of @p len bytes at @p data. Panics
+     *  when @p len exceeds capacity. */
+    static Payload
+    copyOf(const std::uint8_t *data, std::uint32_t len)
+    {
+        SHRIMP_ASSERT(len <= capacity, "a ", len,
+                      "-byte payload exceeds the ", capacity,
+                      "-byte chunk buffer");
+        Payload p;
+        p.buf_ = static_cast<Buffer *>(
+            sim::FramePool::allocate(sizeof(Buffer)));
+        p.buf_->len = len;
+        std::memcpy(p.buf_->bytes, data, len);
+        return p;
+    }
+
+    /** An independent copy in a buffer of its own. */
+    Payload
+    clone() const
+    {
+        return buf_ ? copyOf(buf_->bytes, buf_->len) : Payload();
+    }
+
+    explicit operator bool() const { return buf_ != nullptr; }
+    std::uint32_t size() const { return buf_ ? buf_->len : 0; }
+    std::uint8_t *data() { return buf_ ? buf_->bytes : nullptr; }
+    const std::uint8_t *
+    data() const
+    {
+        return buf_ ? buf_->bytes : nullptr;
+    }
+
+  private:
+    struct Buffer
+    {
+        std::uint32_t len;
+        std::uint8_t bytes[capacity];
+    };
+
+    void
+    release() noexcept
+    {
+        if (buf_)
+            sim::FramePool::release(std::exchange(buf_, nullptr),
+                                    sizeof(Buffer));
+    }
+
+    Buffer *buf_ = nullptr;
+};
+
+static_assert(sizeof(Payload) == 8, "a payload is one pointer");
+
+/**
+ * Up to sackWindow items keyed by sequence number, item `seq` in slot
+ * `seq % sackWindow`: the sender's retransmit buffer and the
+ * receiver's resequencing buffer. The owner keeps every live seq
+ * inside one sackWindow-wide span (the sequence window guarantees
+ * it), so no two share a slot; insert() asserts that. The slots are
+ * allocated on the first insert and kept: a window that is never used
+ * costs no slot storage, and one in use never allocates again.
+ */
+template <typename T>
+class SeqWindow
+{
+    static_assert(sackWindow == 64, "one occupancy bit per slot");
+
+    struct Slot
+    {
+        std::uint64_t seq = 0;
+        T item{};
+    };
+
+  public:
+    /** Forward range over the occupied slots' seqs, in slot order. */
+    struct Seqs
+    {
+        struct iterator
+        {
+            const Slot *slots;
+            std::uint64_t bits;
+
+            std::uint64_t
+            operator*() const
+            {
+                return slots[std::countr_zero(bits)].seq;
+            }
+
+            iterator &
+            operator++()
+            {
+                bits &= bits - 1;
+                return *this;
+            }
+
+            bool operator==(const iterator &) const = default;
+        };
+
+        const Slot *slots;
+        std::uint64_t bits;
+
+        iterator begin() const { return {slots, bits}; }
+        iterator end() const { return {slots, 0}; }
+    };
+
+    bool empty() const { return used_ == 0; }
+    std::size_t size() const { return std::size_t(std::popcount(used_)); }
+
+    bool
+    contains(std::uint64_t seq) const
+    {
+        const unsigned i = slotOf(seq);
+        return ((used_ >> i) & 1) != 0 && slots_[i].seq == seq;
+    }
+
+    /** The item at @p seq, which must be present. */
+    T &
+    at(std::uint64_t seq)
+    {
+        SHRIMP_ASSERT(contains(seq), "seq ", seq, " is not in the window");
+        return slots_[slotOf(seq)].item;
+    }
+
+    const T &
+    at(std::uint64_t seq) const
+    {
+        SHRIMP_ASSERT(contains(seq), "seq ", seq, " is not in the window");
+        return slots_[slotOf(seq)].item;
+    }
+
+    /** Store @p item at @p seq, whose slot must be free. */
+    T &
+    insert(std::uint64_t seq, T item)
+    {
+        if (!slots_)
+            slots_ = std::make_unique<Slot[]>(sackWindow);
+        const unsigned i = slotOf(seq);
+        SHRIMP_ASSERT(((used_ >> i) & 1) == 0, "seq ", seq,
+                      " collides with seq ", slots_[i].seq,
+                      " in the window");
+        used_ |= std::uint64_t(1) << i;
+        slots_[i].seq = seq;
+        slots_[i].item = std::move(item);
+        return slots_[i].item;
+    }
+
+    /** Remove and return the item at @p seq, which must be present. */
+    T
+    take(std::uint64_t seq)
+    {
+        T item = std::move(at(seq));
+        used_ &= ~(std::uint64_t(1) << slotOf(seq));
+        return item;
+    }
+
+    Seqs seqs() const { return {slots_.get(), used_}; }
+
+  private:
+    static unsigned
+    slotOf(std::uint64_t seq)
+    {
+        return unsigned(seq % sackWindow);
+    }
+
+    std::unique_ptr<Slot[]> slots_;
+    /** Bit i set: slot i holds a live item. */
+    std::uint64_t used_ = 0;
+};
 
 /**
  * Jacobson SRTT/RTTVAR estimator (RFC 6298 constants) in simulation

@@ -24,8 +24,8 @@
 
 #include "sim/logging.hh"
 
-// AddressSanitizer must see every frame's real lifetime, so the frame
-// pool below is compiled out of ASan builds.
+// AddressSanitizer must see every frame's and payload's real
+// lifetime, so the pool below is compiled out of ASan builds.
 #if defined(__SANITIZE_ADDRESS__)
 #define SHRIMP_FRAME_POOL 0
 #elif defined(__has_feature)
@@ -41,22 +41,25 @@ namespace shrimp::sim
 {
 
 /**
- * Recycles coroutine frames. Every call of a Task helper (a UDMA
- * initiation, a channel send, a completion poll) creates a frame, and
- * one simulated transfer makes several; the promise types below get
- * them here. A released frame (up to 2 KiB) goes onto the releasing
- * thread's free list for its 64-byte size class and the next frame of
- * that class reuses it, so a simulation in steady state allocates no
- * frames. Each thread (the caller, or a sharded-engine worker) has its
- * own lists, so the pool takes no lock; a frame released on another
- * thread than the one that allocated it joins the releasing thread's
- * lists. The lists are bounded per class and freed when their thread
- * exits.
+ * Recycles coroutine frames and the NI's chunk payload buffers. Every
+ * call of a Task helper (a UDMA initiation, a channel send, a
+ * completion poll) creates a frame, and one simulated transfer makes
+ * several; the promise types below get them here. Every chunk on the
+ * backplane needs a payload buffer or two (net::Payload), and they
+ * come from here too. A released block (up to 2 KiB) goes onto the
+ * releasing thread's free list for its 64-byte size class and the
+ * next block of that class reuses it, so a simulation in steady state
+ * allocates no frames and no payloads. Each thread (the caller, or a
+ * sharded-engine worker) has its own lists, so the pool takes no
+ * lock; a block released on another thread than the one that
+ * allocated it (a payload delivered to another shard's node) joins
+ * the releasing thread's lists. The lists are bounded per class and
+ * freed when their thread exits.
  */
 class FramePool
 {
   public:
-    /** False in AddressSanitizer builds: frames come from the heap. */
+    /** False in AddressSanitizer builds: blocks come from the heap. */
     static constexpr bool enabled = SHRIMP_FRAME_POOL;
 
     static void *allocate(std::size_t bytes);

@@ -96,9 +96,11 @@ class EventCallback
     /**
      * Inline capture budget: one cache line. Every simulated CPU
      * reference's cpu.op completion fits (Kernel::issueOp
-     * static_asserts it); the NI's per-chunk ni.deliver / ni.fwd hops,
-     * which carry a header and a payload vector, do not and take the
-     * heap fallback.
+     * static_asserts it), and so do the NI's per-chunk ni.deliver /
+     * ni.fwd hops, which carry a peer pointer, a 40-byte chunk header
+     * and an 8-byte pooled payload handle (launchChunk static_asserts
+     * them). It also sizes every event record and every cross-shard
+     * mailbox message, so it is not raised to fit a capture.
      */
     static constexpr std::size_t inlineBytes = 64;
 

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "shrimp/fault.hh"
+#include "sim/params.hh"
 #include "workload/ring.hh"
 
 using namespace shrimp;
@@ -38,6 +39,31 @@ faultyRing(unsigned shards)
         "drop=0.05,corrupt=0.03,dup=0.03,delay=0.05,delay-us=30,seed=9",
         cfg.faults, nullptr));
     return cfg;
+}
+
+/** Bit-identical simulation, including every recovery action. */
+void
+expectSameRun(const RingResult &seq, const RingResult &par)
+{
+    EXPECT_EQ(seq.digest, par.digest);
+    EXPECT_EQ(seq.dataDigest, par.dataDigest);
+    EXPECT_EQ(seq.simTicks, par.simTicks);
+    EXPECT_EQ(seq.simEvents, par.simEvents);
+    EXPECT_EQ(seq.bytesRouted, par.bytesRouted);
+    EXPECT_EQ(seq.retransmits, par.retransmits);
+    EXPECT_EQ(seq.fastRetransmits, par.fastRetransmits);
+    EXPECT_EQ(seq.timeouts, par.timeouts);
+    EXPECT_EQ(seq.acksSent, par.acksSent);
+    EXPECT_EQ(seq.rxDupDropped, par.rxDupDropped);
+    EXPECT_EQ(seq.rxCorruptDropped, par.rxCorruptDropped);
+    EXPECT_EQ(seq.rxOooBuffered, par.rxOooBuffered);
+    EXPECT_EQ(seq.ecnMarked, par.ecnMarked);
+    EXPECT_EQ(seq.cwndCuts, par.cwndCuts);
+    EXPECT_EQ(seq.faults.decisions, par.faults.decisions);
+    EXPECT_EQ(seq.faults.dropped, par.faults.dropped);
+    EXPECT_EQ(seq.faults.corrupted, par.faults.corrupted);
+    EXPECT_EQ(seq.faults.duplicated, par.faults.duplicated);
+    EXPECT_EQ(seq.faults.delayed, par.faults.delayed);
 }
 
 void
@@ -85,28 +111,28 @@ TEST(FaultRecovery, ShardCountInvariantUnderFaults)
 {
     RingResult seq = runRing(faultyRing(1));
     RingResult par = runRing(faultyRing(4));
-
-    // Bit-identical simulation, including every recovery action.
-    EXPECT_EQ(seq.digest, par.digest);
-    EXPECT_EQ(seq.dataDigest, par.dataDigest);
-    EXPECT_EQ(seq.simTicks, par.simTicks);
-    EXPECT_EQ(seq.simEvents, par.simEvents);
-    EXPECT_EQ(seq.bytesRouted, par.bytesRouted);
-    EXPECT_EQ(seq.retransmits, par.retransmits);
-    EXPECT_EQ(seq.fastRetransmits, par.fastRetransmits);
-    EXPECT_EQ(seq.timeouts, par.timeouts);
-    EXPECT_EQ(seq.acksSent, par.acksSent);
-    EXPECT_EQ(seq.rxDupDropped, par.rxDupDropped);
-    EXPECT_EQ(seq.rxCorruptDropped, par.rxCorruptDropped);
-    EXPECT_EQ(seq.rxOooBuffered, par.rxOooBuffered);
-    EXPECT_EQ(seq.ecnMarked, par.ecnMarked);
-    EXPECT_EQ(seq.cwndCuts, par.cwndCuts);
-    EXPECT_EQ(seq.faults.decisions, par.faults.decisions);
-    EXPECT_EQ(seq.faults.dropped, par.faults.dropped);
-    EXPECT_EQ(seq.faults.corrupted, par.faults.corrupted);
-    EXPECT_EQ(seq.faults.duplicated, par.faults.duplicated);
-    EXPECT_EQ(seq.faults.delayed, par.faults.delayed);
+    expectSameRun(seq, par);
     EXPECT_GT(seq.retransmits, 0u) << "no recovery exercised";
+}
+
+TEST(FaultRecovery, MeshShardCountInvariantUnderFaults)
+{
+    // The same faulty ring on a 2x2 mesh, where the ring's 1 -> 2 and
+    // 3 -> 0 routes pass through an intermediate node: chunk payloads
+    // are cloned, corrupted, duplicated and forwarded hop by hop, and
+    // with four shards each hop hands its payload to another shard.
+    auto meshRing = [](unsigned shards) {
+        RingConfig cfg = faultyRing(shards);
+        EXPECT_TRUE(
+            sim::parseTopologySpec("mesh:2x2", cfg.topology, nullptr));
+        return cfg;
+    };
+    RingResult seq = runRing(meshRing(1));
+    RingResult par = runRing(meshRing(4));
+    expectAllDelivered(seq, meshRing(1));
+    expectSameRun(seq, par);
+    EXPECT_GT(seq.retransmits, 0u) << "no recovery exercised";
+    EXPECT_GT(seq.faults.duplicated, 0u) << "no payload was duplicated";
 }
 
 TEST(FaultRecovery, DownWindowHealsAfterLinkReturns)

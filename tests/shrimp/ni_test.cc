@@ -193,3 +193,45 @@ TEST_F(NiPair, RxSideUsesReceiversBus)
     EXPECT_EQ(busA.burstCount(), 0u)
         << "this test bypassed A's engine, so A's bus stays quiet";
 }
+
+TEST_F(NiPair, AbortDeliversPrefixWithoutCompletion)
+{
+    // The kernel aborts a 1,024-byte transfer (paper Section 5) after
+    // the engine pushed nothing, one chunk that already landed, or two
+    // chunks of which the second is still in the outgoing FIFO. What
+    // was pushed reaches node 1; a completion never does.
+    niA.nipt().set(0, 1, 16);
+    constexpr std::uint32_t total = 1024;
+    const std::vector<std::uint8_t> data(total, 0xAB);
+
+    niA.transferStarting(true, 0, total);
+    niA.transferFinished(true, 0, total);
+    eq.run();
+    EXPECT_EQ(niB.bytesDelivered(), 0u);
+
+    niA.transferStarting(true, 0, total);
+    niA.devicePush(0, data.data(), 256);
+    eq.run();
+    niA.transferFinished(true, 0, total);
+    eq.run();
+    EXPECT_EQ(niB.bytesDelivered(), 256u);
+
+    niA.transferStarting(true, 0, total);
+    niA.devicePush(0, data.data(), 512);
+    niA.transferFinished(true, 0, total);
+    eq.run();
+    EXPECT_EQ(niB.bytesDelivered(), 256u + 512u)
+        << "the pushed prefix of an aborted message is delivered";
+    EXPECT_EQ(niB.messagesDelivered(), 0u)
+        << "an aborted message must not complete";
+
+    // The NI carries on: the next message arrives whole.
+    sendMessage(0, 512, 7);
+    eq.run();
+    EXPECT_EQ(niB.messagesDelivered(), 1u);
+    EXPECT_EQ(niB.bytesDelivered(), 256u + 512u + 512u);
+    for (std::uint32_t i = 0; i < 512; ++i) {
+        ASSERT_EQ(memB.read<std::uint8_t>(16 * 4096 + i),
+                  std::uint8_t(7 + i));
+    }
+}

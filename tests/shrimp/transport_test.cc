@@ -2,15 +2,19 @@
  * @file
  * Unit tests for the selective-repeat transport primitives
  * (shrimp/transport.hh) and for the recovery behaviour they drive in
- * the NI: SACK bitmap round-trips, the Jacobson RTT estimator
- * converging onto a steady path, the AIMD slow-start/halving state
- * machine, and — on a real two-NI world — a dropped chunk being
- * repaired by dup-ack fast retransmit before the retransmit timer
- * ever fires (and by the timer once fast retransmit is mutated away).
+ * the NI: SACK bitmap round-trips, the pooled chunk payload and the
+ * seq-indexed window (no simulator needed), the Jacobson RTT
+ * estimator converging onto a steady path, the AIMD
+ * slow-start/halving state machine, and — on a real two-NI world — a
+ * dropped chunk being repaired by dup-ack fast retransmit before the
+ * retransmit timer ever fires (and by the timer once fast retransmit
+ * is mutated away).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include "bus/io_bus.hh"
@@ -56,6 +60,162 @@ TEST(Sack, FullWindowRoundTrips)
     std::uint64_t bits = sackEncode(100, 100, all);
     EXPECT_EQ(bits, ~std::uint64_t(0));
     EXPECT_EQ(sackDecode(100, bits), all);
+}
+
+// ---------------------------------------------------------- Payload
+
+TEST(Payload, CloneIsIndependent)
+{
+    std::vector<std::uint8_t> bytes(Payload::capacity);
+    for (std::uint32_t i = 0; i < Payload::capacity; ++i)
+        bytes[i] = std::uint8_t(i);
+    const Payload pristine = Payload::copyOf(bytes.data(), Payload::capacity);
+    Payload wire = pristine.clone();
+    ASSERT_EQ(wire.size(), Payload::capacity);
+    EXPECT_NE(wire.data(), pristine.data()) << "a clone has its own buffer";
+    wire.data()[17] ^= 0xFF; // what a Corrupt fault does to the wire copy
+    EXPECT_EQ(pristine.data()[17], 17u);
+    EXPECT_EQ(std::memcmp(pristine.data(), bytes.data(), bytes.size()), 0)
+        << "the retransmit copy must stay pristine";
+}
+
+TEST(Payload, MoveLeavesTheSourceEmpty)
+{
+    const std::uint8_t bytes[3] = {1, 2, 3};
+    Payload a = Payload::copyOf(bytes, 3);
+    const std::uint8_t *buffer = a.data();
+    Payload b = std::move(a);
+    EXPECT_FALSE(a);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.data(), nullptr);
+    EXPECT_EQ(b.data(), buffer) << "a move hands the buffer over";
+    Payload c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    ASSERT_EQ(c.size(), 3u);
+    EXPECT_EQ(c.data()[2], 3u);
+    EXPECT_FALSE(Payload().clone()) << "cloning nothing yields nothing";
+}
+
+TEST(Payload, OversizeIsRefused)
+{
+    const std::vector<std::uint8_t> bytes(Payload::capacity + 1);
+    EXPECT_THROW(Payload::copyOf(bytes.data(), Payload::capacity + 1),
+                 PanicError);
+    EXPECT_EQ(Payload::copyOf(bytes.data(), Payload::capacity).size(),
+              Payload::capacity);
+}
+
+// -------------------------------------------------------- SeqWindow
+
+namespace
+{
+
+/** A receiver's arrivals at a fixed drain watermark, and what the
+ *  resequencing window must make of them. */
+struct ArrivalCase
+{
+    const char *name;
+    std::uint64_t drained;
+    std::vector<std::uint64_t> arrivals;
+    /** Seqs released to the drain queue, in order. */
+    std::vector<std::uint64_t> released;
+    unsigned duplicates;
+};
+
+const ArrivalCase arrivalCases[] = {
+    {"in order", 0, {0, 1, 2}, {0, 1, 2}, 0},
+    {"both window edges, out of order and duplicated",
+     1000,
+     {1063, 1001, 1001, 1000, 1063, 1002, 1000},
+     {1000, 1001, 1002},
+     3},
+    {"a full window in reverse", 64,
+     [] {
+         std::vector<std::uint64_t> v;
+         for (std::uint64_t s = 127; s >= 64; --s)
+             v.push_back(s);
+         return v;
+     }(),
+     [] {
+         std::vector<std::uint64_t> v;
+         for (std::uint64_t s = 64; s < 128; ++s)
+             v.push_back(s);
+         return v;
+     }(),
+     0},
+    {"spanning the slot wrap", 380, // slot 60; seq 384 is slot 0
+     {443, 383, 381, 383, 380, 382, 442, 385, 384},
+     {380, 381, 382, 383, 384, 385},
+     1},
+};
+
+} // namespace
+
+TEST(SeqWindow, ResequencesArrivalsLikeAnOrderedSet)
+{
+    // The receiver's rule: below `expected` or already held is a
+    // duplicate, past `expected` waits in the window, and `expected`
+    // itself releases every seq the window holds contiguously behind
+    // it. A std::set of the held seqs is the reference model.
+    for (const ArrivalCase &c : arrivalCases) {
+        SCOPED_TRACE(c.name);
+        SeqWindow<Payload> window;
+        std::set<std::uint64_t> model;
+        std::uint64_t expected = c.drained;
+        std::vector<std::uint64_t> released;
+        unsigned duplicates = 0;
+        auto release = [&](std::uint64_t seq, const Payload &p) {
+            ASSERT_EQ(p.size(), 1u);
+            EXPECT_EQ(p.data()[0], std::uint8_t(seq)) << "seq " << seq;
+            released.push_back(seq);
+        };
+        for (std::uint64_t seq : c.arrivals) {
+            ASSERT_LT(seq, c.drained + sackWindow);
+            const std::uint8_t tag = std::uint8_t(seq);
+            if (seq < expected || window.contains(seq)) {
+                ++duplicates;
+            } else if (seq > expected) {
+                window.insert(seq, Payload::copyOf(&tag, 1));
+                model.insert(seq);
+            } else {
+                release(seq, Payload::copyOf(&tag, 1));
+                for (++expected; window.contains(expected); ++expected) {
+                    release(expected, window.take(expected));
+                    model.erase(expected);
+                }
+            }
+            EXPECT_EQ(window.size(), model.size());
+            EXPECT_EQ(sackEncode(c.drained, expected, window.seqs()),
+                      sackEncode(c.drained, expected, model))
+                << "after the arrival of seq " << seq;
+        }
+        EXPECT_EQ(released, c.released);
+        EXPECT_EQ(duplicates, c.duplicates);
+    }
+}
+
+TEST(SeqWindow, RetransmitBufferHoldsTheSequenceWindow)
+{
+    // The sender's use: seqs [cumAcked, nextSeq) at most sackWindow
+    // wide, retired from the front by cumulative acks.
+    SeqWindow<int> unacked;
+    EXPECT_TRUE(unacked.empty());
+    std::uint64_t cum = 10, next = 10;
+    for (; next < cum + sackWindow; ++next)
+        unacked.insert(next, int(next));
+    EXPECT_EQ(unacked.size(), std::size_t(sackWindow));
+    EXPECT_THROW(unacked.insert(next, 0), PanicError)
+        << "seq cum + 64 shares cum's slot";
+    for (; cum < 30; ++cum)
+        EXPECT_EQ(unacked.take(cum), int(cum));
+    for (; next < cum + sackWindow; ++next)
+        unacked.insert(next, int(next));
+    for (std::uint64_t s = cum; s < next; ++s)
+        EXPECT_EQ(unacked.at(s), int(s));
+    EXPECT_FALSE(unacked.contains(cum - 1));
+    EXPECT_FALSE(unacked.contains(next));
+    EXPECT_THROW(unacked.at(next), PanicError);
 }
 
 // ----------------------------------------------------- RTT estimator

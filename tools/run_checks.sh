@@ -4,11 +4,11 @@
 # its injected-violation self-test), clang-tidy on changed files (when
 # installed), the invariant model checker — the clean exploration plus
 # the seeded I1/I2/net mutations that must produce counterexamples —
-# the TSan concurrency suite, a lossy-ring chaos run, the Release-build
-# perf gates against the committed BENCH baselines, and the perfbench
-# identity check (every BENCHMARK.json workload at the default and the
-# held-out seed must reproduce the sim_events and digest recorded in
-# perfbench/spec.json).
+# the TSan concurrency suite, lossy ring and mesh chaos runs, the
+# Release-build perf gates against the committed BENCH baselines, and
+# the perfbench identity check (every BENCHMARK.json workload at the
+# default and the held-out seed must reproduce the sim_events and
+# digest recorded in perfbench/spec.json).
 #
 # Usage: tools/run_checks.sh [build-dir]
 #        tools/run_checks.sh --list
@@ -292,7 +292,7 @@ step_tsan() {
 
 step_chaos() {
     echo
-    echo "== chaos: lossy 8-node ring under ASan+UBSan =="
+    echo "== chaos: lossy 8-node ring and mesh under ASan+UBSan =="
     ensure_sanitized_build
     # A high-rate drop/corrupt/duplicate/delay mix on the sanitized
     # build: the retransmit path, duplicate suppression, and checksum
@@ -302,6 +302,14 @@ step_chaos() {
     # records) or if the shard counts disagree.
     "${build_dir}/bench/multinode_traffic" \
         --nodes=8 --shards=4 --records=32 \
+        --faults=drop=0.10,corrupt=0.05,dup=0.05,delay=0.10,seed=3
+    # The same mix on a 4x2 mesh: chunk payloads are forwarded hop by
+    # hop and handed between shards. The payload pool is compiled out
+    # under ASan, so every payload is its own heap block and a use
+    # after release or a double release of a forwarded or duplicated
+    # payload is caught.
+    "${build_dir}/bench/multinode_traffic" \
+        --nodes=8 --topo=mesh:4x2 --shards=4 --records=32 \
         --faults=drop=0.10,corrupt=0.05,dup=0.05,delay=0.10,seed=3
 }
 
