@@ -52,11 +52,7 @@ runAuto(unsigned words)
     auto &recv = sys.node(1);
     Result res;
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-    } shared;
+    bench::Rendezvous shared;
 
     recv.kernel().spawn(
         "receiver", [&](os::UserContext &ctx) -> sim::ProcTask {
@@ -72,6 +68,7 @@ runAuto(unsigned words)
             Addr buf = co_await ctx.sysAllocMemory(4096);
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             co_await sysMapAutoUpdate(ctx, *send.ni(), buf, recv.id(),
                                       shared.rxPages[0]);
             Tick t0 = ctx.kernel().eq().now();
@@ -82,6 +79,7 @@ runAuto(unsigned words)
             res.us -= ticksToUs(t0); // patched after run
         });
 
+    sys.runSetup([&] { return shared.imported; }, Tick(60) * tickSec);
     sys.runUntilAllDone(Tick(60) * tickSec);
     sys.run();
     bench::captureSystem(sys);
@@ -98,11 +96,7 @@ runDeliberate(unsigned words)
     auto &recv = sys.node(1);
     Result res;
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-    } shared;
+    bench::Rendezvous shared;
 
     recv.kernel().spawn(
         "receiver", [&](os::UserContext &ctx) -> sim::ProcTask {
@@ -119,6 +113,7 @@ runDeliberate(unsigned words)
             co_await ctx.store(buf, 1); // warm/dirty
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             Addr proxy = co_await sysMapRemoteRange(
                 ctx, 0, *send.ni(), recv.id(), shared.rxPages);
             co_await ctx.load(ctx.proxyAddr(buf, 0));
@@ -132,6 +127,7 @@ runDeliberate(unsigned words)
             res.us -= ticksToUs(t0);
         });
 
+    sys.runSetup([&] { return shared.imported; }, Tick(60) * tickSec);
     sys.runUntilAllDone(Tick(60) * tickSec);
     sys.run();
     bench::captureSystem(sys);

@@ -40,11 +40,7 @@ run(double window_ns, unsigned words)
     auto &send = sys.node(0);
     auto &recv = sys.node(1);
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-    } shared;
+    bench::Rendezvous shared;
     Result res;
 
     recv.kernel().spawn(
@@ -61,6 +57,7 @@ run(double window_ns, unsigned words)
             Addr buf = co_await ctx.sysAllocMemory(4096);
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             co_await sysMapAutoUpdate(ctx, *send.ni(), buf,
                                       recv.id(), shared.rxPages[0]);
             Tick t0 = ctx.kernel().eq().now();
@@ -70,6 +67,7 @@ run(double window_ns, unsigned words)
             res.usToLastVisible -= ticksToUs(t0);
         });
 
+    sys.runSetup([&] { return shared.imported; }, Tick(60) * tickSec);
     sys.runUntilAllDone(Tick(60) * tickSec);
     sys.run();
     res.packets = send.ni()->autoUpdatesSent();

@@ -59,12 +59,7 @@ run(double quantum_us, unsigned hogs, unsigned messages)
     RunResult out;
     const std::uint32_t pb = params.pageBytes;
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-        std::uint64_t delivered = 0;
-    } shared;
+    bench::Rendezvous shared;
 
     auto &recv = sys.node(1);
     recv.kernel().spawn(
@@ -73,8 +68,6 @@ run(double quantum_us, unsigned hogs, unsigned messages)
             shared.rxPages = co_await sysExportRange(ctx, buf, pb);
             shared.exported = true;
         });
-    recv.ni()->setDeliveryCallback(
-        [&](const net::Delivery &) { ++shared.delivered; });
 
     auto &send = sys.node(0);
     bool sender_done = false;
@@ -84,6 +77,7 @@ run(double quantum_us, unsigned hogs, unsigned messages)
             co_await ctx.store(buf, 1);
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             Addr proxy = co_await sysMapRemoteRange(
                 ctx, 0, *send.ni(), recv.id(), shared.rxPages);
             co_await ctx.load(ctx.proxyAddr(buf, 0));
@@ -104,6 +98,7 @@ run(double quantum_us, unsigned hogs, unsigned messages)
             });
     }
 
+    sys.runSetup([&] { return shared.imported; }, rowCap);
     sys.runUntilAllDone(rowCap);
     sys.run(rowCap);
 

@@ -252,6 +252,19 @@ captureSystem(core::System &sys)
 }
 
 /**
+ * The receiver's exported pages, handed to the sender through host
+ * memory. Both flags are read across nodes, so a bench runs under
+ * System::runSetup until the sender has seen the export (`imported`);
+ * the data phase that follows must read nothing of the other node.
+ */
+struct Rendezvous
+{
+    std::vector<Addr> rxPages;
+    bool exported = false;
+    bool imported = false;
+};
+
+/**
  * Send one @p bytes message over a fresh two-node UDMA system and
  * measure it. @p queue_depth configures the Section 7 hardware queue.
  */
@@ -275,11 +288,7 @@ timeUdmaMessage(std::uint64_t bytes, const sim::MachineParams &params,
     const std::uint32_t pb = params.pageBytes;
     std::uint64_t buf_pages = (bytes + pb - 1) / pb;
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-    } shared;
+    Rendezvous shared;
 
     auto &recv = sys.node(1);
     recv.kernel().spawn(
@@ -305,6 +314,7 @@ timeUdmaMessage(std::uint64_t bytes, const sim::MachineParams &params,
                 co_await ctx.store(buf + p * pb, 0x1234);
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             Addr proxy = co_await core::sysMapRemoteRange(
                 ctx, 0, *send.ni(), recv.id(), shared.rxPages);
             // Warm the proxy mappings for the source pages (first
@@ -318,6 +328,7 @@ timeUdmaMessage(std::uint64_t bytes, const sim::MachineParams &params,
                 ctx, 0, proxy, buf, bytes, /*wait_completion=*/true);
         });
 
+    sys.runSetup([&] { return shared.imported; }, Tick(60) * tickSec);
     sys.runUntilAllDone(Tick(60) * tickSec);
     sys.run(); // drain trailing delivery events
     if (auto *ctrl = send.controller(0)) {
@@ -359,6 +370,7 @@ timePioMessage(std::uint64_t bytes, const sim::MachineParams &params)
     result.bytes = bytes;
     const std::uint64_t words = (bytes + 7) / 8;
     bool receiver_ready = false;
+    bool sender_started = false;
 
     auto &recv = sys.node(1);
     recv.kernel().spawn(
@@ -389,6 +401,7 @@ timePioMessage(std::uint64_t bytes, const sim::MachineParams &params)
             Addr win = co_await ctx.sysMapDeviceProxy(0, 0, 2, true);
             while (!receiver_ready)
                 co_await ctx.compute(500);
+            sender_started = true;
             result.sendStart = ctx.kernel().eq().now();
             co_await ctx.store(win + baseline::FifoNic::regDestNode,
                                recv.id());
@@ -408,6 +421,7 @@ timePioMessage(std::uint64_t bytes, const sim::MachineParams &params)
             }
         });
 
+    sys.runSetup([&] { return sender_started; }, Tick(120) * tickSec);
     sys.runUntilAllDone(Tick(120) * tickSec);
     for (unsigned i = 0; i < sys.nodeCount(); ++i) {
         auto &k = sys.node(i).kernel();
@@ -446,11 +460,7 @@ timeTraditionalNiMessage(std::uint64_t bytes,
     const std::uint32_t pb = params.pageBytes;
     std::uint64_t buf_pages = (bytes + pb - 1) / pb;
 
-    struct Shared
-    {
-        std::vector<Addr> rxPages;
-        bool exported = false;
-    } shared;
+    Rendezvous shared;
 
     auto &recv = sys.node(1);
     recv.kernel().spawn(
@@ -473,6 +483,7 @@ timeTraditionalNiMessage(std::uint64_t bytes,
                 co_await ctx.store(buf + p * pb, 0x1234);
             while (!shared.exported)
                 co_await ctx.compute(500);
+            shared.imported = true;
             // Kernel control plane: program one NIPT entry per page.
             std::size_t first =
                 send.ni()->nipt().allocateRun(shared.rxPages.size());
@@ -504,6 +515,7 @@ timeTraditionalNiMessage(std::uint64_t bytes,
             }
         });
 
+    sys.runSetup([&] { return shared.imported; }, Tick(120) * tickSec);
     sys.runUntilAllDone(Tick(120) * tickSec);
     sys.run();
     for (unsigned i = 0; i < sys.nodeCount(); ++i) {

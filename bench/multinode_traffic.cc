@@ -89,8 +89,9 @@ printRun(const char *label, const workload::RingResult &r)
                 (unsigned long long)r.simEvents,
                 (unsigned long long)r.bytesRouted, r.hostSec);
     if (r.windows > 0) {
-        std::printf(", %llu windows, %llu cross-posts",
+        std::printf(", %llu windows, %llu sub-windows, %llu cross-posts",
                     (unsigned long long)r.windows,
+                    (unsigned long long)r.subWindows,
                     (unsigned long long)r.crossPosts);
     }
     std::printf("\n");

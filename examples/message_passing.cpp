@@ -21,11 +21,15 @@ using namespace shrimp::core;
 namespace
 {
 
+/** A node's exported receive window, handed to its peer through host
+ *  memory. The flags are read across nodes, so main() runs the
+ *  rendezvous under runSetup until both peers have imported. */
 struct Mailbox
 {
     std::vector<Addr> pages;
     Addr va = 0;
     bool ready = false;
+    bool imported = false;
 };
 
 } // namespace
@@ -62,6 +66,7 @@ main(int argc, char **argv)
         Addr tx = co_await ctx.sysAllocMemory(pb);
         while (!box_b.ready)
             co_await ctx.compute(500);
+        box_b.imported = true;
         Addr remote = co_await sysMapRemoteRange(ctx, 0, *a.ni(),
                                                  b.id(), box_b.pages);
 
@@ -106,6 +111,7 @@ main(int argc, char **argv)
         Addr tx = co_await ctx.sysAllocMemory(pb);
         while (!box_a.ready)
             co_await ctx.compute(500);
+        box_a.imported = true;
         Addr remote = co_await sysMapRemoteRange(ctx, 0, *b.ni(),
                                                  a.id(), box_a.pages);
 
@@ -128,6 +134,8 @@ main(int argc, char **argv)
                     (unsigned long long)b.ni()->messagesDelivered());
     });
 
+    sys.runSetup([&] { return box_a.imported && box_b.imported; },
+                 Tick(120) * tickSec);
     sys.runUntilAllDone(Tick(120) * tickSec);
     sys.run();
     std::printf("network: %llu bytes routed over the backplane\n",

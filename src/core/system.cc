@@ -224,14 +224,19 @@ System::System(const SystemConfig &cfg)
             [this](NodeId src, NodeId dst) {
                 return net_.minDeliveryLatency(src, dst);
             }));
-    if (engine_->shardCount() > 1) {
-        for (const DeviceConfig &dc : cfg_.node.devices) {
-            if (dc.kind == DeviceKind::FifoNic) {
-                fatal("the FIFO-NIC baseline reads peer state "
-                      "synchronously and runs on one shard only; drop "
-                      "--shards or the FifoNic device");
-            }
+    // The FIFO-NIC baseline reads and writes its peer's FIFOs from the
+    // sender's events, which node-major windows would reorder against
+    // the peer's own events: it runs on one shard, in the canonical
+    // (tick, priority, node) order.
+    for (const DeviceConfig &dc : cfg_.node.devices) {
+        if (dc.kind != DeviceKind::FifoNic)
+            continue;
+        if (engine_->shardCount() > 1) {
+            fatal("the FIFO-NIC baseline reads peer state "
+                  "synchronously and runs on one shard only; drop "
+                  "--shards or the FifoNic device");
         }
+        engine_->setCanonicalOrder(true);
     }
 
     for (unsigned i = 0; i < cfg.nodes; ++i)

@@ -5,9 +5,16 @@
 namespace shrimp::sim
 {
 
+EventHeap::EventHeap(EventQueue &owner) : owner_(owner)
+{
+    slots_.reserve(initialSlots);
+    freeSlots_.reserve(initialSlots);
+    heap_.reserve(initialEntries);
+}
+
 EventHandle
-EventHeap::push(EventQueue &owner, Tick when, std::uint64_t rank,
-                std::uint64_t stamp, const char *name, EventCallback &&fn)
+EventHeap::push(Tick when, std::uint64_t rank, std::uint64_t stamp,
+                const char *name, EventCallback &&fn)
 {
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
@@ -22,7 +29,6 @@ EventHeap::push(EventQueue &owner, Tick when, std::uint64_t rank,
 
     Record &rec = slots_[slot];
     rec.fn = std::move(fn);
-    rec.owner = &owner;
     rec.name = name;
     const std::uint32_t gen = rec.gen;
 
@@ -47,11 +53,10 @@ EventHeap::cancel(EventHandle handle)
     Record &rec = slots_[slot];
     if (rec.gen != handle.gen_)
         return false; // fired, cancelled, or recycled: detected no-op
-    EventQueue &q = *rec.owner;
     rec.fn.reset();
     freeSlot(slot);
-    --q.liveEvents_;
-    ++q.cancelled_;
+    --owner_.liveEvents_;
+    ++owner_.cancelled_;
     // The heap entry stays behind with a now-mismatched generation;
     // dropStale() discards it, or maybeCompact() sweeps it early.
     ++staleInHeap_;
@@ -107,16 +112,15 @@ void
 EventHeap::fire(const Entry &e)
 {
     Record &rec = slots_[e.slot];
-    EventQueue &q = *rec.owner;
-    SHRIMP_ASSERT(e.when >= q.curTick_, "time went backwards");
-    q.curTick_ = e.when;
-    q.flight_.record(e.when, rec.name, priorityOf(e.rank));
+    SHRIMP_ASSERT(e.when >= owner_.curTick_, "time went backwards");
+    owner_.curTick_ = e.when;
+    owner_.flight_.record(e.when, rec.name, priorityOf(e.rank));
     // Move the callback out so the slot can be recycled even if the
     // callback schedules further events.
     EventCallback fn = std::move(rec.fn);
     freeSlot(e.slot);
-    --q.liveEvents_;
-    ++q.executed_;
+    --owner_.liveEvents_;
+    ++owner_.executed_;
     fn();
 }
 
@@ -152,12 +156,8 @@ EventHeap::runTo(Tick limit)
     }
 }
 
-EventQueue::EventQueue()
-    : ownHeap_(std::make_unique<EventHeap>()), heap_(ownHeap_.get())
-{}
-
-EventQueue::EventQueue(EventHeap &heap, std::uint32_t node)
-    : heap_(&heap), stampBase_(std::uint64_t(node) << stampSeqBits),
+EventQueue::EventQueue(std::uint32_t node, EventHeap::Key *front)
+    : front_(front), stampBase_(std::uint64_t(node) << stampSeqBits),
       node_(node)
 {
     SHRIMP_ASSERT(stampBase_ >> stampSeqBits == node,
@@ -176,8 +176,10 @@ EventQueue::scheduleStamped(Tick when, std::uint64_t stamp,
               "' scheduled in the past: when=", when, " now=", curTick_);
     }
     ++liveEvents_;
-    return heap_->push(*this, when, EventHeap::rankOf(prio, node_), stamp,
-                       name, std::move(fn));
+    const std::uint64_t rank = EventHeap::rankOf(prio, node_);
+    if (front_ && EventHeap::Key{when, rank} < *front_)
+        *front_ = {when, rank};
+    return heap_.push(when, rank, stamp, name, std::move(fn));
 }
 
 } // namespace shrimp::sim

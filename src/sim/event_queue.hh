@@ -1,28 +1,30 @@
 /**
  * @file
- * The discrete-event simulation core: one binary heap of pending
- * events over a slab of event records (EventHeap), and the per-node
- * view components schedule through (EventQueue).
+ * The discrete-event simulation core: one node's event queue
+ * (EventQueue) over its own binary heap of pending events on a slab
+ * of event records (EventHeap).
  *
- * Every event fires in (tick, priority, node, stamp) order. The
- * stamp is the tie-break inside one node at equal (tick, priority):
- * (source node << stampSeqBits) | per-source counter, a *canonical*
- * key assigned when the originating node decides to schedule the
- * event, not when a cross-node message happens to be drained into the
- * destination heap. Ties therefore execute in (source node,
- * per-source order), independent of shard count, mailbox batching, or
- * window boundaries — the property the sharded engine's bit-identical
- * `--shards=1` vs `--shards=N` guarantee rests on. A standalone queue
- * is node 0 and stamps its own events with a plain insertion counter,
- * which is classic insertion-order FIFO.
+ * A node fires its events in (tick, priority, stamp) order. The stamp
+ * is the tie-break at equal (tick, priority): (source node <<
+ * stampSeqBits) | per-source counter, a *canonical* key assigned when
+ * the originating node decides to schedule the event, not when a
+ * cross-node message happens to be drained into the destination
+ * heap. Ties therefore execute in (source node, per-source order),
+ * independent of shard count, mailbox batching, or window boundaries
+ * — the property the sharded engine's bit-identical `--shards=1` vs
+ * `--shards=N` guarantee rests on. A standalone queue is node 0 and
+ * stamps its own events with a plain insertion counter, which is
+ * classic insertion-order FIFO.
  *
- * There is exactly one heap implementation. The sharded engine
- * (sim/sharded.hh) gives each shard one EventHeap shared by the
- * EventQueue views of its nodes; a standalone EventQueue (unit tests,
- * micro benches) owns a heap of its own. A view keeps what is per
- * node: the clock (the tick of the node's last fired event), the stamp
- * counter, the executed / cancelled / pending counts and the flight
- * recorder.
+ * There is exactly one heap implementation, and every heap has one
+ * owner: each EventQueue holds its EventHeap inline, whether it is a
+ * standalone queue (unit tests, micro benches) or one of the sharded
+ * engine's per-node queues (sim/sharded.hh). The queue keeps the rest
+ * of what is per node: the clock (the tick of the node's last fired
+ * event), the stamp counter, the executed / cancelled / pending
+ * counts and the flight recorder. An engine queue also keeps a
+ * front-key hint up to date for the engine's node selection (see
+ * scheduleStamped).
  *
  * All timing in the simulator is expressed by scheduling callbacks on
  * a queue. Components never busy-wait; they schedule their next action
@@ -33,7 +35,8 @@
  *
  *  - Event records live in a slab with an explicit free list; firing
  *    or cancelling an event recycles its slot instead of touching the
- *    heap allocator.
+ *    heap allocator. The slab, free list and heap start with room for
+ *    one node's high-water mark in the channel workloads.
  *  - Handles are generation-tagged slab indices, so deschedule() is a
  *    direct array probe (no id map) and a handle to a fired or
  *    recycled event is detected as stale, never dereferenced.
@@ -57,7 +60,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -278,18 +280,18 @@ class EventHandle
 class EventQueue;
 
 /**
- * The event core: a slab of event records and a binary min-heap of
- * (tick, rank, stamp) entries referencing slab slots, where the rank
- * packs (priority, node). Each record names the EventQueue view it was
- * scheduled through, and firing an event advances that view's clock
- * and counters. Not thread-safe: one heap belongs to one shard.
+ * One node's event core: a slab of event records and a binary
+ * min-heap of (tick, rank, stamp) entries referencing slab slots,
+ * where the rank packs (priority, node). It belongs to exactly one
+ * EventQueue, whose clock and counters firing an event advances. Not
+ * thread-safe.
  */
 class EventHeap
 {
   public:
     /** The order key of an event without its stamp: (tick, rank),
-     *  where the rank packs (priority, node). Distinct nodes never
-     *  tie. */
+     *  where the rank packs (priority, node). Keys of distinct nodes
+     *  never tie, so they order the fronts of several heaps too. */
     using Key = std::pair<Tick, std::uint64_t>;
 
     /** Pack (priority, node) into one unsigned word that orders like
@@ -301,26 +303,32 @@ class EventHeap
         return std::uint64_t(p) << 32 | node;
     }
 
-    EventHeap() = default;
-    /** EventQueue views hold its address: neither copied nor moved. */
+    /**
+     * Initial slab and heap capacity: over twice the high-water mark of
+     * any one node in the benchmark workloads (12 records and 27 heap
+     * entries, stale ones included), so a data phase does not grow a
+     * node's heap. The allocation guard holds that for a 16-node
+     * lossy mesh.
+     */
+    static constexpr std::size_t initialSlots = 32;
+    static constexpr std::size_t initialEntries = 64;
+
+    /** The heap of @p owner, which holds it inline. */
+    explicit EventHeap(EventQueue &owner);
     EventHeap(const EventHeap &) = delete;
     EventHeap &operator=(const EventHeap &) = delete;
 
-    /** Insert an event scheduled through @p owner (which has checked
-     *  @p when against its clock and counted it pending). */
-    EventHandle push(EventQueue &owner, Tick when, std::uint64_t rank,
-                     std::uint64_t stamp, const char *name,
-                     EventCallback &&fn);
+    /** Insert an event (the owner has checked @p when against its
+     *  clock and counted it pending). */
+    EventHandle push(Tick when, std::uint64_t rank, std::uint64_t stamp,
+                     const char *name, EventCallback &&fn);
 
-    /** EventQueue::deschedule, for an event of any node. */
+    /** EventQueue::deschedule. */
     bool cancel(EventHandle handle);
 
     /** Key of the earliest pending event ({maxTick, 0} when none);
      *  drops stale cancelled entries first. */
     Key nextKey();
-
-    /** Tick of the earliest pending event (maxTick when none). */
-    Tick nextTick() { return nextKey().first; }
 
     /** Fire the earliest pending event, if any. False if none. */
     bool step();
@@ -358,7 +366,6 @@ class EventHeap
     struct Record
     {
         EventCallback fn;
-        EventQueue *owner = nullptr;
         const char *name = nullptr;
         std::uint32_t gen = 0;
     };
@@ -410,6 +417,7 @@ class EventHeap
     /** Rebuild the heap without stale entries when they dominate. */
     void maybeCompact();
 
+    EventQueue &owner_;
     std::uint64_t compactions_ = 0;
     std::uint64_t containerGrowths_ = 0;
     std::size_t staleInHeap_ = 0;
@@ -420,19 +428,25 @@ class EventHeap
 
 /**
  * One node's event queue: the clock, stamps, counters and flight
- * recorder of the node, over the EventHeap that orders its events.
+ * recorder of the node, and the EventHeap that orders its events.
  * Components hold an EventQueue and see only schedule / scheduleIn /
  * deschedule / now.
  */
 class EventQueue
 {
   public:
-    /** A standalone queue (node 0) that owns its heap. */
-    EventQueue();
-
-    /** Node @p node's view of @p heap, shared with the other nodes of
-     *  its shard. Stamps carry the node id in their high bits. */
-    EventQueue(EventHeap &heap, std::uint32_t node);
+    /**
+     * Node @p node's queue (a standalone queue is node 0); stamps
+     * carry the node id in their high bits. @p front, when given, is
+     * the engine's front-key hint for this node: every schedule lowers
+     * it to the new event's key when that is earlier, so the hint
+     * never lies past the true front however the event arrived (own
+     * schedule, same-shard post, mailbox drain, or host code between
+     * runs). Firing and cancelling leave it low; the engine re-reads
+     * the queue where it needs the exact key.
+     */
+    explicit EventQueue(std::uint32_t node = 0,
+                        EventHeap::Key *front = nullptr);
 
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -500,7 +514,7 @@ class EventQueue
      * and is now cancelled; false if it had already fired, was
      * already cancelled, or the slot has been recycled.
      */
-    bool deschedule(EventHandle handle) { return heap_->cancel(handle); }
+    bool deschedule(EventHandle handle) { return heap_.cancel(handle); }
 
     /** True if no events of this node remain. */
     bool empty() const { return liveEvents_ == 0; }
@@ -509,21 +523,28 @@ class EventQueue
     std::size_t pendingEvents() const { return liveEvents_; }
 
     /**
-     * Run the heap until it drains or its next event lies past
-     * @p limit. On a standalone queue these are exactly this queue's
-     * events; the engine runs shard heaps itself.
-     * @return now() afterwards.
+     * Fire this node's events in order until none is left at or
+     * before @p limit, including those the fired callbacks schedule.
+     * @return Events fired.
      */
+    std::uint64_t runTo(Tick limit) { return heap_.runTo(limit); }
+
+    /** runTo(@p limit). @return now() afterwards. */
     Tick
     run(Tick limit = maxTick)
     {
-        heap_->runTo(limit);
+        runTo(limit);
         return curTick_;
     }
 
-    /** Execute exactly one event of the heap, if any. Returns false if
-     *  it is empty. */
-    bool step() { return heap_->step(); }
+    /** Execute exactly one event, if any. Returns false if the queue
+     *  is empty. */
+    bool step() { return heap_.step(); }
+
+    /** (tick, rank) of the earliest pending event ({maxTick, 0} when
+     *  none). The rank carries the node, so the keys of several
+     *  queues order their fronts by (tick, priority, node). */
+    EventHeap::Key nextKey() { return heap_.nextKey(); }
 
     /** Events of this node executed over the queue's lifetime. */
     std::uint64_t eventsExecuted() const { return executed_; }
@@ -532,7 +553,7 @@ class EventQueue
     std::uint64_t eventsCancelled() const { return cancelled_; }
 
     /** The heap this queue schedules into (the self-perf counters). */
-    const EventHeap &heap() const { return *heap_; }
+    const EventHeap &heap() const { return heap_; }
 
     /** Name this queue's flight recorder in post-mortem dumps. */
     void setFlightLabel(std::string label)
@@ -546,9 +567,9 @@ class EventQueue
   private:
     friend class EventHeap;
 
-    /** Set only on a standalone queue. */
-    std::unique_ptr<EventHeap> ownHeap_;
-    EventHeap *heap_;
+    EventHeap heap_{*this};
+    /** The engine's front-key hint (null on a standalone queue). */
+    EventHeap::Key *front_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 1;
     /** High stamp bits: the node id. */

@@ -83,17 +83,23 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
 {
     SHRIMP_ASSERT(nodes > 0, "engine needs at least one node");
     SHRIMP_ASSERT(la, "engine needs a lookahead function");
-    for (ShardState &st : shardStates_)
+    for (unsigned s = 0; s < shards_; ++s) {
+        ShardState &st = shardStates_[s];
         st.postedMin.assign(shards_, maxTick);
+        // Nodes s, s + shards, ...: node n is entry n / shards.
+        st.front.assign((nodes - s + shards_ - 1) / shards_,
+                        EventHeap::Key{maxTick, 0});
+    }
     queues_.reserve(nodes);
     for (unsigned n = 0; n < nodes; ++n) {
-        // The view brands its stamps with the node id: ties at equal
-        // (tick, priority, node) then execute in (source node,
-        // per-source order) regardless of which shard drained the
-        // message when.
+        // The queue brands its stamps with the node id: ties at equal
+        // (tick, priority) then execute in (source node, per-source
+        // order) regardless of which shard drained the message when.
+        ShardState &st = shardStates_[shardOf(n)];
         queues_.push_back(
-            std::make_unique<EventQueue>(shardStates_[shardOf(n)].heap, n));
+            std::make_unique<EventQueue>(n, &st.front[n / shards_]));
         queues_.back()->setFlightLabel("node" + std::to_string(n));
+        st.queues.push_back(queues_.back().get());
     }
 
     boxes_.reserve(std::size_t(shards_) * shards_);
@@ -148,12 +154,12 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
     const std::uint64_t stamp = queues_[src]->allocStamp();
     ShardState &st = shardStates_[ss];
     if (ss == ds) {
-        // Same shard: deliver directly. The shard heap fires every
-        // node's events in global (tick, priority, node) order, so an
-        // event landing at least one tick in the future is picked up
-        // at its exact time with no mailbox hop and — crucially —
-        // without clamping any window: the shard-pair diagonal never
-        // constrains the horizon.
+        // Same shard: deliver directly. The event lands at least the
+        // diagonal lookahead past the poster's clock, so past the
+        // sub-window being executed (file comment); the destination's
+        // front hint picks it up at its exact time with no mailbox hop
+        // and — crucially — without clamping any window: the
+        // shard-pair diagonal never constrains the horizon.
         queues_[dst]->scheduleStamped(when, stamp, name, std::move(fn),
                                       prio);
         ++st.directPosts;
@@ -181,11 +187,104 @@ ShardedEngine::windowEndFor(Tick start, Tick limit) const
     return start + (minLookahead_ - 1);
 }
 
+void
+ShardedEngine::refreshFronts()
+{
+    for (ShardState &st : shardStates_) {
+        for (std::size_t i = 0; i < st.queues.size(); ++i)
+            st.front[i] = st.queues[i]->nextKey();
+    }
+}
+
+std::pair<EventQueue *, EventHeap::Key *>
+ShardedEngine::earliestFront()
+{
+    for (;;) {
+        // An empty queue's hint is {maxTick, 0}, which never wins.
+        std::pair<EventQueue *, EventHeap::Key *> best{nullptr, nullptr};
+        EventHeap::Key best_key{maxTick, 0};
+        for (ShardState &st : shardStates_) {
+            for (std::size_t i = 0; i < st.front.size(); ++i) {
+                if (st.front[i] < best_key) {
+                    best_key = st.front[i];
+                    best = {st.queues[i], &st.front[i]};
+                }
+            }
+        }
+        if (!best.first)
+            return best;
+        // Hints never lie past the front, so the smallest one that
+        // holds is the global minimum.
+        const EventHeap::Key actual = best.first->nextKey();
+        if (actual == best_key)
+            return best;
+        *best.second = actual;
+    }
+}
+
+bool
+ShardedEngine::stepCanonical(Tick limit)
+{
+    const auto [q, front] = earliestFront();
+    if (!q || front->first > limit)
+        return false;
+    q->step();
+    *front = q->nextKey();
+    return true;
+}
+
+std::uint64_t
+ShardedEngine::runCanonical(ShardState &st, Tick end)
+{
+    std::uint64_t fired = 0;
+    while (stepCanonical(end))
+        ++fired;
+    // The last step's earliestFront left the smallest hint exact.
+    st.localNext = st.nextTick();
+    return fired;
+}
+
+std::uint64_t
+ShardedEngine::runNodeMajor(unsigned shard, Tick end)
+{
+    ShardState &st = shardStates_[shard];
+    // Sub-windows are L_diag wide: a post between two nodes of this
+    // shard lands at least L_diag past the poster's clock, so past
+    // the sub-window it was posted in. A one-node shard has no
+    // diagonal pairs (maxTick) and runs its window in one piece.
+    const Tick span = pairLookahead(shard, shard) - 1;
+    std::uint64_t fired = 0;
+    for (;;) {
+        const Tick next = st.nextTick();
+        if (next == maxTick || next > end) {
+            st.localNext = next;
+            return fired;
+        }
+        const Tick sub_end = end - next <= span ? end : next + span;
+        ++st.subWindows;
+        for (std::size_t i = 0; i < st.front.size(); ++i) {
+            if (st.front[i].first > sub_end)
+                continue;
+            EventQueue &q = *st.queues[i];
+            fired += q.runTo(sub_end);
+            st.front[i] = q.nextKey();
+        }
+    }
+}
+
+void
+ShardedEngine::setCanonicalOrder(bool on)
+{
+    SHRIMP_ASSERT(!on || shards_ == 1,
+                  "canonical-order windows need one shard");
+    canonical_ = on;
+}
+
 std::size_t
 ShardedEngine::drainShard(unsigned dst_shard, bool both)
 {
-    // Delivery order does not matter: the shard heap orders events by
-    // (tick, priority, node, stamp), and the stamp (source node,
+    // Delivery order does not matter: a node's heap orders its events
+    // by (tick, priority, stamp), and the stamp (source node,
     // per-source counter) makes every key unique, so the execution
     // order cannot depend on how nodes map to shards or how drains
     // were batched.
@@ -385,15 +484,15 @@ ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
             prof->noteDrain(worker, t, n, drained);
             t = n;
         }
+        // Both runs publish this shard's earliest pending tick for the
+        // next plan; the barrier provides the happens-before edge.
         std::uint64_t executed = 0;
         try {
-            executed = st.heap.runTo(st.windowEnd);
+            executed = canonical_ ? runCanonical(st, st.windowEnd)
+                                  : runNodeMajor(worker, st.windowEnd);
         } catch (...) {
             noteError();
         }
-        // Publish this shard's earliest pending tick for the next
-        // plan; the barrier provides the happens-before edge.
-        st.localNext = st.heap.nextTick();
         if (prof) {
             const std::uint64_t n = prof->nowNs();
             prof->noteExecute(worker, t, n, executed);
@@ -412,11 +511,12 @@ ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
     // runSetup that stopped mid-window); deliver them first so the
     // first plan sees every pending event.
     drainAll();
+    refreshFronts();
     ctrl_ = Control{};
     ctrl_.limit = limit;
     ctrl_.pred = pred;
     for (ShardState &st : shardStates_) {
-        st.localNext = st.heap.nextTick();
+        st.localNext = st.nextTick();
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
     }
     const unsigned workers = shards_;
@@ -464,40 +564,24 @@ Tick
 ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
 {
     drainAll();
+    refreshFronts();
     for (;;) {
         if (barrierHook_)
             barrierHook_();
         if (pred())
             break;
-        Tick next = maxTick;
-        for (ShardState &st : shardStates_)
-            next = std::min(next, st.heap.nextTick());
-        if (next == maxTick || next > limit)
+        const auto [q, front] = earliestFront();
+        if (!q || front->first > limit)
             break;
-        const Tick window_end = windowEndFor(next, limit);
+        const Tick window_end = windowEndFor(front->first, limit);
         ++windows_;
         bool stop = false;
-        for (;;) {
-            // Step the globally earliest event by (tick, priority,
-            // node) — each heap's front is its shard's earliest, and
-            // nodes never tie — a canonical interleaving that cannot
-            // depend on the shard count, so host-shared rendezvous
-            // state read during setup observes the same history under
-            // any --shards value.
-            EventHeap *best = nullptr;
-            EventHeap::Key best_key;
-            for (ShardState &st : shardStates_) {
-                const EventHeap::Key key = st.heap.nextKey();
-                if (key.first > window_end)
-                    continue;
-                if (!best || key < best_key) {
-                    best = &st.heap;
-                    best_key = key;
-                }
-            }
-            if (!best)
-                break;
-            best->step();
+        // Step the globally earliest event by (tick, priority, node) —
+        // nodes never tie — a canonical interleaving that cannot
+        // depend on the shard count, so host-shared rendezvous state
+        // read during setup observes the same history under any
+        // --shards value.
+        while (stepCanonical(window_end)) {
             if (pred()) {
                 stop = true;
                 break;
@@ -536,6 +620,15 @@ ShardedEngine::pendingEvents() const
         n += q->pendingEvents();
     for (const auto &b : boxes_)
         n += b->posted - b->delivered;
+    return n;
+}
+
+std::uint64_t
+ShardedEngine::subWindows() const
+{
+    std::uint64_t n = 0;
+    for (const auto &st : shardStates_)
+        n += st.subWindows;
     return n;
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * The sharded simulation core: one event heap per shard of nodes,
- * executed in distance-aware conservative time windows
- * (Chandy-Misra-style) by a pool of worker threads, one shard per
- * worker. Each node schedules through its own EventQueue, a view over
- * its shard's heap.
+ * The sharded simulation core: one event queue (and heap) per node,
+ * nodes grouped into shards, each shard executed in distance-aware
+ * conservative time windows (Chandy-Misra-style) by a pool of worker
+ * threads, one shard per worker.
  *
  * Synchronization is driven by two inputs instead of one global
  * horizon:
@@ -30,16 +29,26 @@
  *
  * One barrier per round: the plan runs in the barrier's completion
  * step (every worker parked), and each worker then drains its inbox
- * and runs its shard heap to the window end — there is no separate
- * post-execute sync barrier. The heap fires its nodes' events in
- * (tick, priority, node, stamp) order, whether the shard holds one
- * node or many, so same-shard cross-node posts go straight into it
- * without clamping anyone's horizon.
+ * and runs its nodes to the window end — there is no separate
+ * post-execute sync barrier.
+ *
+ * Node-major execution: inside its window a shard runs sub-windows
+ * [next, min(windowEnd, next + L_diag - 1)], where next is the
+ * earliest pending tick over its nodes and L_diag the shard's own
+ * diagonal of the lookahead matrix, and fires each node's events to
+ * the sub-window end before it moves to the next node. That is legal
+ * because nodes interact only through post(), which lands at least
+ * L_diag past the poster's clock, so nothing one node does inside a
+ * sub-window can reach another node inside it. Each node's own event
+ * sequence is the one a global (tick, priority, node) order would
+ * produce; the interleaving across nodes is not, and nothing
+ * simulated may depend on it. Same-shard cross-node posts go straight
+ * into the destination's queue without clamping anyone's horizon.
  *
  * Cross-shard messages travel through per-(source shard, destination
  * shard) SPSC mailboxes and carry a canonical *stamp* allocated from
  * the originating node's queue at post() time
- * (see EventQueue::allocStamp). The heap orders ties within a node by
+ * (see EventQueue::allocStamp). A node's heap orders its ties by
  * that stamp, so the execution order at equal (tick, priority, node)
  * is (source node, per-source order) no matter when a message was
  * drained — which is what makes `--shards=1` and `--shards=N`
@@ -53,6 +62,7 @@
 #ifndef SHRIMP_SIM_SHARDED_HH
 #define SHRIMP_SIM_SHARDED_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -193,24 +203,31 @@ class SpinBarrier
 };
 
 /**
- * The engine: per-node queues over per-shard heaps, shard-of-nodes
- * worker partitioning, mailboxes, and the windowed run loop.
+ * The engine: per-node queues, shard-of-nodes worker partitioning,
+ * mailboxes, and the windowed run loop.
  *
  * Two run modes:
  *  - run()/runUntil(): the parallel data-phase loop. Within a window
- *    each shard executes independently, so node state must not be
- *    read across nodes except through post(). The stop predicate
- *    is evaluated at window barriers — note that a shard decoupled
- *    from all cross-traffic may execute all the way to the limit in
- *    one window, so the predicate's granularity is the window, not
- *    the event.
+ *    each shard executes independently and node-major (file
+ *    comment), so node state must not be read across nodes except
+ *    through post() — not even on one shard. The stop predicate is
+ *    evaluated at window barriers — note that a shard decoupled from
+ *    all cross-traffic may execute all the way to the limit in one
+ *    window, so the predicate's granularity is the window, not the
+ *    event.
  *  - runSetup(): a sequential phase for workload setup that *does*
  *    rendezvous through host-shared state (e.g. msg::Channel's
- *    export/import flags). All shard heaps are interleaved in one
+ *    export/import flags). All nodes' events are interleaved in one
  *    global canonical (tick, priority, node) order on the calling
- *    thread, so
- *    cross-node host reads are both race-free and shard-count
- *    independent; the predicate is checked after every event.
+ *    thread, so cross-node host reads are both race-free and
+ *    shard-count independent; the predicate is checked after every
+ *    event. Each event is picked from the shards' contiguous arrays
+ *    of per-node front-key hints, not by reading every queue.
+ *
+ * setCanonicalOrder() makes run()/runUntil() fire every window in
+ * runSetup's order as well: for a component that reads and writes
+ * another node's state synchronously from its own events (the FIFO-NIC
+ * baseline), which therefore runs on one shard.
  */
 class ShardedEngine : public NodeRouter
 {
@@ -276,6 +293,11 @@ class ShardedEngine : public NodeRouter
     Tick runSetup(const std::function<bool()> &pred,
                   Tick limit = maxTick);
 
+    /** Fire run()/runUntil() windows in runSetup's canonical (tick,
+     *  priority, node) order instead of node-major (class comment).
+     *  One shard only. */
+    void setCanonicalOrder(bool on);
+
     /**
      * Invoked in the barrier completion step before each window (and
      * once before the run finishes), where every shard is quiescent:
@@ -322,6 +344,11 @@ class ShardedEngine : public NodeRouter
     /** Conservative windows executed (both run modes). */
     std::uint64_t windows() const { return windows_; }
 
+    /** Node-major sub-windows executed, summed over shards. Exact when
+     *  the engine is not running; on one shard, an event may read it
+     *  to learn which sub-window it fires in. */
+    std::uint64_t subWindows() const;
+
     /** Barrier waits resolved by spinning / by futex sleep, summed
      *  over all runs since construction. */
     std::uint64_t barrierSpinWakes() const { return barSpinWakes_; }
@@ -362,34 +389,49 @@ class ShardedEngine : public NodeRouter
 
     /**
      * Per-shard working state, one cache line set per shard (the
-     * alignment keeps one shard's hot fields — heap, promise row,
-     * counters — off every other shard's lines; the window loop
-     * touches these every event).
+     * alignment keeps one shard's hot fields — horizons, counters and
+     * the headers of its hint and promise arrays — off every other
+     * shard's lines; the window loop touches these every sub-window).
      *
      * Ownership: the shard's own worker writes everything during its
-     * round, including every push into `heap` (its own nodes' events,
-     * same-shard posts, its inbox drain); `windowEnd` is written by
-     * the barrier completion (all workers parked) and read by the
-     * owner; `localNext` and `postedMin` are written by the owner and
-     * read by the completion. The barrier provides the happens-before
-     * edges in both directions, so none of it needs atomics.
+     * round, including every push into its nodes' queues (their own
+     * events, same-shard posts, its inbox drain) and so every `front`
+     * hint; `windowEnd` is written by the barrier completion (all
+     * workers parked) and read by the owner; `localNext` and
+     * `postedMin` are written by the owner and read by the
+     * completion. The barrier provides the happens-before edges in
+     * both directions, so none of it needs atomics.
      */
     struct alignas(64) ShardState
     {
-        /** Earliest pending tick in this shard's heap, published at
-         *  the end of each round. */
+        /** Earliest pending tick over this shard's nodes, published
+         *  at the end of each round. */
         Tick localNext = maxTick;
         /** This round's inclusive execution horizon (completion). */
         Tick windowEnd = 0;
         /** postedMin[d]: earliest cross-post staged toward shard d
          *  this round — the shard's promise to its peers. */
         std::vector<Tick> postedMin;
-        /** Every pending event of the shard's nodes, in (tick,
-         *  priority, node, stamp) order; the nodes' EventQueues view
-         *  it. */
-        EventHeap heap;
+        /** The shard's nodes' queues, in ascending node order. */
+        std::vector<EventQueue *> queues;
+        /** front[i]: queues[i]'s front-key hint (EventQueue), exact
+         *  after the node runs. Sized once, before the queues that
+         *  point into it are built. */
+        std::vector<EventHeap::Key> front;
+
+        /** The earliest tick over the front hints. */
+        Tick
+        nextTick() const
+        {
+            Tick t = maxTick;
+            for (const EventHeap::Key &k : front)
+                t = std::min(t, k.first);
+            return t;
+        }
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
+        /** Node-major sub-windows run. */
+        std::uint64_t subWindows = 0;
         /** The worker's last profiler clock read of the run; the
          *  engine notes the join from there after the threads end. */
         std::uint64_t profEnd = 0;
@@ -417,6 +459,30 @@ class ShardedEngine : public NodeRouter
 
     /** Uniform runSetup windows: [start, start + lookahead() - 1]. */
     Tick windowEndFor(Tick start, Tick limit) const;
+
+    /** Re-read every node's front key into its hint (run entry). */
+    void refreshFronts();
+
+    /**
+     * The globally earliest pending event by (tick, priority, node):
+     * the smallest front hint, re-read from its queue until the two
+     * agree (a cancel can leave a hint low). @return Its queue and
+     * hint, or {nullptr, nullptr} when every queue is empty.
+     */
+    std::pair<EventQueue *, EventHeap::Key *> earliestFront();
+
+    /** Fire the globally earliest event if it lies at or before
+     *  @p limit. @return Whether one fired. */
+    bool stepCanonical(Tick limit);
+
+    /** Fire, in canonical order, every event at or before @p end;
+     *  publish the shard's localNext. @return Events fired. */
+    std::uint64_t runCanonical(ShardState &st, Tick end);
+
+    /** Fire shard @p shard's events at or before @p end node-major,
+     *  one sub-window at a time; publish its localNext. @return
+     *  Events fired. */
+    std::uint64_t runNodeMajor(unsigned shard, Tick end);
 
     /**
      * Pop every mailbox bound for @p dst_shard — the ring plus the
@@ -448,9 +514,9 @@ class ShardedEngine : public NodeRouter
     /** Shard-pair lookahead matrix, row-major [src * shards_ + dst]:
      *  min over the member node pairs of the per-node-pair floor. */
     std::vector<Tick> pairL_;
-    /** Sized once at construction (heaps never move); declared
-     *  before queues_, which view its heaps, so the queues go first
-     *  on destruction. */
+    /** Sized once at construction (front hints never move);
+     *  declared before queues_, which point into it, so the queues go
+     *  first on destruction. */
     std::vector<ShardState> shardStates_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
     std::vector<std::unique_ptr<Mailbox>> boxes_;
@@ -459,6 +525,8 @@ class ShardedEngine : public NodeRouter
 
     std::function<void()> barrierHook_;
     ShardProfiler *profiler_ = nullptr;
+    /** setCanonicalOrder(). */
+    bool canonical_ = false;
     std::uint64_t windows_ = 0;
     std::uint64_t barSpinWakes_ = 0;
     std::uint64_t barSleeps_ = 0;

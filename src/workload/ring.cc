@@ -157,6 +157,7 @@ runRing(const RingConfig &cfg)
     res.bytesRouted = sys.net().bytesRouted();
     res.crossPosts = sys.engine()->crossPosts();
     res.windows = sys.engine()->windows();
+    res.subWindows = sys.engine()->subWindows();
 
     res.faults = sys.net().faults().totals();
     res.linksTotal = nlinks;

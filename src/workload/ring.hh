@@ -153,6 +153,7 @@ struct RingResult
     // --- sharded-engine introspection.
     std::uint64_t crossPosts = 0;
     std::uint64_t windows = 0;
+    std::uint64_t subWindows = 0;
 };
 
 /** Build the system, run both phases, and report. */

@@ -11,7 +11,9 @@
  * EventCallback heap fallback: chunk payloads are pooled, every NI
  * event capture is inline, and the retransmit, resequencing and
  * receive buffers keep their storage. What is left is first-use
- * growth and message buffers beyond the NI's short spare list.
+ * growth and message buffers beyond the NI's short spare list. Each
+ * node's event heap starts with room for its high-water mark, so a
+ * 16-node lossy mesh's data phase grows none of them.
  *
  * This binary replaces the global operator new with a counting one,
  * which is why it is a test executable of its own. AddressSanitizer
@@ -67,13 +69,14 @@ using namespace shrimp;
 namespace
 {
 
-/** A channel ring's measured data phase. The NI counters are summed
- *  over nodes and cover the data phase only. */
+/** A channel ring's measured data phase. The NI and event-heap
+ *  counters are summed over nodes and cover the data phase only. */
 struct DataPhase
 {
     std::uint64_t events = 0;
     std::uint64_t allocations = 0;
     std::uint64_t fallbacks = 0;
+    std::uint64_t heapGrowths = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t oooBuffered = 0;
     std::uint64_t dupDropped = 0;
@@ -133,6 +136,7 @@ channelRingDataPhase(core::System &sys, unsigned records, unsigned warmup)
         d.allocations = allocs();
         d.fallbacks = sim::EventCallback::heapFallbacks();
         for (unsigned n = 0; n < sys.nodeCount(); ++n) {
+            d.heapGrowths += sys.nodeEq(n).heap().containerGrowths();
             const net::NetworkInterface &ni = *sys.node(n).ni();
             d.retransmits += ni.retransmits();
             d.oooBuffered += ni.rxOutOfOrderBuffered();
@@ -151,6 +155,7 @@ channelRingDataPhase(core::System &sys, unsigned records, unsigned warmup)
     return DataPhase{after.events - before.events,
                      after.allocations - before.allocations,
                      after.fallbacks - before.fallbacks,
+                     after.heapGrowths - before.heapGrowths,
                      after.retransmits - before.retransmits,
                      after.oooBuffered - before.oooBuffered,
                      after.dupDropped - before.dupDropped,
@@ -219,6 +224,32 @@ TEST(AllocationGuard, LossyMeshDataPhase)
     EXPECT_GT(d.dupDropped, 0u);
     EXPECT_GT(d.bytesRouted, d.bytesDelivered);
     expectAllocationFree(d);
+}
+
+TEST(AllocationGuard, LossyMesh16NodeHeapsDoNotGrow)
+{
+    // Sixteen nodes on one shard, each with its own event heap, past
+    // a 16-record warm-up: RTO timers, retransmits, forwarding and
+    // resequencing on the lossy mesh must fit the heaps' initial
+    // capacity.
+    core::SystemConfig cfg;
+    cfg.nodes = 16;
+    cfg.shards = 1;
+    cfg.node.memBytes = std::uint64_t(8) << 20;
+    cfg.params.quantumUs = 200.0;
+    cfg.node.devices.push_back(core::DeviceConfig{});
+    ASSERT_TRUE(sim::parseTopologySpec("mesh:4x4", cfg.topology, nullptr));
+    ASSERT_TRUE(net::parseFaultSpec(
+        "drop=0.03,corrupt=0.02,dup=0.03,delay=0.05,delay-us=30,seed=5",
+        cfg.faults, nullptr));
+    core::System sys(cfg);
+
+    const DataPhase d = channelRingDataPhase(sys, 64, 16);
+    ASSERT_GT(d.events, 100000u);
+    EXPECT_GT(d.retransmits, 0u);
+    EXPECT_GT(d.bytesRouted, d.bytesDelivered);
+    EXPECT_EQ(d.heapGrowths, 0u) << "per-node event heaps grew";
+    EXPECT_EQ(d.fallbacks, 0u) << "event captures took the heap fallback";
 }
 
 TEST(AllocationGuard, CpuReferencesAllocateNothing)

@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the sharded simulation engine: shard/lookahead
- * clamping, windowed execution, the canonical cross-shard drain order,
- * and the sequential runSetup interleave. These run the real worker
- * threads, so they double as TSan coverage for the barrier and
- * mailbox paths.
+ * clamping, windowed and node-major execution, the canonical
+ * cross-shard drain order, and the sequential runSetup interleave.
+ * These run the real worker threads, so they double as TSan coverage
+ * for the barrier and mailbox paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <set>
@@ -228,11 +229,37 @@ TEST(Sharded, CrossPostInsideThePairWindowPanics)
     EXPECT_THROW(bad.run(), PanicError);
 }
 
+TEST(Sharded, SameShardPostInsideTheDiagonalPanics)
+{
+    // The same-shard twin of CrossPostInsideThePairWindowPanics: nodes
+    // 0 and 2 share shard 0, whose diagonal is the smaller of their
+    // two floors. A post exactly at it is fine; one tick inside it
+    // could land in the sub-window being executed, and panics.
+    const ShardedEngine::PairLookahead la = [](NodeId src, NodeId) {
+        return Tick(src == 0 ? 20 : 80);
+    };
+    ShardedEngine eng(4, 2, la);
+    ASSERT_EQ(eng.pairLookahead(0, 0), 20u);
+    bool delivered = false;
+    eng.queue(0).schedule(10, "test.ok", [&eng, &delivered] {
+        eng.post(0, 2, 30, "test.x", [&delivered] { delivered = true; },
+                 EventPriority::Default);
+    });
+    eng.run();
+    EXPECT_TRUE(delivered);
+
+    ShardedEngine bad(4, 2, la);
+    bad.queue(0).schedule(10, "test.src", [&bad] {
+        bad.post(0, 2, 29, "test.bad", [] {}, EventPriority::Default);
+    });
+    EXPECT_THROW(bad.run(), PanicError);
+}
+
 TEST(Sharded, SameShardCrossPostsDeliverDirectly)
 {
     // Nodes 0 and 2 share shard 0: the post skips the mailbox, is
-    // executed by the merged in-shard loop at its exact tick, and
-    // still counts as cross-node traffic.
+    // executed in a later node-major sub-window at its exact tick,
+    // and still counts as cross-node traffic.
     ShardedEngine eng(4, 2, 10);
     std::vector<Tick> seen;
     eng.queue(0).schedule(10, "test.src", [&eng, &seen] {
@@ -247,32 +274,45 @@ TEST(Sharded, SameShardCrossPostsDeliverDirectly)
         << "direct same-shard deliveries count as cross posts";
 }
 
-TEST(Sharded, MergedShardFiresEqualKeysInAscendingNodeOrder)
+TEST(Sharded, NodeMajorShardFiresNodesInAscendingOrder)
 {
-    // 17 nodes share one shard heap. Same tick, same priority on every
-    // node — scheduled in scrambled node order — must still fire in
-    // ascending node order.
-    ShardedEngine eng(17, 1, 10);
-    std::vector<int> order;
-    for (unsigned k = 0; k < 17; ++k) {
-        const NodeId n = (k * 7) % 17;
-        eng.queue(n).schedule(42, "test.same",
-                              [&order, n] { order.push_back(int(n)); });
+    // 17 nodes share one shard; the lookahead is 10, so one sub-window
+    // spans ticks [42, 51]. Each node has one event in it, scheduled
+    // in scrambled node order, and higher nodes (mod 10) hold earlier
+    // ticks. Node-major execution fires them in ascending node order,
+    // not tick order, each at its own tick; canonical order (the
+    // FIFO-NIC mode) fires them by (tick, node).
+    for (const bool canonical : {false, true}) {
+        ShardedEngine eng(17, 1, 10);
+        eng.setCanonicalOrder(canonical);
+        std::vector<std::pair<Tick, int>> seen;
+        for (unsigned k = 0; k < 17; ++k) {
+            const NodeId n = (k * 7) % 17;
+            eng.queue(n).schedule(
+                51 - n % 10, "test.same", [&eng, &seen, n] {
+                    seen.emplace_back(eng.queue(n).now(), int(n));
+                });
+        }
+        eng.run();
+        std::vector<std::pair<Tick, int>> want;
+        for (int n = 0; n < 17; ++n)
+            want.emplace_back(Tick(51 - n % 10), n);
+        if (canonical)
+            std::sort(want.begin(), want.end());
+        EXPECT_EQ(seen, want) << (canonical ? "canonical" : "node-major");
+        EXPECT_EQ(eng.subWindows(), canonical ? 0u : 1u);
     }
-    eng.run();
-    std::vector<int> want(17);
-    for (int n = 0; n < 17; ++n)
-        want[n] = n;
-    EXPECT_EQ(order, want);
 }
 
-TEST(Sharded, MergedShardPostOneTickOutFiresAtItsTick)
+TEST(Sharded, NodeMajorPostOneLookaheadOutFiresInTheNextSubWindow)
 {
-    // Node 16 posts to node 3 one tick out (the lookahead is 1): the
-    // shard heap must surface it at exactly tick 11 — after node 2's
-    // tick-11 event, before node 5's, and before node 3's own tick-12
-    // event that was its earliest when the post arrived.
-    ShardedEngine eng(17, 1, 1);
+    // The lookahead is 5. The first sub-window is [10, 14]: node 3
+    // fires its tick-12 event, then node 16 fires at tick 10 and posts
+    // to node 3 exactly one lookahead out, at tick 15. The post lands
+    // in the second sub-window, [15, 19], where node 3 fires it at
+    // tick 15 and then its own tick-17 event — after node 2's tick-16
+    // event and before node 5's tick-15 one (ascending node order).
+    ShardedEngine eng(17, 1, 5);
     std::vector<std::pair<Tick, int>> seen;
     auto note = [&eng, &seen](NodeId n) {
         return [&eng, &seen, n] {
@@ -281,18 +321,20 @@ TEST(Sharded, MergedShardPostOneTickOutFiresAtItsTick)
     };
     eng.queue(16).schedule(10, "test.src", [&eng, &seen] {
         seen.emplace_back(eng.queue(16).now(), 16);
-        eng.post(16, 3, 11, "test.x", [&eng, &seen] {
+        eng.post(16, 3, 15, "test.x", [&eng, &seen] {
             seen.emplace_back(eng.queue(3).now(), 3);
         }, EventPriority::Default);
     });
-    eng.queue(3).schedule(12, "test.later", note(3));
-    eng.queue(2).schedule(11, "test.before", note(2));
-    eng.queue(5).schedule(11, "test.after", note(5));
+    eng.queue(3).schedule(12, "test.first", note(3));
+    eng.queue(3).schedule(17, "test.later", note(3));
+    eng.queue(2).schedule(16, "test.before", note(2));
+    eng.queue(5).schedule(15, "test.after", note(5));
     eng.run();
     const std::vector<std::pair<Tick, int>> want{
-        {10, 16}, {11, 2}, {11, 3}, {11, 5}, {12, 3}};
+        {12, 3}, {10, 16}, {16, 2}, {15, 3}, {17, 3}, {15, 5}};
     EXPECT_EQ(seen, want);
     EXPECT_EQ(eng.crossPosts(), 1u);
+    EXPECT_EQ(eng.subWindows(), 2u);
 }
 
 namespace
@@ -302,10 +344,10 @@ namespace
  *  priority, and the (origin node, per-origin count) identity. */
 using Fired = std::tuple<Tick, int, NodeId, std::uint64_t>;
 
-/** The engine's full order: (tick, priority, node, origin node,
- *  per-origin count). The count rises in the order the origin
- *  allocates stamps, so it orders ties exactly as the stamp does. */
-using OrderKey = std::tuple<Tick, int, NodeId, NodeId, std::uint64_t>;
+/** One node's order: (tick, priority, origin node, per-origin count).
+ *  The count rises in the order the origin allocates stamps, so it
+ *  orders ties exactly as the stamp does. */
+using OrderKey = std::tuple<Tick, int, NodeId, std::uint64_t>;
 
 /**
  * A random workload for the engine-order test. Each node draws from
@@ -323,7 +365,8 @@ class OrderFuzz
               unsigned shards)
         : eng_(nodes, shards, lookahead), lookahead_(lookahead),
           shadowed_(eng_.shardCount() == 1), fired_(nodes),
-          mine_(nodes), made_(nodes, 0), budget_(nodes, 160)
+          shadow_(nodes), mine_(nodes), made_(nodes, 0),
+          budget_(nodes, 160)
     {
         for (NodeId n = 0; n < nodes; ++n)
             rng_.emplace_back(std::uint64_t(seed) << 32 | n);
@@ -342,10 +385,22 @@ class OrderFuzz
         return fired_;
     }
 
-    /** One shard only: events that were not the shadow model's
-     *  minimum when they fired, and events it still holds. */
+    /** One shard only: events that were not their node's shadow
+     *  minimum when they fired, and events the shadows still hold. */
     unsigned outOfOrder() const { return outOfOrder_; }
-    std::size_t shadowLeft() const { return shadow_.size(); }
+    std::size_t
+    shadowLeft() const
+    {
+        std::size_t n = 0;
+        for (const auto &shadow : shadow_)
+            n += shadow.size();
+        return n;
+    }
+
+    /** One shard only: cross-node events that fired, and those of
+     *  them that fired in the sub-window they were posted in. */
+    unsigned crossFired() const { return crossFired_; }
+    unsigned sameSubWindow() const { return sameSubWindow_; }
 
   private:
     /** Create one event from @p origin for @p node at @p when:
@@ -357,9 +412,13 @@ class OrderFuzz
             EventPriority::DeviceCompletion, EventPriority::Default,
             EventPriority::CpuResume};
         const EventPriority prio = prios[rng_[origin].below(3)];
-        const OrderKey key{when, int(prio), node, origin,
-                           made_[origin]++};
-        auto fire = [this, key] { onFire(key); };
+        const OrderKey key{when, int(prio), origin, made_[origin]++};
+        // On one shard every event runs on this thread, so the
+        // sub-window count is the one this event is created in.
+        const std::uint64_t posted_in = shadowed_ ? eng_.subWindows() : 0;
+        auto fire = [this, node, key, posted_in] {
+            onFire(node, key, posted_in);
+        };
         if (origin == node) {
             mine_[node].emplace_back(
                 eng_.queue(node).schedule(when, "test.fuzz", fire, prio),
@@ -368,18 +427,24 @@ class OrderFuzz
             eng_.post(origin, node, when, "test.fuzz", fire, prio);
         }
         if (shadowed_)
-            shadow_.insert(key);
+            shadow_[node].insert(key);
     }
 
     void
-    onFire(const OrderKey &key)
+    onFire(NodeId node, const OrderKey &key, std::uint64_t posted_in)
     {
-        const auto [when, prio, node, origin, count] = key;
+        const auto [when, prio, origin, count] = key;
         if (shadowed_) {
-            if (shadow_.empty() || *shadow_.begin() != key
+            std::set<OrderKey> &shadow = shadow_[node];
+            if (shadow.empty() || *shadow.begin() != key
                 || eng_.queue(node).now() != when)
                 ++outOfOrder_;
-            shadow_.erase(key);
+            shadow.erase(key);
+            if (origin != node) {
+                ++crossFired_;
+                if (eng_.subWindows() <= posted_in)
+                    ++sameSubWindow_;
+            }
         }
         fired_[node].emplace_back(eng_.queue(node).now(), prio, origin,
                                   count);
@@ -414,7 +479,7 @@ class OrderFuzz
             return;
         const std::size_t i = rng_[node].below(mine.size());
         if (eng_.queue(node).deschedule(mine[i].first) && shadowed_)
-            shadow_.erase(mine[i].second);
+            shadow_[node].erase(mine[i].second);
         mine[i] = mine.back();
         mine.pop_back();
     }
@@ -424,20 +489,27 @@ class OrderFuzz
     const bool shadowed_;
     std::vector<Random> rng_;
     std::vector<std::vector<Fired>> fired_;
+    /** Per node: its pending events in the order it must fire them. */
+    std::vector<std::set<OrderKey>> shadow_;
     std::vector<std::vector<std::pair<EventHandle, OrderKey>>> mine_;
     std::vector<std::uint64_t> made_;
     std::vector<unsigned> budget_;
-    std::set<OrderKey> shadow_;
     unsigned outOfOrder_ = 0;
+    unsigned crossFired_ = 0;
+    unsigned sameSubWindow_ = 0;
 };
 
 } // namespace
 
 TEST(Sharded, RandomizedOrderIsCanonicalOnEveryShardLayout)
 {
-    // On one shard every event must be the shadow model's minimum when
-    // it fires; on 2, 3 and one-per-node shards every node must fire
-    // exactly the one-shard sequence.
+    // Every node fires its own events in canonical (tick, priority,
+    // stamp) order. On one shard each fired event must be its node's
+    // shadow minimum, and no cross-node event may fire in the
+    // node-major sub-window it was posted in; on 2, 3 and one-per-node
+    // shards every node must fire exactly the one-shard sequence. The
+    // interleaving across nodes is not checked: node-major execution
+    // does not keep a global order.
     for (unsigned seed = 0; seed < 24; ++seed) {
         const unsigned nodes = 2 + seed % 16;
         const Tick lookahead = 1 + seed % 5;
@@ -445,6 +517,8 @@ TEST(Sharded, RandomizedOrderIsCanonicalOnEveryShardLayout)
         const auto want = ref.run();
         EXPECT_EQ(ref.outOfOrder(), 0u) << "seed " << seed;
         EXPECT_EQ(ref.shadowLeft(), 0u) << "seed " << seed;
+        EXPECT_GT(ref.crossFired(), 0u) << "seed " << seed;
+        EXPECT_EQ(ref.sameSubWindow(), 0u) << "seed " << seed;
         std::size_t total = 0;
         for (const auto &seq : want)
             total += seq.size();

@@ -558,13 +558,15 @@ step_seqscale() {
     echo
     echo "== sequential-scaling gate (--shards=1 ns/event, 256 vs 4 nodes) =="
     ensure_release_target multinode_traffic
-    # One thread running every node's events from one shard heap
-    # must pay about the same per event at any node count; the old
-    # per-event scan over per-node queues grew 7-11x from 4 to 256
-    # nodes, and one heap reads ~1.6-2.0x. Both shapes move 1024
-    # records of 1 KiB, so they simulate a similar number of events,
-    # and the gated figure is a ratio of two runs on one host, so
-    # runner speed cancels out.
+    # One thread runs every node's events node-major: each node's
+    # events back to back, from its own heap, inside a lookahead-wide
+    # sub-window. It must pay about the same per event at any node
+    # count. A per-event scan over per-node queues grew 7-11x from 4
+    # to 256 nodes, and one merged heap per shard, which fired the
+    # nodes' events interleaved in global tick order, read ~1.6-2.5x.
+    # Both shapes move 1024 records of 1 KiB, so they simulate a
+    # similar number of events, and the gated figure is a ratio of two
+    # runs on one host, so runner speed cancels out.
     get_metric() {
         grep -o "\"$2\": [0-9][0-9.e+-]*" "$1" | head -1 | awk '{print $2}'
     }
