@@ -177,70 +177,22 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
       }
 
       case UserOp::Kind::Load:
-      case UserOp::Kind::Store: {
-        bool is_write = op->kind == UserOp::Kind::Store;
-        std::uint64_t vpn = layout_.pageOf(op->vaddr);
-        vm::TranslateResult tr;
-        vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
-        if (cpte) {
-            // Proxy-translation cache hit: architecturally a warm TLB
-            // hit (no extra latency); lookup() already checked the
-            // permission bits against the live PTE.
-            cpte->referenced = true;
-            if (is_write)
-                cpte->dirty = true;
-            tr.paddr = cpte->frameAddr + layout_.pageOffset(op->vaddr);
-            tr.tlbHit = true;
-        } else {
-            int attempts = 0;
-            for (;;) {
-                tr = mmu_.translate(op->vaddr, is_write);
-                if (!tr.tlbHit)
-                    lat += params_.instrTicks(params_.tlbMissCycles);
-                if (tr.ok())
-                    break;
-                auto out =
-                    handleFault(proc, op->vaddr, is_write, tr.fault);
-                faultUs_.sample(ticksToUs(out.latency));
-                fireAuditHook(KernelEvent::PageFault);
-                lat += out.latency;
-                if (out.killed) {
-                    after = After::Kill;
-                    break;
-                }
-                SHRIMP_ASSERT(++attempts < 8,
-                              "page-fault livelock at va=", op->vaddr);
-            }
-        }
-        if (after == After::Kill)
-            break;
-
-        auto dec = layout_.decode(tr.paddr);
-        if (!cpte && dec.space != vm::Space::Memory) {
-            // Memoize the proxy translation the slow path resolved.
-            if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
-                tcache_.insert(proc.pid_, vpn, pte);
-        }
-        bus::ProxyClient *client = nullptr;
-        if (dec.space == vm::Space::Memory) {
+      case UserOp::Kind::Store:
+        access = resolveAccess(proc, op->vaddr,
+                               op->kind == UserOp::Kind::Store, op->value,
+                               &op->result.value, lat);
+        if (access.kind == Access::Kind::None) {
+            after = After::Kill;
+        } else if (!access.client) {
             lat += params_.memAccess();
         } else {
             // Proxy space: an uncached reference across the I/O bus,
             // decoded by the owning UDMA controller.
-            client = ioBus_.client(dec.device);
-            if (!client) {
-                killProcess(proc, "proxy access to unattached device");
-                after = After::Kill;
-                break;
-            }
             Tick fin =
                 ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess());
             lat = fin - eq_.now();
         }
-        access = Access{is_write ? Access::Kind::Store : Access::Kind::Load,
-                        tr.paddr, op->value, &op->result.value, client};
         break;
-      }
     }
 
     auto done = [this, &proc, access, after] {
@@ -252,6 +204,58 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
                   "every simulated reference must fit the inline buffer");
     eq_.scheduleIn(lat, "cpu.op", std::move(done),
                    sim::EventPriority::CpuResume);
+}
+
+Kernel::Access
+Kernel::resolveAccess(Process &proc, Addr va, bool is_write,
+                      std::uint64_t datum, std::uint64_t *result, Tick &lat)
+{
+    std::uint64_t vpn = layout_.pageOf(va);
+    vm::TranslateResult tr;
+    vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
+    if (cpte) {
+        // Proxy-translation cache hit: architecturally a warm TLB
+        // hit (no extra latency); lookup() already checked the
+        // permission bits against the live PTE.
+        cpte->referenced = true;
+        if (is_write)
+            cpte->dirty = true;
+        tr.paddr = cpte->frameAddr + layout_.pageOffset(va);
+        tr.tlbHit = true;
+    } else {
+        int attempts = 0;
+        for (;;) {
+            tr = mmu_.translate(va, is_write);
+            if (!tr.tlbHit)
+                lat += params_.instrTicks(params_.tlbMissCycles);
+            if (tr.ok())
+                break;
+            auto out = handleFault(proc, va, is_write, tr.fault);
+            faultUs_.sample(ticksToUs(out.latency));
+            fireAuditHook(KernelEvent::PageFault);
+            lat += out.latency;
+            if (out.killed)
+                return {};
+            SHRIMP_ASSERT(++attempts < 8, "page-fault livelock at va=", va);
+        }
+    }
+
+    auto dec = layout_.decode(tr.paddr);
+    bus::ProxyClient *client = nullptr;
+    if (dec.space != vm::Space::Memory) {
+        // Memoize the proxy translation the slow path resolved.
+        if (!cpte) {
+            if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
+                tcache_.insert(proc.pid_, vpn, pte);
+        }
+        client = ioBus_.client(dec.device);
+        if (!client) {
+            killProcess(proc, "proxy access to unattached device");
+            return {};
+        }
+    }
+    return Access{is_write ? Access::Kind::Store : Access::Kind::Load,
+                  tr.paddr, datum, result, client};
 }
 
 void
@@ -346,19 +350,8 @@ Kernel::dispatch()
     trace::log(eq_.now(), trace::Category::Os, "switch to ",
                next->name(), " (pid ", next->pid(), ")");
 
-    Tick lat = params_.instrTicks(params_.contextSwitchInstr);
-    // Invariant I1: invalidate any partially-initiated UDMA sequence
-    // with a single STORE (of a negative nbytes) per controller.
-    if (!mutations_.skipInvalOnSwitch) {
-        for (auto *c : controllers_) {
-            c->inval();
-            ++i1Invals_;
-            lat += params_.ioAccess();
-        }
-    }
-    mmu_.activate(&next->pageTable_);
-    fireAuditHook(KernelEvent::ContextSwitch);
-
+    const Tick lat = params_.instrTicks(params_.contextSwitchInstr)
+                     + switchAddressSpace(*next);
     eq_.scheduleIn(
         lat, "kernel.dispatch",
         [this, next] {
@@ -370,6 +363,24 @@ Kernel::dispatch()
             resumeProcess(*next);
         },
         sim::EventPriority::CpuResume);
+}
+
+Tick
+Kernel::switchAddressSpace(Process &next)
+{
+    Tick lat = 0;
+    // Invariant I1: invalidate any partially-initiated UDMA sequence
+    // with a single STORE (of a negative nbytes) per controller.
+    if (!mutations_.skipInvalOnSwitch) {
+        for (auto *c : controllers_) {
+            c->inval();
+            ++i1Invals_;
+            lat += params_.ioAccess();
+        }
+    }
+    mmu_.activate(&next.pageTable_);
+    fireAuditHook(KernelEvent::ContextSwitch);
+    return lat;
 }
 
 void
@@ -1101,14 +1112,7 @@ Kernel::modelSwitchTo(Process &proc)
     ++switches_;
     trace::log(eq_.now(), trace::Category::Os, "model switch to ",
                proc.name(), " (pid ", proc.pid(), ")");
-    if (!mutations_.skipInvalOnSwitch) {
-        for (auto *c : controllers_) {
-            c->inval();
-            ++i1Invals_;
-        }
-    }
-    mmu_.activate(&proc.pageTable_);
-    fireAuditHook(KernelEvent::ContextSwitch);
+    (void)switchAddressSpace(proc); // untimed: the latency is dropped
 }
 
 Kernel::UserAccess
@@ -1125,53 +1129,13 @@ Kernel::performUserAccess(Process &proc, Addr va, bool is_write,
                   "active (modelSwitchTo first)");
 
     actorOverride_ = &proc;
-    std::uint64_t vpn = layout_.pageOf(va);
-    vm::TranslateResult tr;
-    vm::Pte *cpte = tcache_.lookup(proc.pid_, vpn, is_write);
-    if (cpte) {
-        cpte->referenced = true;
-        if (is_write)
-            cpte->dirty = true;
-        tr.paddr = cpte->frameAddr + layout_.pageOffset(va);
-        tr.tlbHit = true;
-    } else {
-        int attempts = 0;
-        for (;;) {
-            tr = mmu_.translate(va, is_write);
-            if (tr.ok())
-                break;
-            auto out = handleFault(proc, va, is_write, tr.fault);
-            faultUs_.sample(ticksToUs(out.latency));
-            fireAuditHook(KernelEvent::PageFault);
-            if (out.killed) {
-                actorOverride_ = nullptr;
-                res.killed = true;
-                return res;
-            }
-            SHRIMP_ASSERT(++attempts < 8, "page-fault livelock at va=",
-                          va);
-        }
-    }
-
-    auto dec = layout_.decode(tr.paddr);
-    if (!cpte && dec.space != vm::Space::Memory) {
-        if (vm::Pte *pte = proc.pageTable_.lookup(vpn))
-            tcache_.insert(proc.pid_, vpn, pte);
-    }
-    bus::ProxyClient *client = nullptr;
-    if (dec.space != vm::Space::Memory) {
-        client = ioBus_.client(dec.device);
-        if (!client) {
-            killProcess(proc, "proxy access to unattached device");
-            actorOverride_ = nullptr;
-            res.killed = true;
-            return res;
-        }
-    }
-    performAccess(Access{is_write ? Access::Kind::Store : Access::Kind::Load,
-                         tr.paddr, value, &res.value, client});
+    Tick lat = 0; // untimed: the latency is dropped
+    const Access a = resolveAccess(proc, va, is_write, value, &res.value, lat);
+    if (a.kind != Access::Kind::None)
+        performAccess(a);
     actorOverride_ = nullptr;
-    res.ok = true;
+    res.ok = a.kind != Access::Kind::None;
+    res.killed = !res.ok;
     return res;
 }
 

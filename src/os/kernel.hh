@@ -441,8 +441,28 @@ class Kernel
         bus::ProxyClient *client = nullptr;
     };
 
+    /**
+     * Translate one user reference — the proxy-translation cache, else
+     * MMU translation with fault repair — memoize a proxy translation,
+     * and find the proxy client. Adds the TLB-miss and fault latency
+     * to @p lat. Returns an access of kind None if the process was
+     * killed. issueOp (timed) and performUserAccess (the model
+     * checker's untimed CPU) both run it.
+     */
+    Access resolveAccess(Process &proc, Addr va, bool is_write,
+                         std::uint64_t datum, std::uint64_t *result,
+                         Tick &lat);
+
     /** Write memory (and notify the snoopers) or drive a proxy cycle. */
     void performAccess(const Access &a);
+
+    /**
+     * Make @p next's address space current: the per-controller Inval
+     * STOREs that maintain invariant I1, MMU activation and the audit
+     * hook. Returns the Invals' bus time. dispatch (timed) and
+     * modelSwitchTo (untimed) both run it.
+     */
+    Tick switchAddressSpace(Process &next);
 
     void opDone(Process &proc, After after);
     void dispatch();

@@ -16,9 +16,10 @@
  * Link ownership is what keeps the model shard-safe: every physical
  * link belongs to the node transmitting onto it (the crossbar's
  * injection link, or one of a mesh node's four outgoing direction
- * links), and multi-hop packets are *forwarded hop by hop* — the NI of
- * each intermediate node re-launches the packet onto its own outgoing
- * link from its own shard (network_interface.cc). No shard ever
+ * links), and multi-hop packets are *forwarded hop by hop*: hop()
+ * carries a chunk or an ack over one link, and the event it posts runs
+ * on the next node's shard, which either delivers the packet there or
+ * hops it onward over that node's own outgoing link. No shard ever
  * touches another node's link horizon, so arbitration on shared mesh
  * links is resolved in each owner's canonical event order and stays
  * bit-identical across shard counts. Backpressure surfaces as delayed
@@ -48,10 +49,20 @@
 #include "sim/params.hh"
 #include "sim/types.hh"
 
+namespace shrimp::sim
+{
+class NodeRouter;
+} // namespace shrimp::sim
+
 namespace shrimp::net
 {
 
 class NetworkInterface;
+
+/** Sim-time instant on node @p node's "nodeN.net" Perfetto track
+ *  (a no-op unless a --profile trace sink is installed). */
+void netInstant(NodeId node, const char *what, Tick at, NodeId dst,
+                std::uint64_t seq);
 
 /** The backplane. */
 class Interconnect
@@ -136,6 +147,24 @@ class Interconnect
         return linkFreeAt_[slot];
     }
 
+    /**
+     * Carry @p pkt — a Chunk, or an AckInfo — one hop from node
+     * @p from toward node @p dst, at @p now on @p from's shard: the
+     * next node on the route, that link's arbitration and fault draw,
+     * then one post through @p router to the next node, where
+     * NetworkInterface::land() delivers the packet or hops it onward.
+     * A chunk may be dropped (after occupying the link), corrupted,
+     * duplicated (the copy lands one hop later) or delayed. An ack
+     * rides the control path: only Drop or Delay, and a dropped ack
+     * never occupies the link. Delayed and duplicated packets land
+     * later than one hop, never earlier, so every post keeps the
+     * single-hop slice of minDeliveryLatency(). Returns the tick the
+     * last byte left @p from (@p now for a dropped ack).
+     */
+    template <typename Packet>
+    Tick hop(sim::NodeRouter &router, NodeId from, NodeId dst, Tick now,
+             Packet pkt);
+
     /** Routing latency of one hop, injection to ejection. */
     Tick hopLatency() const { return params_.linkLatency(); }
 
@@ -165,8 +194,8 @@ class Interconnect
      */
     void setFaults(const FaultConfig &cfg) { faults_.configure(cfg); }
 
-    /** The per-physical-link fault model (NIs consult it on every
-     *  launch and at every forwarding hop). */
+    /** The per-physical-link fault model (hop() consults it on
+     *  every link a packet traverses). */
     FaultModel &faults() { return faults_; }
     const FaultModel &faults() const { return faults_; }
 

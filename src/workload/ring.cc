@@ -210,20 +210,21 @@ runRing(const RingConfig &cfg)
         res.ecnMarked += ni->ecnMarked();
         res.cwndCuts += ni->cwndCuts();
         res.rescueSpurious += ni->rescueSpurious();
-        for (const auto &f : ni->txFlowDebug()) {
-            if (f.unackedChunks == 0)
+        for (unsigned dst = 0; dst < nodes; ++dst) {
+            const net::TxFlow *f = ni->txFlow(dst);
+            if (!f || f->unackedChunks() == 0)
                 continue;
-            res.chunksUnacked += f.unackedChunks;
+            res.chunksUnacked += f->unackedChunks();
             res.lostFlows.push_back(
                 "node" + std::to_string(n) + " -> node"
-                + std::to_string(f.dst) + ": "
-                + std::to_string(f.unackedChunks)
+                + std::to_string(dst) + ": "
+                + std::to_string(f->unackedChunks())
                 + " chunks unacked (next seq "
-                + std::to_string(f.nextSeq) + ", cum acked "
-                + std::to_string(f.cumAcked) + ", "
-                + std::to_string(f.sackedChunks)
-                + " sacked, cwnd " + std::to_string(f.cwnd)
-                + (f.inRecovery ? ", in RTO recovery)" : ")"));
+                + std::to_string(f->nextSeq()) + ", cum acked "
+                + std::to_string(f->cumAcked()) + ", "
+                + std::to_string(f->sackedChunks())
+                + " sacked, cwnd " + std::to_string(f->cwnd().cwnd)
+                + (f->inRecovery() ? ", in RTO recovery)" : ")"));
         }
         data.mix(ni->rxDataDigest());
 

@@ -1,20 +1,21 @@
 /**
  * @file
- * Unit tests for the selective-repeat transport primitives
- * (shrimp/transport.hh) and for the recovery behaviour they drive in
- * the NI: SACK bitmap round-trips, the pooled chunk payload and the
- * seq-indexed window (no simulator needed), the Jacobson RTT
- * estimator converging onto a steady path, the AIMD
- * slow-start/halving state machine, and — on a real two-NI world — a
- * dropped chunk being repaired by dup-ack fast retransmit before the
- * retransmit timer ever fires (and by the timer once fast retransmit
- * is mutated away).
+ * Unit tests for the selective-repeat transport (shrimp/transport.hh)
+ * and for the recovery behaviour it drives in the NI. Without the
+ * simulator: SACK bitmap round-trips, the pooled chunk payload and
+ * the seq-indexed window, the Jacobson RTT estimator converging onto
+ * a steady path, the AIMD slow-start/halving state machine, and the
+ * TxFlow/RxFlow state machines fed acks, arrivals and timer expiries
+ * from tables. On a real two-NI world: a dropped chunk being repaired
+ * by dup-ack fast retransmit before the retransmit timer ever fires
+ * (and by the timer once fast retransmit is mutated away).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "bus/io_bus.hh"
@@ -186,7 +187,8 @@ TEST(SeqWindow, ResequencesArrivalsLikeAnOrderedSet)
                 }
             }
             EXPECT_EQ(window.size(), model.size());
-            EXPECT_EQ(sackEncode(c.drained, expected, window.seqs()),
+            EXPECT_EQ(sackEncode(c.drained, expected, {})
+                          | window.sackBits(c.drained),
                       sackEncode(c.drained, expected, model))
                 << "after the arrival of seq " << seq;
         }
@@ -329,6 +331,376 @@ TEST(CongestionWindow, NeverGrowsPastTheCreditCap)
         << "credits bound the flight; cwnd above them is meaningless";
 }
 
+// ----------------------------------------------- TxFlow, no simulator
+
+namespace
+{
+
+using Resend = TxFlow::Resend;
+using Resent = std::vector<std::pair<std::uint64_t, Resend>>;
+
+constexpr std::uint32_t chunkBytes = Payload::capacity;
+/** The wire floor of the test route: rescue waits and spurious-rescue
+ *  evidence are measured against it. */
+constexpr Tick roundTrip = 100;
+
+/** One input to a TxFlow: an ack (then the scoreboard pass the NI
+ *  runs after a fresh one) or, with `timeout`, a timer expiry. */
+struct Step
+{
+    Tick at = 0;
+    std::uint64_t cum = 0;
+    /** Seqs the ack's bitmap names. */
+    std::vector<std::uint64_t> sacked = {};
+    /** What must go out again in response, in order. */
+    Resent resends = {};
+    bool timeout = false;
+};
+
+struct FlowCase
+{
+    const char *name;
+    /** Chunks sent at ticks 0, 1, 2, ... before the first step. */
+    unsigned chunks;
+    std::vector<Step> steps;
+    unsigned spuriousRescues = 0;
+};
+
+/** A TxFlow with everything it needs from an owner, and a record of
+ *  what it hands back to resend. */
+struct FlowHarness
+{
+    sim::MachineParams params;
+    FaultConfig faults;
+    TxFlow::Stats stats;
+    TxFlow flow;
+    Resent resent;
+
+    explicit FlowHarness(unsigned chunks)
+    {
+        flow.open({.params = &params,
+                   .wireRoundTrip = roundTrip,
+                   .faults = &faults,
+                   .stats = &stats});
+        for (unsigned i = 0; i < chunks; ++i) {
+            EXPECT_TRUE(flow.canSend(chunkBytes));
+            const std::uint8_t byte = std::uint8_t(i);
+            flow.send({.h = {.seq = flow.nextSeq()},
+                       .data = Payload::copyOf(&byte, 1)},
+                      Tick(i));
+        }
+    }
+
+    auto
+    resender()
+    {
+        return [this](const Chunk &c, Resend why) {
+            EXPECT_EQ(c.data.size(), 1u);
+            EXPECT_EQ(c.data.data()[0], std::uint8_t(c.h.seq));
+            resent.emplace_back(c.h.seq, why);
+        };
+    }
+
+    /** Feed @p step; returns what went out again. */
+    Resent
+    apply(const Step &step)
+    {
+        resent.clear();
+        if (step.timeout) {
+            flow.onTimeout(step.at, resender());
+        } else {
+            AckInfo ack;
+            ack.cum = step.cum;
+            ack.sack = sackEncode(step.cum, step.cum, step.sacked);
+            if (flow.onAck(ack, step.at, resender()))
+                flow.scoreboard(step.at, resender());
+        }
+        return resent;
+    }
+};
+
+const FlowCase flowCases[] = {
+    {"three SACKs above a hole fast-retransmit it once",
+     8,
+     {{.at = 50, .sacked = {1, 2}},
+      {.at = 60, .sacked = {1, 2, 3}, .resends = {{0, Resend::Fast}}},
+      {.at = 70, .sacked = {1, 2, 3, 4}}}},
+    {"every hole with enough SACKs above goes, ascending",
+     8,
+     {{.at = 50,
+       .sacked = {2, 5, 6, 7},
+       .resends = {{0, Resend::Fast},
+                   {1, Resend::Fast},
+                   {3, Resend::Fast},
+                   {4, Resend::Fast}}}}},
+    {"early retransmit: two outstanding need one SACK",
+     2,
+     {{.at = 50, .sacked = {1}, .resends = {{0, Resend::Fast}}}}},
+    {"early retransmit: three outstanding need two SACKs",
+     3,
+     {{.at = 50, .sacked = {2}},
+      {.at = 60, .sacked = {1, 2}, .resends = {{0, Resend::Fast}}}}},
+    {"a rescue waits for three new marks and a quiet round trip",
+     12,
+     {{.at = 50, .sacked = {1, 2, 3}, .resends = {{0, Resend::Fast}}},
+      // Three new marks, but inside the resend's round trip.
+      {.at = 60, .sacked = {1, 2, 3, 4, 5, 6}},
+      // The round trip has passed: the next ack fires the rescue.
+      {.at = 160,
+       .sacked = {1, 2, 3, 4, 5, 6, 7},
+       .resends = {{0, Resend::Rescue}}},
+      // An answer inside the rescue's round trip: spurious.
+      {.at = 200, .sacked = {0, 1, 2, 3, 4, 5, 6, 7}}},
+     1},
+    {"a rescue needs three new marks, however long it waits",
+     12,
+     {{.at = 50, .sacked = {1, 2, 3}, .resends = {{0, Resend::Fast}}},
+      // Quiet for long enough, but only two new marks.
+      {.at = 500, .sacked = {1, 2, 3, 4, 5}},
+      {.at = 900,
+       .sacked = {1, 2, 3, 4, 5, 6},
+       .resends = {{0, Resend::Rescue}}},
+      // Answered after a full round trip: the rescue was needed.
+      {.at = 1000, .sacked = {0, 1, 2, 3, 4, 5, 6}}},
+     0},
+    {"an RTO resends the first unSACKed hole",
+     4,
+     {{.at = 50, .sacked = {0, 1}},
+      {.at = 1050, .resends = {{2, Resend::Timeout}}, .timeout = true}}},
+    {"an RTO pokes an all-SACKed window",
+     2,
+     {{.at = 50, .sacked = {0, 1}},
+      {.at = 1050, .resends = {{0, Resend::Poke}}, .timeout = true}}},
+    {"ack-clocked repair spends acked + 1 below the recovery point",
+     8,
+     {{.at = 1000, .resends = {{0, Resend::Timeout}}, .timeout = true},
+      {.at = 1100,
+       .cum = 2,
+       .resends = {{2, Resend::Repair},
+                   {3, Resend::Repair},
+                   {4, Resend::Repair}}},
+      {.at = 1110,
+       .cum = 3,
+       .sacked = {5},
+       .resends = {{6, Resend::Repair}, {7, Resend::Repair}}},
+      {.at = 1120, .cum = 8}}},
+};
+
+} // namespace
+
+TEST(TxFlow, ScoreboardTimerAndRepairFollowTheTable)
+{
+    for (const FlowCase &c : flowCases) {
+        SCOPED_TRACE(c.name);
+        FlowHarness h(c.chunks);
+        for (const Step &step : c.steps) {
+            SCOPED_TRACE("step at tick " + std::to_string(step.at));
+            EXPECT_EQ(h.apply(step), step.resends);
+        }
+        unsigned fast = 0;
+        unsigned all = 0;
+        for (const Step &step : c.steps) {
+            for (const auto &[seq, why] : step.resends) {
+                ++all;
+                fast += why == Resend::Fast || why == Resend::Rescue;
+            }
+        }
+        EXPECT_EQ(h.stats.retransmits.value(), all);
+        EXPECT_EQ(h.stats.fastRetransmits.value(), fast);
+        EXPECT_EQ(h.stats.rescueSpurious.value(), c.spuriousRescues);
+    }
+}
+
+TEST(TxFlow, SackMarksAreStickyAndOnlyFirstSendsSampleTheRtt)
+{
+    FlowHarness h(4); // sent at ticks 0..3
+    ASSERT_TRUE(h.flow.onAck({.cum = 0, .sack = 0b0110}, 100,
+                             h.resender()));
+    EXPECT_EQ(h.flow.sackedChunks(), 2u);
+    ASSERT_TRUE(h.flow.rtt().valid);
+    EXPECT_EQ(h.flow.rtt().srtt, 98u)
+        << "the newest first-send the ack marks is the sample";
+    // A reordered older bitmap cannot un-SACK anything.
+    ASSERT_TRUE(h.flow.onAck({.cum = 0, .sack = 0}, 110, h.resender()));
+    EXPECT_EQ(h.flow.sackedChunks(), 2u);
+    // A timeout resends chunk 0; its SACK is then ambiguous (Karn).
+    h.flow.onTimeout(1000, h.resender());
+    ASSERT_EQ(h.resent, (Resent{{0, Resend::Timeout}}));
+    const RttEstimator before = h.flow.rtt();
+    ASSERT_TRUE(h.flow.onAck({.cum = 0, .sack = 0b0111}, 1200,
+                             h.resender()));
+    EXPECT_EQ(h.flow.sackedChunks(), 3u);
+    EXPECT_EQ(h.flow.rtt().srtt, before.srtt)
+        << "a retransmitted chunk's mark must not feed the estimator";
+    EXPECT_EQ(h.flow.rtt().rttvar, before.rttvar);
+    // The cumulative ack retires chunks and returns their credits; an
+    // older one afterwards is stale and changes nothing.
+    ASSERT_TRUE(h.flow.onAck({.cum = 3, .sack = 0}, 1210, h.resender()));
+    EXPECT_EQ(h.flow.unackedChunks(), 1u);
+    EXPECT_EQ(h.flow.inflightBytes(), 1u);
+    EXPECT_FALSE(h.flow.onAck({.cum = 2, .sack = 0}, 1220, h.resender()));
+    EXPECT_EQ(h.flow.cumAcked(), 3u);
+}
+
+TEST(TxFlow, TimeoutsCutOnceBackOffAndCap)
+{
+    // An all-SACKed window is a poke: no cwnd cut, no recovery.
+    FlowHarness poke(2);
+    ASSERT_TRUE(poke.flow.onAck({.cum = 0, .sack = 0b11}, 50,
+                                poke.resender()));
+    const std::uint32_t cwnd = poke.flow.cwnd().cwnd;
+    poke.flow.onTimeout(1050, poke.resender());
+    EXPECT_EQ(poke.flow.cwnd().cwnd, cwnd);
+    EXPECT_FALSE(poke.flow.inRecovery());
+    EXPECT_EQ(poke.stats.cwndCuts.value(), 0.0);
+    EXPECT_EQ(poke.stats.timeouts.value(), 1.0);
+
+    // A real hole collapses cwnd to two chunks and opens recovery.
+    FlowHarness lost(8);
+    lost.flow.onTimeout(1000, lost.resender());
+    EXPECT_EQ(lost.flow.cwnd().cwnd, 2 * chunkBytes);
+    EXPECT_TRUE(lost.flow.inRecovery());
+    EXPECT_EQ(lost.stats.cwndCuts.value(), 1.0);
+    // Backoff doubles from niRetryTimeout and stops at
+    // niRetryTimeoutMax.
+    const sim::MachineParams &p = lost.params;
+    ASSERT_LT(4 * p.niRetryTimeout(), p.niRetryTimeoutMax())
+        << "the loop must see the timeout double";
+    ASSERT_GE(64 * p.niRetryTimeout(), p.niRetryTimeoutMax())
+        << "the loop must reach the cap";
+    Tick want = 2 * p.niRetryTimeout();
+    for (int expiry = 1; expiry <= 6; ++expiry) {
+        SCOPED_TRACE("expiry " + std::to_string(expiry));
+        EXPECT_EQ(lost.flow.rto(), want);
+        lost.flow.onTimeout(Tick(expiry) * p.niRetryTimeoutMax(),
+                            lost.resender());
+        want = std::min(2 * want, p.niRetryTimeoutMax());
+    }
+    EXPECT_EQ(lost.flow.rto(), p.niRetryTimeoutMax());
+    EXPECT_EQ(lost.stats.timeouts.value(), 7.0);
+
+    // An empty window's expiry is no timeout at all.
+    FlowHarness idle(0);
+    idle.flow.onTimeout(1000, idle.resender());
+    EXPECT_TRUE(idle.resent.empty());
+    EXPECT_EQ(idle.stats.timeouts.value(), 0.0);
+    EXPECT_FALSE(idle.flow.wantsTimer());
+}
+
+TEST(TxFlow, MutationsSilenceTheirRecoveryPaths)
+{
+    const Step threeSacks{.at = 50, .sacked = {1, 2, 3}};
+
+    FlowHarness noFast(8);
+    noFast.faults.disableFastRetransmit = true;
+    EXPECT_TRUE(noFast.apply(threeSacks).empty());
+    EXPECT_EQ(noFast.flow.sackedChunks(), 3u) << "the marks still land";
+    EXPECT_TRUE(noFast.flow.wantsTimer()) << "the timer must recover";
+
+    FlowHarness noSack(8);
+    noSack.faults.ignoreSack = true;
+    EXPECT_TRUE(noSack.apply(threeSacks).empty());
+    EXPECT_EQ(noSack.flow.sackedChunks(), 0u) << "the bitmap is discarded";
+
+    FlowHarness noRetransmit(8);
+    noRetransmit.faults.disableRetransmit = true;
+    EXPECT_TRUE(noRetransmit.apply(threeSacks).empty());
+    EXPECT_FALSE(noRetransmit.flow.wantsTimer()) << "no timer either";
+}
+
+// ----------------------------------------------- RxFlow, no simulator
+
+namespace
+{
+
+Chunk
+arriving(std::uint64_t seq, bool corrupt = false)
+{
+    const std::uint8_t bytes[2] = {std::uint8_t(seq), 0x5a};
+    Chunk c{.h = {.src = 3, .seq = seq}, .data = Payload::copyOf(bytes, 2)};
+    c.h.checksum = chunkChecksum(c.h, c.data);
+    if (corrupt)
+        c.data.data()[1] ^= 0xFF;
+    return c;
+}
+
+struct ArrivalStep
+{
+    /** Seq arriving, or drained when `drain` is set. */
+    std::uint64_t seq;
+    RxFlow::Arrival verdict;
+    std::vector<std::uint64_t> released;
+    /** The ack afterwards: cum and the seqs its bitmap names. */
+    std::uint64_t cum;
+    std::vector<std::uint64_t> sacked;
+    bool corrupt = false;
+    bool drain = false;
+};
+
+const ArrivalStep arrivalSteps[] = {
+    {0, RxFlow::Arrival::InOrder, {0}, 0, {0}},
+    {2, RxFlow::Arrival::Buffered, {}, 0, {0, 2}},
+    {2, RxFlow::Arrival::Duplicate, {}, 0, {0, 2}},
+    {1, RxFlow::Arrival::Corrupt, {}, 0, {0, 2}, true},
+    {4, RxFlow::Arrival::Buffered, {}, 0, {0, 2, 4}},
+    {1, RxFlow::Arrival::InOrder, {1, 2}, 0, {0, 1, 2, 4}},
+    {0, RxFlow::Arrival::InOrder, {}, 1, {1, 2, 4}, false, true},
+    {0, RxFlow::Arrival::Duplicate, {}, 1, {1, 2, 4}},
+    {3, RxFlow::Arrival::InOrder, {3, 4}, 1, {1, 2, 3, 4}},
+};
+
+} // namespace
+
+TEST(RxFlow, ArrivalsFollowTheTable)
+{
+    RxFlow flow;
+    std::vector<Chunk> queue; // the NI's receive queue, drained FIFO
+    for (const ArrivalStep &step : arrivalSteps) {
+        SCOPED_TRACE("seq " + std::to_string(step.seq)
+                     + (step.drain ? " drained" : " arrives"));
+        std::vector<std::uint64_t> released;
+        if (step.drain) {
+            ASSERT_FALSE(queue.empty());
+            ASSERT_EQ(queue.front().h.seq, step.seq);
+            flow.onDrained(queue.front());
+            queue.erase(queue.begin());
+        } else {
+            EXPECT_EQ(flow.onArrival(arriving(step.seq, step.corrupt),
+                                     [&](Chunk &&c) {
+                                         released.push_back(c.h.seq);
+                                         queue.push_back(std::move(c));
+                                     }),
+                      step.verdict);
+        }
+        EXPECT_EQ(released, step.released);
+        const AckInfo ack = flow.ack();
+        EXPECT_EQ(ack.cum, step.cum);
+        EXPECT_EQ(sackDecode(ack.cum, ack.sack), step.sacked);
+    }
+    EXPECT_EQ(flow.expected(), 5u);
+    EXPECT_EQ(flow.drained(), 1u);
+}
+
+TEST(RxFlow, DigestCoversDrainedBytesInSequenceOrder)
+{
+    // Two receivers see the same chunks in different orders; once both
+    // drain everything their digests agree.
+    auto drainAll = [](std::initializer_list<std::uint64_t> order) {
+        RxFlow flow;
+        std::vector<Chunk> queue;
+        for (std::uint64_t seq : order)
+            flow.onArrival(arriving(seq), [&](Chunk &&c) {
+                queue.push_back(std::move(c));
+            });
+        for (const Chunk &c : queue)
+            flow.onDrained(c);
+        EXPECT_EQ(flow.drained(), 3u);
+        return flow.digest();
+    };
+    EXPECT_EQ(drainAll({0, 1, 2}), drainAll({2, 0, 2, 1}));
+    EXPECT_NE(drainAll({0, 1, 2}), RxFlow().digest());
+}
+
 // ------------------------------------- recovery on a two-NI world
 
 namespace
@@ -408,13 +780,14 @@ TEST_F(TransportPair, DupAcksRepairTheHoleBeforeTheTimer)
     EXPECT_EQ(niA.timeouts(), 0u)
         << "the scoreboard must beat the retransmit timer";
 
-    // The new TxFlow state surfaces through the debug view.
-    auto flows = niA.txFlowDebug();
-    ASSERT_EQ(flows.size(), 1u);
-    EXPECT_EQ(flows[0].dst, 1u);
-    EXPECT_EQ(flows[0].unackedChunks, 0u);
-    EXPECT_GT(flows[0].cwnd, 0u);
-    EXPECT_GT(flows[0].srttUs, 0.0);
+    // The sender's TxFlow reads through the NI's const view: one flow,
+    // toward node 1.
+    ASSERT_EQ(niA.txFlow(0), nullptr);
+    const TxFlow *flow = niA.txFlow(1);
+    ASSERT_NE(flow, nullptr);
+    EXPECT_EQ(flow->unackedChunks(), 0u);
+    EXPECT_GT(flow->cwnd().cwnd, 0u);
+    EXPECT_GT(ticksToUs(flow->rtt().srtt), 0.0);
 }
 
 TEST_F(TransportPair, TimerStillRecoversWithFastRetransmitMutedAway)
