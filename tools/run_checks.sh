@@ -169,7 +169,7 @@ step_tidy() {
     fi
     changed="$(cd "${repo_root}" \
         && git diff --name-only --diff-filter=d "${tidy_base}" -- \
-            'src/*.cc' 'tools/*.cc' 'bench/*.cc' 'examples/*.cc' \
+            'src/*.cc' 'tools/*.cc' 'bench/*.cc' 'examples/*.cpp' \
         || true)"
     if [ -n "${changed}" ]; then
         (cd "${repo_root}" && echo "${changed}" \
