@@ -29,7 +29,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "bus/io_bus.hh"
 #include "sim/event_queue.hh"
@@ -37,55 +37,49 @@
 #include "sim/stats.hh"
 #include "vm/layout.hh"
 
+namespace shrimp::sim
+{
+class NodeRouter;
+} // namespace shrimp::sim
+
 namespace shrimp::baseline
 {
 
 class FifoNic;
 
 /**
- * The fabric connecting FifoNics (same link model as SHRIMP's
- * Interconnect: per-source injection serialization plus routing
- * latency). On a mesh/torus wiring the routing latency scales with
- * the dimension-order hop count; the FIFO-NIC baseline only runs on
- * one shard, so it charges the whole route's latency up front instead
- * of modelling per-hop link arbitration.
+ * The fabric connecting FifoNics: which NIC sits on which node, and
+ * the route latency (same link model as SHRIMP's Interconnect). On a
+ * mesh/torus wiring the routing latency scales with the
+ * dimension-order hop count; a packet charges the whole route's
+ * latency up front instead of modelling per-hop link arbitration.
+ * Each FifoNic serializes its own injection link.
  */
 class FifoFabric
 {
   public:
-    explicit FifoFabric(const sim::MachineParams &params,
-                        sim::TopologyConfig topo = {})
-        : params_(params), topo_(topo)
+    FifoFabric(const sim::MachineParams &params, unsigned nodes,
+               sim::TopologyConfig topo = {})
+        : params_(params), topo_(topo), nics_(nodes, nullptr)
     {}
 
     void
     attach(NodeId node, FifoNic *nic)
     {
-        SHRIMP_ASSERT(nics_.count(node) == 0, "node already attached");
+        SHRIMP_ASSERT(node < nics_.size() && !nics_[node],
+                      "node already attached");
         nics_[node] = nic;
     }
 
     FifoNic *
     nic(NodeId node) const
     {
-        auto it = nics_.find(node);
-        SHRIMP_ASSERT(it != nics_.end(), "no FIFO NIC for node ", node);
-        return it->second;
+        SHRIMP_ASSERT(node < nics_.size() && nics_[node],
+                      "no FIFO NIC for node ", node);
+        return nics_[node];
     }
 
-    /** Occupy @p src's injection link for @p bytes starting no
-     *  earlier than the caller's clock @p now; returns the tick the
-     *  last byte has left. */
-    Tick
-    acquireLink(NodeId src, std::uint64_t bytes, Tick now)
-    {
-        Tick &free_at = linkFreeAt_[src];
-        Tick start = std::max(now, free_at);
-        free_at = start + params_.linkTransfer(bytes);
-        return free_at;
-    }
-
-    Tick hopLatency() const { return params_.linkLatency(); }
+    unsigned nodeCount() const { return unsigned(nics_.size()); }
 
     /** Routing latency of the whole src -> dst route (all hops). */
     Tick
@@ -94,19 +88,30 @@ class FifoFabric
         return topo_.hops(src, dst) * params_.linkLatency();
     }
 
+    /**
+     * Lower bound on the delay of anything one FIFO NIC posts to
+     * another: one word on the injection link plus the route. Words
+     * and credits both keep it, so core::System sizes the engine's
+     * lookahead from it when a FIFO NIC is configured.
+     */
+    Tick
+    minDeliveryLatency(NodeId src, NodeId dst) const
+    {
+        return params_.linkTransfer(8) + routeLatency(src, dst);
+    }
+
   private:
     const sim::MachineParams &params_;
     const sim::TopologyConfig topo_;
-    std::map<NodeId, FifoNic *> nics_;
-    std::map<NodeId, Tick> linkFreeAt_;
+    std::vector<FifoNic *> nics_;
 };
 
 /**
- * One node's memory-mapped FIFO NIC. The pump reads the peer's FIFO
- * space synchronously and deliveries write the peer's FIFO from the
- * sender's own queue, so core::System builds it on one shard only
- * (DESIGN.md §10 says why the deliveries cannot go through
- * sim::NodeRouter::post).
+ * One node's memory-mapped FIFO NIC. Words reach the peer through
+ * sim::NodeRouter::post and land in its incoming FIFO on its own
+ * queue. Flow control is sender-side: the NIC may send a peer one word
+ * per credit, starts with one credit per word of the peer's FIFO, and
+ * the peer returns a credit for every word its CPU pops.
  */
 class FifoNic : public bus::ProxyClient
 {
@@ -116,8 +121,9 @@ class FifoNic : public bus::ProxyClient
     static constexpr Addr regRxAvail = 0x10;
     static constexpr Addr regRxData = 0x18;
 
-    FifoNic(sim::EventQueue &eq, const sim::MachineParams &params,
-            NodeId node, bus::IoBus &io_bus, FifoFabric &fabric,
+    FifoNic(sim::EventQueue &eq, sim::NodeRouter &router,
+            const sim::MachineParams &params, NodeId node,
+            bus::IoBus &io_bus, FifoFabric &fabric,
             unsigned device_index, std::uint32_t page_bytes);
 
     NodeId node() const { return node_; }
@@ -132,12 +138,6 @@ class FifoNic : public bus::ProxyClient
     void proxyStore(const vm::Decoded &decoded, Addr paddr,
                     std::int64_t value) override;
 
-    /** Peer-facing: deliver one word into the incoming FIFO.
-     *  @return false if the FIFO is full (sender must retry). */
-    bool rxDeliver(std::uint64_t word);
-
-    std::uint32_t rxFifoFree() const;
-
     std::uint64_t wordsSent() const
     {
         return std::uint64_t(txWordsStat_.value());
@@ -148,14 +148,23 @@ class FifoNic : public bus::ProxyClient
     }
 
   private:
+    struct RxWord
+    {
+        std::uint64_t word;
+        NodeId src;
+    };
+
     void pump();
 
-    std::uint32_t fifoWords() const
-    {
-        return params_.niFifoBytes / 8;
-    }
+    /** On this node's queue: move @p words from @p idx on into the
+     *  incoming FIFO; what does not fit waits at the ejection port. */
+    void land(NodeId src, std::vector<std::uint64_t> words,
+              std::size_t idx);
+
+    std::uint32_t fifoWords() const { return params_.niFifoBytes / 8; }
 
     sim::EventQueue &eq_;
+    sim::NodeRouter &router_;
     const sim::MachineParams &params_;
     NodeId node_;
     FifoFabric &fabric_;
@@ -164,7 +173,11 @@ class FifoNic : public bus::ProxyClient
 
     NodeId destNode_ = 0;
     std::deque<std::uint64_t> txFifo_;
-    std::deque<std::uint64_t> rxFifo_;
+    std::deque<RxWord> rxFifo_;
+    /** credits_[n]: words this NIC may still send node n. */
+    std::vector<std::uint32_t> credits_;
+    /** When the injection link is next free. */
+    Tick linkFreeAt_ = 0;
     bool pumpBusy_ = false;
 
     stats::Scalar txWordsStat_;

@@ -79,8 +79,8 @@ Node::Node(System &sys, NodeId id, const SystemConfig &cfg,
         if (dc.kind == DeviceKind::FifoNic) {
             devices_.emplace_back(nullptr);
             fifoNic_ = std::make_unique<baseline::FifoNic>(
-                eq, params, id, *ioBus_, sys.fifoFabric(), slot,
-                params.pageBytes);
+                eq, *sys.engine(), params, id, *ioBus_, sys.fifoFabric(),
+                slot, params.pageBytes);
             kernel_->registerDeviceWindow(
                 slot, fifoNic_->proxyExtentBytes());
             continue;
@@ -203,7 +203,7 @@ System::System(const SystemConfig &cfg)
       layout_(cfg.node.memBytes, cfg.params.pageBytes,
               std::max<unsigned>(1, unsigned(cfg.node.devices.size()))),
       topo_(resolvedTopology(cfg_)), net_(cfg_.params, topo_),
-      fifoFabric_(cfg_.params, topo_)
+      fifoFabric_(cfg_.params, cfg_.nodes, topo_)
 {
     if (cfg.nodes == 0)
         fatal("a system needs at least one node");
@@ -217,27 +217,24 @@ System::System(const SystemConfig &cfg)
     // per-pair floors into its shard-pair lookahead matrix (and clamps
     // the shard count to [1, nodes]); multi-hop forwarding re-posts at
     // every intermediate node, so each individual post only needs the
-    // adjacent-pair floor, which the fold always covers.
+    // adjacent-pair floor, which the fold always covers. A FIFO NIC
+    // posts a single word straight to its peer, which can be faster
+    // than the NI's header: its floor wins when one is configured.
+    const bool fifo = std::any_of(
+        cfg_.node.devices.begin(), cfg_.node.devices.end(),
+        [](const DeviceConfig &dc) {
+            return dc.kind == DeviceKind::FifoNic;
+        });
     engine_ = std::make_unique<sim::ShardedEngine>(
         cfg_.nodes, cfg_.shards,
         sim::ShardedEngine::PairLookahead(
-            [this](NodeId src, NodeId dst) {
-                return net_.minDeliveryLatency(src, dst);
+            [this, fifo](NodeId src, NodeId dst) {
+                const Tick l = net_.minDeliveryLatency(src, dst);
+                if (!fifo)
+                    return l;
+                return std::min(l,
+                                fifoFabric_.minDeliveryLatency(src, dst));
             }));
-    // The FIFO-NIC baseline reads and writes its peer's FIFOs from the
-    // sender's events, which node-major windows would reorder against
-    // the peer's own events: it runs on one shard, in the canonical
-    // (tick, priority, node) order.
-    for (const DeviceConfig &dc : cfg_.node.devices) {
-        if (dc.kind != DeviceKind::FifoNic)
-            continue;
-        if (engine_->shardCount() > 1) {
-            fatal("the FIFO-NIC baseline reads peer state "
-                  "synchronously and runs on one shard only; drop "
-                  "--shards or the FifoNic device");
-        }
-        engine_->setCanonicalOrder(true);
-    }
 
     for (unsigned i = 0; i < cfg.nodes; ++i)
         nodes_.push_back(

@@ -102,9 +102,18 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
         st.queues.push_back(queues_.back().get());
     }
 
-    boxes_.reserve(std::size_t(shards_) * shards_);
-    for (unsigned i = 0; i < shards_ * shards_; ++i)
-        boxes_.push_back(std::make_unique<Mailbox>());
+    // Same-shard posts skip the mailbox, so only the off-diagonal
+    // boxes carry traffic; reserving them keeps the steady state free
+    // of allocations.
+    boxes_.resize(std::size_t(shards_) * shards_);
+    for (unsigned src = 0; src < shards_; ++src) {
+        for (unsigned dst = 0; dst < shards_; ++dst) {
+            if (src == dst)
+                continue;
+            for (Mailbox::Buffer &b : box(src, dst).buf)
+                b.msgs.reserve(Mailbox::reserved);
+        }
+    }
 
     // Fold the per-node-pair floors into the shard-pair matrix: the
     // matrix entry must hold for *every* (src, dst) node pair mapped
@@ -165,12 +174,9 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
         ++st.directPosts;
         return;
     }
-    Mailbox &mb = box(ss, ds);
-    CrossMsg m{when, std::int32_t(prio), stamp, src, dst, name,
-               std::move(fn)};
-    if (!mb.ring.tryPush(std::move(m)))
-        mb.spill[ctrl_.parity].push_back(std::move(m));
-    ++mb.posted;
+    box(ss, ds).buf[ctrl_.parity].msgs.push_back(
+        CrossMsg{when, std::int32_t(prio), stamp, src, dst, name,
+                 std::move(fn)});
     // Publish the promise: the earliest tick shard ds may receive from
     // us this round. The next barrier folds it into ds's horizon.
     if (when < st.postedMin[ds])
@@ -234,17 +240,6 @@ ShardedEngine::stepCanonical(Tick limit)
 }
 
 std::uint64_t
-ShardedEngine::runCanonical(ShardState &st, Tick end)
-{
-    std::uint64_t fired = 0;
-    while (stepCanonical(end))
-        ++fired;
-    // The last step's earliestFront left the smallest hint exact.
-    st.localNext = st.nextTick();
-    return fired;
-}
-
-std::uint64_t
 ShardedEngine::runNodeMajor(unsigned shard, Tick end)
 {
     ShardState &st = shardStates_[shard];
@@ -272,14 +267,6 @@ ShardedEngine::runNodeMajor(unsigned shard, Tick end)
     }
 }
 
-void
-ShardedEngine::setCanonicalOrder(bool on)
-{
-    SHRIMP_ASSERT(!on || shards_ == 1,
-                  "canonical-order windows need one shard");
-    canonical_ = on;
-}
-
 std::size_t
 ShardedEngine::drainShard(unsigned dst_shard, bool both)
 {
@@ -289,29 +276,23 @@ ShardedEngine::drainShard(unsigned dst_shard, bool both)
     // order cannot depend on how nodes map to shards or how drains
     // were batched.
     std::size_t delivered = 0;
-    auto deliver = [this, &delivered](CrossMsg &m) {
-        queues_[m.dst]->scheduleStamped(m.when, m.stamp, m.name,
-                                        std::move(m.fn),
-                                        EventPriority(m.prio));
-        ++delivered;
+    auto take = [this, &delivered](std::vector<CrossMsg> &msgs) {
+        for (CrossMsg &m : msgs)
+            queues_[m.dst]->scheduleStamped(m.when, m.stamp, m.name,
+                                            std::move(m.fn),
+                                            EventPriority(m.prio));
+        delivered += msgs.size();
+        msgs.clear();
     };
     for (unsigned src = 0; src < shards_; ++src) {
         Mailbox &mb = box(src, dst_shard);
         const std::size_t before = delivered;
-        CrossMsg m;
-        while (mb.ring.tryPop(m))
-            deliver(m);
-        // Only the *previous* round's spill is safe to touch while
-        // producers run (they write spill[parity]); the sequential
+        // Only the *previous* round's buffer is safe to touch while
+        // producers run (they append to buf[parity]); the sequential
         // entry drain takes both.
-        auto takeSpill = [&](std::vector<CrossMsg> &spill) {
-            for (auto &spilled : spill)
-                deliver(spilled);
-            spill.clear();
-        };
-        takeSpill(mb.spill[ctrl_.parity ^ 1]);
+        take(mb.buf[ctrl_.parity ^ 1].msgs);
         if (both)
-            takeSpill(mb.spill[ctrl_.parity]);
+            take(mb.buf[ctrl_.parity].msgs);
         mb.delivered += delivered - before;
     }
     return delivered;
@@ -344,9 +325,8 @@ ShardedEngine::planRound()
         return;
     }
     // Earliest possible next event per shard: its own queues' minimum
-    // plus every promise staged toward it this round. (A message both
-    // promised and already drained may be counted twice; both copies
-    // carry the same tick, so the minimum is merely conservative.)
+    // plus every promise staged toward it this round (those messages
+    // are drained at the start of the next round).
     Tick global_next = maxTick;
     for (unsigned d = 0; d < shards_; ++d)
         nextEvent_[d] = shardStates_[d].localNext;
@@ -429,8 +409,8 @@ ShardedEngine::planRound()
         profiler_->noteWindowSkip();
     ctrl_.prevMaxEnd = max_end;
     ctrl_.haveWindow = true;
-    // Flip the spill parity: producers of the coming round write the
-    // other vector, freeing this round's for its consumer.
+    // Flip the mailbox parity: producers of the coming round write the
+    // other buffer, freeing this round's for its consumer.
     ctrl_.parity ^= 1u;
     ++windows_;
 }
@@ -484,12 +464,11 @@ ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
             prof->noteDrain(worker, t, n, drained);
             t = n;
         }
-        // Both runs publish this shard's earliest pending tick for the
+        // The run publishes this shard's earliest pending tick for the
         // next plan; the barrier provides the happens-before edge.
         std::uint64_t executed = 0;
         try {
-            executed = canonical_ ? runCanonical(st, st.windowEnd)
-                                  : runNodeMajor(worker, st.windowEnd);
+            executed = runNodeMajor(worker, st.windowEnd);
         } catch (...) {
             noteError();
         }
@@ -618,8 +597,8 @@ ShardedEngine::pendingEvents() const
     std::uint64_t n = 0;
     for (const auto &q : queues_)
         n += q->pendingEvents();
-    for (const auto &b : boxes_)
-        n += b->posted - b->delivered;
+    for (const Mailbox &b : boxes_)
+        n += b.staged();
     return n;
 }
 
@@ -636,8 +615,8 @@ std::uint64_t
 ShardedEngine::crossPosts() const
 {
     std::uint64_t n = 0;
-    for (const auto &b : boxes_)
-        n += b->posted;
+    for (const Mailbox &b : boxes_)
+        n += b.delivered + b.staged();
     for (const auto &st : shardStates_)
         n += st.directPosts;
     return n;

@@ -46,12 +46,13 @@
  * into the destination's queue without clamping anyone's horizon.
  *
  * Cross-shard messages travel through per-(source shard, destination
- * shard) SPSC mailboxes and carry a canonical *stamp* allocated from
- * the originating node's queue at post() time
- * (see EventQueue::allocStamp). A node's heap orders its ties by
- * that stamp, so the execution order at equal (tick, priority, node)
- * is (source node, per-source order) no matter when a message was
- * drained — which is what makes `--shards=1` and `--shards=N`
+ * shard) mailboxes, one vector per round parity, and are delivered at
+ * the start of the round after the one that posted them. Each carries
+ * a canonical *stamp* allocated from the originating node's queue at
+ * post() time (see EventQueue::allocStamp). A node's heap orders its
+ * ties by that stamp, so the execution order at equal (tick, priority,
+ * node) is (source node, per-source order) no matter when a message
+ * was drained — which is what makes `--shards=1` and `--shards=N`
  * bit-identical in sim time.
  *
  * Barriers are also where the world is quiescent, so the invariant
@@ -75,7 +76,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/spsc.hh"
 #include "sim/types.hh"
 
 namespace shrimp::sim
@@ -223,11 +223,6 @@ class SpinBarrier
  *    shard-count independent; the predicate is checked after every
  *    event. Each event is picked from the shards' contiguous arrays
  *    of per-node front-key hints, not by reading every queue.
- *
- * setCanonicalOrder() makes run()/runUntil() fire every window in
- * runSetup's order as well: for a component that reads and writes
- * another node's state synchronously from its own events (the FIFO-NIC
- * baseline), which therefore runs on one shard.
  */
 class ShardedEngine : public NodeRouter
 {
@@ -292,11 +287,6 @@ class ShardedEngine : public NodeRouter
     /** Sequential canonical-order run (see class comment). */
     Tick runSetup(const std::function<bool()> &pred,
                   Tick limit = maxTick);
-
-    /** Fire run()/runUntil() windows in runSetup's canonical (tick,
-     *  priority, node) order instead of node-major (class comment).
-     *  One shard only. */
-    void setCanonicalOrder(bool on);
 
     /**
      * Invoked in the barrier completion step before each window (and
@@ -369,22 +359,34 @@ class ShardedEngine : public NodeRouter
     };
 
     /**
-     * One (source shard -> destination shard) channel. The ring is
-     * the lock-free fast path. Overflow spills into one of two plain
-     * vectors, selected by the round parity: the producer writes
-     * spill[parity] while the consumer drains spill[parity ^ 1] —
-     * always the previous round's overflow, published by the barrier
-     * in between — so the fused-barrier round (drain concurrent with
-     * the producers' execution) never has two threads on one vector.
-     * `posted` is owned by the producer, `delivered` by the consumer;
-     * both are summed on demand when the world is quiescent.
+     * One (source shard -> destination shard) channel: two vectors
+     * selected by the round parity. The producer appends to
+     * buf[parity] while the consumer drains buf[parity ^ 1] — always
+     * the previous round's posts, published by the barrier in between
+     * — so the fused-barrier round (drain concurrent with the
+     * producers' execution) never has two threads on one vector. The
+     * buffers sit on separate cache lines, and `delivered` (consumer
+     * owned) on a third; a message is posted when it enters a buffer,
+     * so the posted count is `delivered` plus both buffers' sizes,
+     * exact when the world is quiescent.
      */
     struct Mailbox
     {
-        SpscRing<CrossMsg> ring{1024};
-        std::vector<CrossMsg> spill[2];
-        std::uint64_t posted = 0;
-        std::uint64_t delivered = 0;
+        struct alignas(64) Buffer
+        {
+            std::vector<CrossMsg> msgs;
+        };
+        /** Messages the off-diagonal buffers hold without growing. */
+        static constexpr std::size_t reserved = 1024;
+
+        Buffer buf[2];
+        alignas(64) std::uint64_t delivered = 0;
+
+        std::uint64_t
+        staged() const
+        {
+            return buf[0].msgs.size() + buf[1].msgs.size();
+        }
     };
 
     /**
@@ -442,7 +444,7 @@ class ShardedEngine : public NodeRouter
         Tick limit = maxTick;
         const std::function<bool()> *pred = nullptr;
         bool done = false;
-        /** Which spill vector producers write this round. */
+        /** Which mailbox buffer producers write this round. */
         unsigned parity = 0;
         /** True once a first window has been planned this run. */
         bool haveWindow = false;
@@ -454,7 +456,7 @@ class ShardedEngine : public NodeRouter
     Mailbox &
     box(unsigned src_shard, unsigned dst_shard)
     {
-        return *boxes_[src_shard * shards_ + dst_shard];
+        return boxes_[src_shard * shards_ + dst_shard];
     }
 
     /** Uniform runSetup windows: [start, start + lookahead() - 1]. */
@@ -475,20 +477,16 @@ class ShardedEngine : public NodeRouter
      *  @p limit. @return Whether one fired. */
     bool stepCanonical(Tick limit);
 
-    /** Fire, in canonical order, every event at or before @p end;
-     *  publish the shard's localNext. @return Events fired. */
-    std::uint64_t runCanonical(ShardState &st, Tick end);
-
     /** Fire shard @p shard's events at or before @p end node-major,
      *  one sub-window at a time; publish its localNext. @return
      *  Events fired. */
     std::uint64_t runNodeMajor(unsigned shard, Tick end);
 
     /**
-     * Pop every mailbox bound for @p dst_shard — the ring plus the
-     * previous round's spill (both spills when @p both, the
-     * sequential entry drain) — and schedule the messages into the
-     * destination queues. @return Number of messages delivered.
+     * Empty every mailbox bound for @p dst_shard — the previous
+     * round's buffer (both buffers when @p both, the sequential entry
+     * drain) — and schedule the messages into the destination queues.
+     * @return Number of messages delivered.
      */
     std::size_t drainShard(unsigned dst_shard, bool both);
 
@@ -519,14 +517,12 @@ class ShardedEngine : public NodeRouter
      *  first on destruction. */
     std::vector<ShardState> shardStates_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    std::vector<std::unique_ptr<Mailbox>> boxes_;
+    std::vector<Mailbox> boxes_;
     /** Completion scratch: per-shard earliest possible next event. */
     std::vector<Tick> nextEvent_;
 
     std::function<void()> barrierHook_;
     ShardProfiler *profiler_ = nullptr;
-    /** setCanonicalOrder(). */
-    bool canonical_ = false;
     std::uint64_t windows_ = 0;
     std::uint64_t barSpinWakes_ = 0;
     std::uint64_t barSleeps_ = 0;

@@ -58,20 +58,6 @@ TextDumper::histogram(const std::string &name, const std::string &desc,
 }
 
 void
-TextDumper::distribution(const std::string &name, const std::string &desc,
-                         const Distribution &d)
-{
-    os_ << group_ << '.' << name << "::samples " << d.total();
-    if (!desc.empty())
-        os_ << "   # " << desc;
-    os_ << '\n';
-    for (const auto &[key, count] : d.counts()) {
-        os_ << group_ << '.' << name << "::" << key << ' ' << count
-            << '\n';
-    }
-}
-
-void
 TextDumper::formula(const std::string &name, const std::string &desc,
                     const Formula &f)
 {
@@ -142,22 +128,6 @@ JsonDumper::histogram(const std::string &name, const std::string &,
 }
 
 void
-JsonDumper::distribution(const std::string &name, const std::string &,
-                         const Distribution &d)
-{
-    w_.key(name);
-    w_.beginObject();
-    w_.field("type", "distribution");
-    w_.field("samples", d.total());
-    w_.key("counts");
-    w_.beginObject();
-    for (const auto &[key, count] : d.counts())
-        w_.field(std::to_string(key), count);
-    w_.endObject();
-    w_.endObject();
-}
-
-void
 JsonDumper::formula(const std::string &name, const std::string &,
                     const Formula &f)
 {
@@ -176,8 +146,6 @@ StatGroup::accept(StatVisitor &v, const std::string &prefix) const
         v.average(e.name, e.desc, *e.stat);
     for (const auto &e : histograms_)
         v.histogram(e.name, e.desc, *e.stat);
-    for (const auto &e : distributions_)
-        v.distribution(e.name, e.desc, *e.stat);
     for (const auto &e : formulas_)
         v.formula(e.name, e.desc, *e.stat);
     v.endGroup();

@@ -38,21 +38,14 @@ struct Router
 {
     void post(int src, int dst, long when, const char *name, int fn, int p);
 };
-struct Ni
-{
-    void postToNode(int dst, long when, const char *name, int fn);
-};
 
 void
-otherEntryPoints(StampedQueue &q, Router &r, Ni &ni, const std::string &b)
+otherEntryPoints(StampedQueue &q, Router &r, const std::string &b)
 {
     q.scheduleStamped(1, 7, "ok.literal", 0); // clean: string literal
     r.post(0, 1, 2, "ok.literal", 0, 0);      // clean: string literal
-    ni.postToNode(1, 2, "ok.literal", 0);     // clean: string literal
 
-    q.scheduleStamped(1, 7, b.c_str(), 0); // S2 @ line 53
+    q.scheduleStamped(1, 7, b.c_str(), 0); // S2 @ line 48
 
-    r.post(0, 1, 2, (b + ".fwd").c_str(), 0, 0); // S2 @ line 55
-
-    ni.postToNode(1, 2, std::to_string(3).c_str(), 0); // S2 @ line 57
+    r.post(0, 1, 2, (b + ".fwd").c_str(), 0, 0); // S2 @ line 50
 }

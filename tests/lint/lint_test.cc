@@ -167,7 +167,7 @@ TEST(LintRules, S2EventLabelLifetime)
     auto r = scanFixture("s2_event_label.cc");
     EXPECT_EQ(r.exitCode, 1);
     Expected want = {{"S2", 17}, {"S2", 19}, {"S2", 21}, {"S2", 23},
-                     {"S2", 53}, {"S2", 55}, {"S2", 57}};
+                     {"S2", 48}, {"S2", 50}};
     EXPECT_EQ(findingsFor(r, "s2_event_label.cc"), want);
 }
 

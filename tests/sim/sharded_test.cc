@@ -164,6 +164,46 @@ TEST(Sharded, RunUntilStopsAtABarrierOncePredHolds)
     EXPECT_LT(fired, 40) << "stopped well before the queues drained";
 }
 
+TEST(Sharded, OneRoundOfCrossPostsOverflowsNothing)
+{
+    // Node 0 posts 5,000 messages to node 1 (the other shard) from
+    // one event, so all of them travel in one round — far more than
+    // the mailbox reserves. Four share each tick, posted interleaved
+    // with other ticks' messages, so the stamp decides their order.
+    constexpr int kMsgs = 5000;
+    constexpr int kTicks = kMsgs / 4;
+    ShardedEngine eng(2, 2, 10);
+    std::vector<std::pair<Tick, int>> seen;
+    bool posted = false;
+    eng.queue(0).schedule(10, "test.burst", [&eng, &seen, &posted] {
+        for (int i = 0; i < kMsgs; ++i) {
+            eng.post(0, 1, Tick(20 + i % kTicks), "test.x",
+                     [&eng, &seen, i] {
+                         seen.emplace_back(eng.queue(1).now(), i);
+                     },
+                     EventPriority::Default);
+        }
+        posted = true;
+    });
+
+    // The round that posted them ends at a barrier where the
+    // predicate holds: the messages are still staged, not delivered.
+    eng.runUntil([&posted] { return posted; });
+    EXPECT_TRUE(seen.empty());
+    EXPECT_EQ(eng.queue(1).pendingEvents(), 0u);
+    EXPECT_EQ(eng.pendingEvents(), std::uint64_t(kMsgs));
+    EXPECT_EQ(eng.crossPosts(), std::uint64_t(kMsgs));
+
+    eng.run();
+    std::vector<std::pair<Tick, int>> want;
+    for (int i = 0; i < kMsgs; ++i)
+        want.emplace_back(Tick(20 + i % kTicks), i);
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(seen, want) << "each at its tick, ties in stamp order";
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+    EXPECT_EQ(eng.crossPosts(), std::uint64_t(kMsgs));
+}
+
 TEST(Sharded, WindowsWidenForDecoupledShards)
 {
     // Promise-based horizons: shard 1 has nothing pending, so the
@@ -280,28 +320,21 @@ TEST(Sharded, NodeMajorShardFiresNodesInAscendingOrder)
     // spans ticks [42, 51]. Each node has one event in it, scheduled
     // in scrambled node order, and higher nodes (mod 10) hold earlier
     // ticks. Node-major execution fires them in ascending node order,
-    // not tick order, each at its own tick; canonical order (the
-    // FIFO-NIC mode) fires them by (tick, node).
-    for (const bool canonical : {false, true}) {
-        ShardedEngine eng(17, 1, 10);
-        eng.setCanonicalOrder(canonical);
-        std::vector<std::pair<Tick, int>> seen;
-        for (unsigned k = 0; k < 17; ++k) {
-            const NodeId n = (k * 7) % 17;
-            eng.queue(n).schedule(
-                51 - n % 10, "test.same", [&eng, &seen, n] {
-                    seen.emplace_back(eng.queue(n).now(), int(n));
-                });
-        }
-        eng.run();
-        std::vector<std::pair<Tick, int>> want;
-        for (int n = 0; n < 17; ++n)
-            want.emplace_back(Tick(51 - n % 10), n);
-        if (canonical)
-            std::sort(want.begin(), want.end());
-        EXPECT_EQ(seen, want) << (canonical ? "canonical" : "node-major");
-        EXPECT_EQ(eng.subWindows(), canonical ? 0u : 1u);
+    // not tick order, each at its own tick.
+    ShardedEngine eng(17, 1, 10);
+    std::vector<std::pair<Tick, int>> seen;
+    for (unsigned k = 0; k < 17; ++k) {
+        const NodeId n = (k * 7) % 17;
+        eng.queue(n).schedule(51 - n % 10, "test.same", [&eng, &seen, n] {
+            seen.emplace_back(eng.queue(n).now(), int(n));
+        });
     }
+    eng.run();
+    std::vector<std::pair<Tick, int>> want;
+    for (int n = 0; n < 17; ++n)
+        want.emplace_back(Tick(51 - n % 10), n);
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(eng.subWindows(), 1u);
 }
 
 TEST(Sharded, NodeMajorPostOneLookaheadOutFiresInTheNextSubWindow)

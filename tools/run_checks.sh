@@ -267,7 +267,7 @@ step_ctest() {
 
 step_tsan() {
     echo
-    echo "== TSan: SPSC mailboxes + sharded engine + fault recovery =="
+    echo "== TSan: sharded engine + mailboxes + fault recovery + FIFO NIC =="
     if [ "${SHRIMP_SKIP_TSAN:-0}" = "1" ] && [ -z "${SHRIMP_ONLY:-}" ]
     then
         echo "SHRIMP_SKIP_TSAN=1; skipping"
@@ -279,15 +279,17 @@ step_tsan() {
         -DSHRIMP_WERROR=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
     cmake --build "${tsan_dir}" -j "$(nproc)" \
-        --target test_sim test_integration > /dev/null
+        --target test_sim test_integration test_baseline > /dev/null
     # The worker threads, barriers, and cross-shard mailboxes are the
     # only concurrency in the simulator; together with the NI
     # retransmission machinery running under shards (FaultRecovery*)
+    # and the FIFO NIC's words and credits crossing shards (FifoNic*)
     # these filters cover all of it.
     "${tsan_dir}/tests/test_sim" \
-        --gtest_filter='Spsc*:Sharded*:SpinBarrier*'
+        --gtest_filter='Sharded*:SpinBarrier*'
     "${tsan_dir}/tests/test_integration" \
         --gtest_filter='ShardDeterminism*:FaultRecovery*'
+    "${tsan_dir}/tests/test_baseline" --gtest_filter='FifoNic*'
 }
 
 step_chaos() {

@@ -38,11 +38,11 @@
  *       in src/sim or src/shrimp without a
  *       `// shrimp-lint: shard-safe(<reason>)` annotation. Shard
  *       workers run concurrently; cross-shard data must flow through
- *       SpscRing mailboxes, not globals.
+ *       NodeRouter::post, not globals.
  *   S2  event labels passed to any entry point that stores them —
- *       EventQueue::schedule/scheduleIn/scheduleStamped,
- *       NodeRouter::post, NetworkInterface::postToNode — must be
- *       string literals (the queue stores the pointer): an argument
+ *       EventQueue::schedule/scheduleIn/scheduleStamped and
+ *       NodeRouter::post — must be string literals (the queue stores
+ *       the pointer): an argument
  *       built from `.c_str()`, `std::string`, `to_string`, or `+`
  *       concatenation dangles once the temporary dies.
  *
@@ -1031,7 +1031,6 @@ const LabelSink kLabelSinks[] = {
     {"scheduleIn", 1},      // (delay, name, fn, ...)
     {"scheduleStamped", 2}, // (when, stamp, name, fn, ...)
     {"post", 3},            // (src, dst, when, name, fn, prio)
-    {"postToNode", 2},      // (dst, when, name, fn)
 };
 
 void
