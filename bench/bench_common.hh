@@ -37,12 +37,6 @@ struct MessageTiming
     // Sender-side controller statistics (UDMA runs only).
     std::uint64_t statusLoads = 0;
     std::uint64_t queueRefusals = 0;
-    std::uint64_t invals = 0;
-    // Whole-system kernel invariant counters (all nodes).
-    std::uint64_t i1Invals = 0;
-    std::uint64_t i2Shootdowns = 0;
-    std::uint64_t i3DirtyFaults = 0;
-    std::uint64_t contextSwitches = 0;
 
     double
     bandwidthBytesPerUs() const
@@ -206,8 +200,7 @@ class BenchReport
         w.endObject();
         w.key("histograms");
         w.beginObject();
-        stats::JsonDumper d(w);
-        d.histogram("latency_us", "", latencyUs_);
+        stats::writeJson(w, "latency_us", latencyUs_);
         w.endObject();
         if (profiler_) {
             w.key("profile");
@@ -334,14 +327,6 @@ timeUdmaMessage(std::uint64_t bytes, const sim::MachineParams &params,
     if (auto *ctrl = send.controller(0)) {
         result.statusLoads = ctrl->statusLoads();
         result.queueRefusals = ctrl->queueRefusals();
-        result.invals = ctrl->invalsApplied();
-    }
-    for (unsigned i = 0; i < sys.nodeCount(); ++i) {
-        auto &k = sys.node(i).kernel();
-        result.i1Invals += k.i1Invals();
-        result.i2Shootdowns += k.i2Shootdowns();
-        result.i3DirtyFaults += k.i3DirtyFaults();
-        result.contextSwitches += k.contextSwitches();
     }
     captureSystem(sys);
     if (auto *r = BenchReport::active())
@@ -423,13 +408,6 @@ timePioMessage(std::uint64_t bytes, const sim::MachineParams &params)
 
     sys.runSetup([&] { return sender_started; }, Tick(120) * tickSec);
     sys.runUntilAllDone(Tick(120) * tickSec);
-    for (unsigned i = 0; i < sys.nodeCount(); ++i) {
-        auto &k = sys.node(i).kernel();
-        result.i1Invals += k.i1Invals();
-        result.i2Shootdowns += k.i2Shootdowns();
-        result.i3DirtyFaults += k.i3DirtyFaults();
-        result.contextSwitches += k.contextSwitches();
-    }
     captureSystem(sys);
     if (auto *r = BenchReport::active())
         r->recordTiming(result);
@@ -518,13 +496,6 @@ timeTraditionalNiMessage(std::uint64_t bytes,
     sys.runSetup([&] { return shared.imported; }, Tick(120) * tickSec);
     sys.runUntilAllDone(Tick(120) * tickSec);
     sys.run();
-    for (unsigned i = 0; i < sys.nodeCount(); ++i) {
-        auto &k = sys.node(i).kernel();
-        result.i1Invals += k.i1Invals();
-        result.i2Shootdowns += k.i2Shootdowns();
-        result.i3DirtyFaults += k.i3DirtyFaults();
-        result.contextSwitches += k.contextSwitches();
-    }
     captureSystem(sys);
     if (auto *r = BenchReport::active())
         r->recordTiming(result);

@@ -31,7 +31,7 @@ FifoNic::proxyLoad(const vm::Decoded &decoded, Addr)
       case regTxSpace:
         return fifoWords() - txFifo_.size();
       case regRxAvail:
-        return rxFifo_.size();
+        return std::min<std::size_t>(rxFifo_.size(), fifoWords());
       case regRxData: {
         if (rxFifo_.empty())
             return 0;
@@ -101,8 +101,8 @@ FifoNic::pump()
     router_.post(
         node_, destNode_, linkFreeAt_ + fabric_.routeLatency(node_, destNode_),
         "fifonic.deliver",
-        [peer, src = node_, words = std::move(words)]() mutable {
-            peer->land(src, std::move(words), 0);
+        [peer, src = node_, words = std::move(words)] {
+            peer->land(src, words);
         },
         sim::EventPriority::DeviceCompletion);
     eq_.schedule(linkFreeAt_, "fifonic.pump", [this] {
@@ -112,21 +112,10 @@ FifoNic::pump()
 }
 
 void
-FifoNic::land(NodeId src, std::vector<std::uint64_t> words,
-              std::size_t idx)
+FifoNic::land(NodeId src, const std::vector<std::uint64_t> &words)
 {
-    while (idx < words.size() && rxFifo_.size() < fifoWords())
-        rxFifo_.push_back({words[idx++], src});
-    if (idx == words.size())
-        return;
-    // Several senders' credits can oversubscribe the FIFO: the rest
-    // waits at the ejection port and retries.
-    eq_.scheduleIn(
-        params_.linkLatency(), "fifonic.redeliver",
-        [this, src, words = std::move(words), idx]() mutable {
-            land(src, std::move(words), idx);
-        },
-        sim::EventPriority::DeviceCompletion);
+    for (std::uint64_t w : words)
+        rxFifo_.push_back({w, src});
 }
 
 } // namespace shrimp::baseline

@@ -156,10 +156,9 @@ class FifoNic : public bus::ProxyClient
 
     void pump();
 
-    /** On this node's queue: move @p words from @p idx on into the
-     *  incoming FIFO; what does not fit waits at the ejection port. */
-    void land(NodeId src, std::vector<std::uint64_t> words,
-              std::size_t idx);
+    /** On this node's queue: append @p words behind every word that
+     *  landed before them. */
+    void land(NodeId src, const std::vector<std::uint64_t> &words);
 
     std::uint32_t fifoWords() const { return params_.niFifoBytes / 8; }
 
@@ -173,6 +172,12 @@ class FifoNic : public bus::ProxyClient
 
     NodeId destNode_ = 0;
     std::deque<std::uint64_t> txFifo_;
+    /**
+     * Every landed word, in arrival order. The first fifoWords() are
+     * the incoming FIFO; several senders' credits can oversubscribe
+     * it, and the rest wait at the ejection port, each entering the
+     * FIFO as the CPU pops the word ahead of it.
+     */
     std::deque<RxWord> rxFifo_;
     /** credits_[n]: words this NIC may still send node n. */
     std::vector<std::uint32_t> credits_;

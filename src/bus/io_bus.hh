@@ -60,14 +60,10 @@ class IoBus
     IoBus(sim::EventQueue &eq, const sim::MachineParams &params)
         : eq_(eq), params_(params)
     {
-        statGroup_.addScalar("bursts", &bursts_,
-                             "burst-mode DMA transactions");
-        statGroup_.addScalar("words", &words_,
-                             "single-word (PIO) transactions");
-        statGroup_.addScalar("busyTicks", &busyTicks_,
-                             "ticks the bus was occupied");
-        statGroup_.addHistogram("burst_bytes", &burstBytes_,
-                                "burst-mode transaction sizes (bytes)");
+        statGroup_.addScalar("bursts", &bursts_);
+        statGroup_.addScalar("words", &words_);
+        statGroup_.addScalar("busyTicks", &busyTicks_);
+        statGroup_.addHistogram("burst_bytes", &burstBytes_);
     }
 
     /** Attach the proxy client for device index @p device. */
@@ -156,10 +152,14 @@ class IoBus
     const sim::MachineParams &params_;
     Tick freeAt_ = 0;
     std::vector<ProxyClient *> clients_;
+    /** Ticks the bus was occupied. */
     stats::Scalar busyTicks_;
+    /** Burst-mode (DMA) transactions. */
     stats::Scalar bursts_;
+    /** Single-word (PIO) transactions. */
     stats::Scalar words_;
-    /** Burst sizes: DMA chunking is visible here (256-byte chunks). */
+    /** Burst sizes in bytes: DMA chunking is visible here (256-byte
+     *  chunks). */
     stats::Histogram burstBytes_{0, 4096, 16};
     stats::StatGroup statGroup_{"bus"};
 };

@@ -8,9 +8,8 @@
  * window barriers.
  *
  * Enabled per run with `--audit=every-event|on-switch|at-barrier`
- * (threaded through core::parseRunOptions) or the SHRIMP_AUDIT
- * environment variable, and programmatically with
- * System::enableAudit.
+ * (threaded through core::parseRunOptions), and programmatically
+ * with System::enableAudit.
  */
 
 #ifndef SHRIMP_CHECK_MONITOR_HH

@@ -20,38 +20,21 @@ namespace
 {
 
 /**
- * Audit spec from `--audit=` awaiting the next System construction
- * (parseRunOptions runs before the System exists in every main).
+ * What `--faults=`, `--topo=` and `--audit=` chose, parsed once by
+ * parseRunOptions (which runs before the System exists in every main)
+ * and applied to every System the process builds afterwards.
  */
-std::string g_pendingAuditSpec;
+net::FaultConfig g_faults;
+sim::TopologyConfig g_topology;
+std::string g_auditSpec;
 
-/**
- * Fault spec from `--faults=` awaiting the next System construction
- * (same pattern as the audit spec above).
- */
-std::string g_pendingFaultSpec;
-
-/**
- * Topology spec from `--topo=` awaiting the next System construction
- * in this process (same lifecycle as the audit/fault specs above).
- */
-std::string g_pendingTopoSpec;
-
-/**
- * Honour SHRIMP_TRACE=dma,vm,os,ni,bus,xfer (or "all"): enable those
- * trace categories on stderr. Lets every example and bench be traced
- * without recompilation.
- */
-void
-applyTraceEnv()
+/** A deliberately filled config wins over the flag's, the flag's over
+ *  the default. */
+template <typename Config>
+const Config &
+chosen(const Config &cfg, const Config &flag)
 {
-    const char *env = std::getenv("SHRIMP_TRACE");
-    if (!env || !*env)
-        return;
-    if (!trace::applySpec(env, &std::cerr))
-        std::cerr << "SHRIMP_TRACE: unknown category in '" << env
-                  << "' (want dma,vm,os,ni,bus,xfer,net.fault or "
-                     "all)\n";
+    return cfg.specified || !flag.specified ? cfg : flag;
 }
 
 } // namespace
@@ -174,22 +157,14 @@ Node::deviceIndexOf(DeviceKind kind) const
 }
 
 /**
- * The wiring this System runs with. Mirrors the fault precedence: a
- * deliberately filled SystemConfig::topology wins; otherwise
- * SHRIMP_TOPO wins over a --topo= seen by parseRunOptions. A non-flat
- * grid that does not match the node count is a configuration error,
- * not something to silently pad: routing math indexes the grid.
+ * The wiring this System runs with. A non-flat grid that does not
+ * match the node count is a configuration error, not something to
+ * silently pad: routing math indexes the grid.
  */
 static sim::TopologyConfig
 resolvedTopology(const SystemConfig &cfg)
 {
-    sim::TopologyConfig topo = cfg.topology;
-    if (!topo.specified) {
-        const char *tenv = std::getenv("SHRIMP_TOPO");
-        std::string tspec = tenv && *tenv ? tenv : g_pendingTopoSpec;
-        if (!tspec.empty())
-            sim::parseTopologySpec(tspec, topo, &std::cerr);
-    }
+    const sim::TopologyConfig &topo = chosen(cfg.topology, g_topology);
     if (!topo.flat() && topo.gridNodes() != cfg.nodes) {
         fatal("topology ", topo.describe(), " wires ",
               topo.gridNodes(), " nodes but the system has ",
@@ -207,7 +182,6 @@ System::System(const SystemConfig &cfg)
 {
     if (cfg.nodes == 0)
         fatal("a system needs at least one node");
-    applyTraceEnv();
 
     // The synchronization horizon comes from the interconnect: nothing
     // crosses nodes faster than the smallest packet's injection
@@ -240,27 +214,11 @@ System::System(const SystemConfig &cfg)
         nodes_.push_back(
             std::make_unique<Node>(*this, i, cfg_, nodeEq(i)));
 
-    // Fault injection: a deliberately filled SystemConfig::faults
-    // wins; otherwise SHRIMP_FAULTS wins over a --faults= seen by
-    // parseRunOptions (mirroring the audit precedence below).
-    net::FaultConfig fcfg = cfg_.faults;
-    if (!fcfg.specified) {
-        const char *fenv = std::getenv("SHRIMP_FAULTS");
-        std::string fspec = fenv && *fenv ? fenv : g_pendingFaultSpec;
-        if (!fspec.empty())
-            net::parseFaultSpec(fspec, fcfg, &std::cerr);
-    }
-    if (fcfg.specified)
-        net_.setFaults(fcfg);
-
-    // SHRIMP_AUDIT wins over a --audit= seen by parseRunOptions.
-    const char *env = std::getenv("SHRIMP_AUDIT");
-    std::string spec = env && *env ? env : g_pendingAuditSpec;
-    if (!spec.empty() && !enableAudit(spec)) {
-        std::cerr << "audit: unknown mode '" << spec
-                  << "' (want every-event, on-switch, at-barrier or "
-                     "off)\n";
-    }
+    const net::FaultConfig &faults = chosen(cfg_.faults, g_faults);
+    if (faults.specified)
+        net_.setFaults(faults);
+    if (!g_auditSpec.empty())
+        enableAudit(g_auditSpec);
 }
 
 System::~System() = default;
@@ -287,44 +245,6 @@ System::enableAudit(const std::string &spec, bool fail_fast)
             [this] { auditor_->auditNow("window-barrier"); });
     }
     return true;
-}
-
-void
-System::dumpStats(std::ostream &os)
-{
-    os << "sim.ticks " << simNow() << "\n";
-    os << "sim.events " << simEvents() << "\n";
-    os << "net.topology " << topo_.describe() << "\n";
-    os << "net.bytesRouted " << net_.bytesRouted() << "\n";
-    {
-        net::FaultCounters f = net_.faults().totals();
-        os << "net.fault.decisions " << f.decisions << "\n";
-        os << "net.fault.dropped " << f.dropped << "\n";
-        os << "net.fault.corrupted " << f.corrupted << "\n";
-        os << "net.fault.duplicated " << f.duplicated << "\n";
-        os << "net.fault.delayed " << f.delayed << "\n";
-        os << "net.fault.downDropped " << f.downDropped << "\n";
-    }
-    for (auto &np : nodes_) {
-        Node &n = *np;
-        std::string p = "node" + std::to_string(n.id()) + ".";
-        auto &k = n.kernel();
-        k.statGroup().dump(os, p);
-        os << p << "swap.pageWrites "
-           << k.backingStore().pageWrites() << "\n";
-        os << p << "swap.pageReads " << k.backingStore().pageReads()
-           << "\n";
-        n.ioBus().statGroup().dump(os, p);
-        os << p << "tlb.hits " << n.mmu().tlb().hits() << "\n";
-        os << p << "tlb.misses " << n.mmu().tlb().misses() << "\n";
-        for (auto *c : k.controllers()) {
-            c->statGroup().dump(os, p);
-            c->engineStatGroup().dump(
-                os, p + c->statGroup().name() + ".");
-        }
-        if (auto *ni = n.ni())
-            ni->statGroup().dump(os, p);
-    }
 }
 
 void
@@ -361,25 +281,24 @@ System::dumpStatsJson(std::ostream &os)
         auto &k = n.kernel();
         w.beginObject();
         w.field("id", std::uint64_t(n.id()));
-        stats::JsonDumper d(w);
-        k.statGroup().accept(d);
+        k.statGroup().writeJson(w);
         w.key("swap");
         w.beginObject();
         w.field("pageWrites", k.backingStore().pageWrites());
         w.field("pageReads", k.backingStore().pageReads());
         w.endObject();
-        n.ioBus().statGroup().accept(d);
+        n.ioBus().statGroup().writeJson(w);
         w.key("tlb");
         w.beginObject();
         w.field("hits", n.mmu().tlb().hits());
         w.field("misses", n.mmu().tlb().misses());
         w.endObject();
         for (auto *c : k.controllers()) {
-            c->statGroup().accept(d);
-            c->engineStatGroup().accept(d, c->statGroup().name() + ".");
+            c->statGroup().writeJson(w);
+            c->engineStatGroup().writeJson(w, c->statGroup().name() + ".");
         }
         if (auto *ni = n.ni())
-            ni->statGroup().accept(d);
+            ni->statGroup().writeJson(w);
         w.endObject();
     }
     w.endArray();
@@ -420,7 +339,7 @@ parseRunOptions(int &argc, char **argv)
             if (!net::parseFaultSpec(spec, opts.faults, &std::cerr)) {
                 opts.ok = false;
             } else {
-                g_pendingFaultSpec = spec;
+                g_faults = opts.faults;
             }
             continue;
         }
@@ -430,7 +349,7 @@ parseRunOptions(int &argc, char **argv)
                                         &std::cerr)) {
                 opts.ok = false;
             } else {
-                g_pendingTopoSpec = spec;
+                g_topology = opts.topology;
             }
             continue;
         }
@@ -443,7 +362,7 @@ parseRunOptions(int &argc, char **argv)
                              "at-barrier or off)\n";
                 opts.ok = false;
             } else {
-                g_pendingAuditSpec = opts.auditSpec;
+                g_auditSpec = opts.auditSpec;
             }
             continue;
         }
@@ -479,18 +398,6 @@ parseRunOptions(int &argc, char **argv)
         argv[out++] = argv[i];
     }
     argc = out;
-    // SHRIMP_TOPO fallback has to resolve *here*, not only inside
-    // resolvedTopology(): workloads that pin their SystemConfig
-    // topology from these options (ring.cc sets specified=true so a
-    // default-constructed config stays crossbar regardless of the
-    // environment) would otherwise never see the env var at all.
-    if (!opts.topology.specified) {
-        const char *tenv = std::getenv("SHRIMP_TOPO");
-        if (tenv && *tenv
-            && !sim::parseTopologySpec(tenv, opts.topology,
-                                       &std::cerr))
-            opts.ok = false;
-    }
     return opts;
 }
 

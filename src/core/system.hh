@@ -105,21 +105,18 @@ struct SystemConfig
     sim::MachineParams params;
     /**
      * Backplane wiring (sim::TopologyConfig): crossbar by default, 2D
-     * mesh/torus via `--topo=mesh:4x4` or SHRIMP_TOPO. Mirrors the
-     * faults precedence: when topology.specified is false the System
-     * falls back to the SHRIMP_TOPO environment variable or a
-     * `--topo=` spec seen by parseRunOptions; a deliberately filled
-     * config wins over both. A non-flat grid must match `nodes`
-     * exactly (fatal otherwise).
+     * mesh/torus via `--topo=mesh:4x4`. When topology.specified is
+     * false the System takes a `--topo=` spec seen by parseRunOptions;
+     * a deliberately filled config wins over it. A non-flat grid must
+     * match `nodes` exactly (fatal otherwise).
      */
     sim::TopologyConfig topology;
     NodeConfig node;
     /**
      * Backplane fault injection (shrimp/fault.hh). When
-     * faults.specified is false the System falls back to the
-     * SHRIMP_FAULTS environment variable or a `--faults=` spec seen
-     * by parseRunOptions; a deliberately filled config (specified ==
-     * true, even "off") wins over both.
+     * faults.specified is false the System takes a `--faults=` spec
+     * seen by parseRunOptions; a deliberately filled config
+     * (specified == true, even "off") wins over it.
      */
     net::FaultConfig faults;
 };
@@ -246,13 +243,7 @@ class System
     Tick runUntilAllDone(Tick limit = maxTick);
 
     /**
-     * Dump every component's statistics, gem5-style (one
-     * `nodeN.component.stat value` line each), to @p os.
-     */
-    void dumpStats(std::ostream &os);
-
-    /**
-     * Dump the same statistics as one JSON document:
+     * Dump every component's statistics as one JSON document:
      * `{ "sim": {...}, "net": {...}, "nodes": [ {...}, ... ],
      *    "spans": {...} }`, each node carrying its component groups
      * ("kernel", "bus", "udmaN", "udmaN.engine", "ni", ...).
@@ -280,8 +271,8 @@ class System
      *  its per-node queues. */
     std::unique_ptr<sim::ShardedEngine> engine_;
     vm::AddressLayout layout_;
-    /** Resolved wiring (cfg / SHRIMP_TOPO / --topo): declared before
-     *  the fabrics, which capture it by value at construction. */
+    /** Resolved wiring (cfg or --topo=): declared before the
+     *  fabrics, which capture it by value at construction. */
     sim::TopologyConfig topo_;
     net::Interconnect net_;
     baseline::FifoFabric fifoFabric_;
@@ -315,11 +306,11 @@ struct RunOptions
  * (compacting argc/argv in place
  * so argument-consuming frameworks never see them); a `--trace=` spec
  * is applied immediately, and an `--audit=` spec (`every-event`,
- * `on-switch` or `at-barrier`), a `--faults=` spec
+ * `on-switch`, `at-barrier` or `off`), a `--faults=` spec
  * (`drop=0.05,corrupt=0.02,...`, see parseFaultSpec), or a `--topo=`
  * spec (`crossbar`, `mesh:WxH`, `torus:WxH`, see parseTopologySpec)
- * is applied to
- * the next System constructed in this process. `--shards=N|auto` is
+ * is parsed here once and applied to every System constructed in
+ * this process afterwards. `--shards=N|auto` is
  * reported in RunOptions for the caller to place into
  * SystemConfig::shards (resolveShards maps `auto` to the host's core
  * count). Other arguments are left untouched.

@@ -21,17 +21,12 @@ DmaEngine::DmaEngine(sim::EventQueue &eq, const sim::MachineParams &params,
         double us = ticksToUs(Tick(busyTicks_.value()));
         return us > 0 ? bytes_.value() / us : 0.0;
     };
-    statGroup_.addScalar("transfersCompleted", &completed_,
-                         "transfers run to completion");
-    statGroup_.addScalar("bytesMoved", &bytes_, "payload bytes moved");
-    statGroup_.addScalar("stalls", &stalls_,
-                         "device flow-control stall events");
-    statGroup_.addScalar("transfersAborted", &aborted_,
-                         "transfers cancelled via abort");
-    statGroup_.addHistogram("xfer_us", &xferUs_,
-                            "completed-transfer latency (us)");
-    statGroup_.addFormula("bandwidth_mb_s", &bandwidth_,
-                          "bytes moved per busy microsecond");
+    statGroup_.addScalar("transfersCompleted", &completed_);
+    statGroup_.addScalar("bytesMoved", &bytes_);
+    statGroup_.addScalar("stalls", &stalls_);
+    statGroup_.addScalar("transfersAborted", &aborted_);
+    statGroup_.addHistogram("xfer_us", &xferUs_);
+    statGroup_.addFormula("bandwidth_mb_s", &bandwidth_);
 }
 
 void

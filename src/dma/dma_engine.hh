@@ -179,7 +179,9 @@ class DmaEngine
     std::vector<std::uint8_t> buf_;
 
     stats::Scalar completed_;
+    /** Payload bytes moved. */
     stats::Scalar bytes_;
+    /** Device flow-control stall events. */
     stats::Scalar stalls_;
     stats::Scalar aborted_;
     /** Completed-transfer latency, microseconds. */
@@ -187,7 +189,7 @@ class DmaEngine
     /** Ticks spent with a transfer programmed (for the bandwidth
      *  formula; includes aborted time). */
     stats::Scalar busyTicks_;
-    /** bytesMoved / busy time, MB/s, evaluated at dump. */
+    /** bytesMoved / busy time, MB/s, evaluated when written. */
     stats::Formula bandwidth_;
     stats::StatGroup statGroup_{"engine"};
     Tick xferStart_ = 0;

@@ -26,20 +26,13 @@ UdmaController::UdmaController(sim::EventQueue &eq,
     io_bus.attach(device_index, this);
     desc_.onComplete = [this] { engineDone(); };
 
-    statGroup_.addScalar("transfersStarted", &started_,
-                         "transfers handed to the engine");
-    statGroup_.addScalar("statusLoads", &statusLoads_,
-                         "proxy LOAD cycles (status reads)");
-    statGroup_.addScalar("badLoads", &badLoads_,
-                         "LOADs from the wrong proxy space");
-    statGroup_.addScalar("invalsApplied", &invals_,
-                         "Inval events that cleared a latch");
-    statGroup_.addScalar("queueRefusals", &refusals_,
-                         "requests refused with a full queue");
-    statGroup_.addScalar("transfersAborted", &aborts_,
-                         "transfers cancelled by the kernel");
-    statGroup_.addHistogram("initiate_us", &initiateUs_,
-                            "latch-to-start latency incl. queue wait (us)");
+    statGroup_.addScalar("transfersStarted", &started_);
+    statGroup_.addScalar("statusLoads", &statusLoads_);
+    statGroup_.addScalar("badLoads", &badLoads_);
+    statGroup_.addScalar("invalsApplied", &invals_);
+    statGroup_.addScalar("queueRefusals", &refusals_);
+    statGroup_.addScalar("transfersAborted", &aborts_);
+    statGroup_.addHistogram("initiate_us", &initiateUs_);
 }
 
 bool

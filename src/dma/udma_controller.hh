@@ -304,11 +304,17 @@ class UdmaController : public bus::ProxyClient
      *  allocates nothing once it has reached its high-water mark. */
     std::vector<PageRef> pageRefs_;
 
+    /** Transfers handed to the engine. */
     stats::Scalar started_;
+    /** Transfers cancelled by the kernel. */
     stats::Scalar aborts_;
+    /** LOADs from the wrong proxy space. */
     stats::Scalar badLoads_;
+    /** Inval events that cleared a latch. */
     stats::Scalar invals_;
+    /** Requests refused with a full queue. */
     stats::Scalar refusals_;
+    /** Proxy LOAD cycles (status reads). */
     stats::Scalar statusLoads_;
     /** Latch (STORE) to transfer start, including queue wait (us). */
     stats::Histogram initiateUs_{0, 256, 16};

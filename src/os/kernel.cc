@@ -34,29 +34,18 @@ Kernel::Kernel(sim::EventQueue &eq, const sim::MachineParams &params,
         freeFrames_.push_back(f - 1);
 
     freeFramesNow_ = [this] { return double(freeFrames_.size()); };
-    statGroup_.addScalar("contextSwitches", &switches_,
-                         "dispatches of a new process");
-    statGroup_.addScalar("pageFaults", &memFaults_,
-                         "real-memory page faults");
-    statGroup_.addScalar("proxyFaults", &proxyFaults_,
-                         "memory-proxy page faults");
-    statGroup_.addScalar("proxyWriteUpgrades", &proxyUpgrades_,
-                         "I3 write-upgrade faults");
-    statGroup_.addScalar("evictions", &evictions_, "frames evicted");
-    statGroup_.addScalar("evictionI4Skips", &i4Skips_,
-                         "eviction victims skipped for I4");
-    statGroup_.addScalar("processesKilled", &kills_,
-                         "processes killed by the kernel");
-    statGroup_.addScalar("i1_invals", &i1Invals_,
-                         "I1 context-switch Inval STOREs");
-    statGroup_.addScalar("i2_shootdowns", &i2Shootdowns_,
-                         "I2 proxy-mapping shootdowns");
-    statGroup_.addScalar("i3_dirty_faults", &i3DirtyFaults_,
-                         "I3 proxy write faults dirtying the real page");
-    statGroup_.addHistogram("fault_us", &faultUs_,
-                            "fault-handler latency (us)");
-    statGroup_.addFormula("freeFrames", &freeFramesNow_,
-                          "free physical frames");
+    statGroup_.addScalar("contextSwitches", &switches_);
+    statGroup_.addScalar("pageFaults", &memFaults_);
+    statGroup_.addScalar("proxyFaults", &proxyFaults_);
+    statGroup_.addScalar("proxyWriteUpgrades", &proxyUpgrades_);
+    statGroup_.addScalar("evictions", &evictions_);
+    statGroup_.addScalar("evictionI4Skips", &i4Skips_);
+    statGroup_.addScalar("processesKilled", &kills_);
+    statGroup_.addScalar("i1_invals", &i1Invals_);
+    statGroup_.addScalar("i2_shootdowns", &i2Shootdowns_);
+    statGroup_.addScalar("i3_dirty_faults", &i3DirtyFaults_);
+    statGroup_.addHistogram("fault_us", &faultUs_);
+    statGroup_.addFormula("freeFrames", &freeFramesNow_);
 }
 
 Kernel::~Kernel() = default;

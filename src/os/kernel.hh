@@ -611,14 +611,21 @@ class Kernel
     std::vector<std::uint64_t> drainingFrames_;
     std::size_t clockHand_ = 0;
 
+    /** Dispatches of a new process. */
     stats::Scalar switches_;
+    /** Real-memory page faults. */
     stats::Scalar memFaults_;
+    /** Memory-proxy page faults. */
     stats::Scalar proxyFaults_;
+    /** I3 write-upgrade faults. */
     stats::Scalar proxyUpgrades_;
     stats::Scalar evictions_;
+    /** Eviction victims skipped for I4. */
     stats::Scalar i4Skips_;
     stats::Scalar kills_;
-    /** Invariant-event counters (Section 6). */
+    /** Invariant-event counters (Section 6): I1 context-switch Inval
+     *  STOREs, I2 proxy-mapping shootdowns, and I3 proxy write faults
+     *  that dirty the real page. */
     stats::Scalar i1Invals_;
     stats::Scalar i2Shootdowns_;
     stats::Scalar i3DirtyFaults_;

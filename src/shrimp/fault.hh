@@ -57,8 +57,8 @@ struct FaultConfig
 {
     /**
      * True once a spec (even "off") was parsed or a caller filled the
-     * struct deliberately; lets an explicit config override the
-     * SHRIMP_FAULTS environment default in core::System.
+     * struct deliberately; lets an explicit config override a
+     * `--faults=` flag in core::System.
      */
     bool specified = false;
 

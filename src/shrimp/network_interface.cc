@@ -21,38 +21,22 @@ NetworkInterface::NetworkInterface(sim::EventQueue &eq,
 {
     net_.attach(node, this);
 
-    statGroup_.addScalar("messagesSent", &sent_,
-                         "messages launched onto the backplane");
-    statGroup_.addScalar("messagesDelivered", &delivered_,
-                         "complete messages deposited in memory");
-    statGroup_.addScalar("bytesDelivered", &rxBytes_,
-                         "payload bytes deposited in memory");
-    statGroup_.addScalar("autoUpdatesSent", &autoSent_,
-                         "automatic-update packets sent");
-    statGroup_.addScalar("autoUpdatesCombined", &autoCombined_,
-                         "stores merged by update combining");
-    statGroup_.addScalar("retransmits", &txStats_.retransmits,
-                         "chunks re-sent (fast retransmit + RTO)");
-    statGroup_.addScalar("fastRetransmits", &txStats_.fastRetransmits,
-                         "chunks re-sent by SACK fast retransmit");
-    statGroup_.addScalar("timeouts", &txStats_.timeouts,
-                         "retransmit-timer expiries");
-    statGroup_.addScalar("acksSent", &acksSent_,
-                         "acknowledgments sent (cumulative + dup)");
-    statGroup_.addScalar("rxDupDropped", &rxDupDropped_,
-                         "duplicate chunks discarded at the receiver");
-    statGroup_.addScalar("rxCorruptDropped", &rxCorruptDropped_,
-                         "checksum-mismatch chunks discarded");
-    statGroup_.addScalar("rxOooBuffered", &rxOooBuffered_,
-                         "chunks resequenced after arriving past a gap");
-    statGroup_.addScalar("ecnMarked", &ecnMarked_,
-                         "acks sent carrying the ECN overcommit mark");
-    statGroup_.addScalar("cwndCuts", &txStats_.cwndCuts,
-                         "congestion-window halvings (loss or ECN)");
-    statGroup_.addScalar("rescueSpurious", &txStats_.rescueSpurious,
-                         "rescue retransmits proven unnecessary");
-    statGroup_.addHistogram("delivery_us", &deliveryUs_,
-                            "sender start to last byte visible (us)");
+    statGroup_.addScalar("messagesSent", &sent_);
+    statGroup_.addScalar("messagesDelivered", &delivered_);
+    statGroup_.addScalar("bytesDelivered", &rxBytes_);
+    statGroup_.addScalar("autoUpdatesSent", &autoSent_);
+    statGroup_.addScalar("autoUpdatesCombined", &autoCombined_);
+    statGroup_.addScalar("retransmits", &txStats_.retransmits);
+    statGroup_.addScalar("fastRetransmits", &txStats_.fastRetransmits);
+    statGroup_.addScalar("timeouts", &txStats_.timeouts);
+    statGroup_.addScalar("acksSent", &acksSent_);
+    statGroup_.addScalar("rxDupDropped", &rxDupDropped_);
+    statGroup_.addScalar("rxCorruptDropped", &rxCorruptDropped_);
+    statGroup_.addScalar("rxOooBuffered", &rxOooBuffered_);
+    statGroup_.addScalar("ecnMarked", &ecnMarked_);
+    statGroup_.addScalar("cwndCuts", &txStats_.cwndCuts);
+    statGroup_.addScalar("rescueSpurious", &txStats_.rescueSpurious);
+    statGroup_.addHistogram("delivery_us", &deliveryUs_);
 }
 
 // --------------------------------------------------------------------

@@ -363,7 +363,9 @@ class NetworkInterface : public dma::UdmaDevice
     };
     PendingAuto pendingAuto_;
     sim::EventHandle autoFlushEvent_;
+    /** Automatic-update packets sent. */
     stats::Scalar autoSent_;
+    /** Stores merged into a pending packet by update combining. */
     stats::Scalar autoCombined_;
 
     // Transmit state.
@@ -397,13 +399,21 @@ class NetworkInterface : public dma::UdmaDevice
     /** Receiver flows, indexed by source NodeId. */
     std::vector<RxFlow> rxFlows_;
 
+    /** Messages launched onto the backplane. */
     stats::Scalar sent_;
+    /** Complete messages, and their payload bytes, deposited in
+     *  memory. */
     stats::Scalar delivered_;
     stats::Scalar rxBytes_;
+    /** Acknowledgments sent, cumulative and duplicate. */
     stats::Scalar acksSent_;
+    /** Duplicate chunks discarded at the receiver. */
     stats::Scalar rxDupDropped_;
+    /** Checksum-mismatch chunks discarded. */
     stats::Scalar rxCorruptDropped_;
+    /** Chunks resequenced after arriving past a gap. */
     stats::Scalar rxOooBuffered_;
+    /** Acks sent carrying the ECN overcommit mark. */
     stats::Scalar ecnMarked_;
     /** Sender engine start to last byte in memory, microseconds. */
     stats::Histogram deliveryUs_{0, 1024, 32};

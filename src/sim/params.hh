@@ -58,8 +58,8 @@ struct TopologyConfig
     unsigned dimX = 0;
     unsigned dimY = 0;
     /** True once a spec was parsed or a caller filled the struct
-     *  deliberately; lets an explicit config override the SHRIMP_TOPO
-     *  environment default in core::System. */
+     *  deliberately; lets an explicit config override a `--topo=`
+     *  flag in core::System. */
     bool specified = false;
 
     bool flat() const { return kind == Kind::Crossbar; }

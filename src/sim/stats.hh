@@ -2,15 +2,14 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Components own named statistics (scalars, averages, histograms,
- * derived formulas) registered in a StatGroup; a System can dump
- * every group to a stream at the end of a run, either as text or as
- * JSON via the visitor interface. Stats never affect simulated
- * behaviour.
+ * Components own named statistics (scalars, histograms, derived
+ * formulas) registered in a StatGroup; a System writes every group
+ * into its JSON document at the end of a run (System::dumpStatsJson).
+ * Stats never affect simulated behaviour.
  *
  * Naming convention: a stat's full name is `component.metric`
- * (e.g. `kernel.i1_invals`, `engine.xfer_us`); System adds a
- * `nodeN.` prefix when dumping per-node groups.
+ * (e.g. `kernel.i1_invals`, `engine.xfer_us`); each node's groups sit
+ * in that node's object of the document's `nodes` array.
  */
 
 #ifndef SHRIMP_SIM_STATS_HH
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,7 +39,7 @@ class Scalar
     double value_ = 0;
 };
 
-/** Mean/min/max over observed samples. */
+/** Mean/min/max over observed samples: a Histogram's summary. */
 class Average
 {
   public:
@@ -194,7 +192,7 @@ class Histogram
 };
 
 /**
- * A derived stat evaluated at dump time from other stats
+ * A derived stat evaluated from other stats when its group is written
  * (e.g. bytes moved / busy time = bandwidth).
  */
 class Formula
@@ -217,78 +215,12 @@ class Formula
 };
 
 /**
- * Visitor over a StatGroup's registered stats. beginGroup receives the
- * group's full dotted name (including any dump prefix); per-stat hooks
- * receive the short metric name. Stats are visited in registration
- * order, scalars first, then averages, histograms, and formulas
- * last.
+ * Write @p h as the member `"name": {...}` of the object @p w is in:
+ * the summary (mean/count/min/max), the bucket geometry, the under-
+ * and overflow counts and a `buckets` array.
  */
-class StatVisitor
-{
-  public:
-    virtual ~StatVisitor() = default;
-
-    virtual void beginGroup(const std::string &fullName) { (void)fullName; }
-    virtual void endGroup() {}
-
-    virtual void scalar(const std::string &name, const std::string &desc,
-                        const Scalar &s) = 0;
-    virtual void average(const std::string &name, const std::string &desc,
-                         const Average &a) = 0;
-    virtual void histogram(const std::string &name, const std::string &desc,
-                           const Histogram &h) = 0;
-    virtual void formula(const std::string &name, const std::string &desc,
-                         const Formula &f) = 0;
-};
-
-/** Prints `group.metric value` lines, gem5-dump style. */
-class TextDumper : public StatVisitor
-{
-  public:
-    explicit TextDumper(std::ostream &os) : os_(os) {}
-
-    void beginGroup(const std::string &fullName) override;
-    void scalar(const std::string &name, const std::string &desc,
-                const Scalar &s) override;
-    void average(const std::string &name, const std::string &desc,
-                 const Average &a) override;
-    void histogram(const std::string &name, const std::string &desc,
-                   const Histogram &h) override;
-    void formula(const std::string &name, const std::string &desc,
-                 const Formula &f) override;
-
-  private:
-    std::ostream &os_;
-    std::string group_;
-};
-
-/**
- * Writes each group as a JSON object keyed by its full name. The
- * caller owns the surrounding JsonWriter and must already be inside an
- * object; one `"group": { "metric": ... }` member is emitted per
- * visited group. Scalars and formulas become numbers; averages and
- * histograms become objects (histograms carry a `buckets` array plus
- * the bucket geometry).
- */
-class JsonDumper : public StatVisitor
-{
-  public:
-    explicit JsonDumper(sim::JsonWriter &w) : w_(w) {}
-
-    void beginGroup(const std::string &fullName) override;
-    void endGroup() override;
-    void scalar(const std::string &name, const std::string &desc,
-                const Scalar &s) override;
-    void average(const std::string &name, const std::string &desc,
-                 const Average &a) override;
-    void histogram(const std::string &name, const std::string &desc,
-                   const Histogram &h) override;
-    void formula(const std::string &name, const std::string &desc,
-                 const Formula &f) override;
-
-  private:
-    sim::JsonWriter &w_;
-};
+void writeJson(sim::JsonWriter &w, const std::string &name,
+               const Histogram &h);
 
 /**
  * A named collection of statistics. Components hold one of these and
@@ -305,56 +237,42 @@ class StatGroup
     StatGroup &operator=(const StatGroup &) = delete;
 
     void
-    addScalar(const std::string &name, const Scalar *s,
-              const std::string &desc = {})
+    addScalar(const std::string &name, const Scalar *s)
     {
-        scalars_.push_back({name, desc, s});
+        scalars_.push_back({name, s});
     }
 
     void
-    addAverage(const std::string &name, const Average *a,
-               const std::string &desc = {})
+    addHistogram(const std::string &name, const Histogram *h)
     {
-        averages_.push_back({name, desc, a});
+        histograms_.push_back({name, h});
     }
 
     void
-    addHistogram(const std::string &name, const Histogram *h,
-                 const std::string &desc = {})
+    addFormula(const std::string &name, const Formula *f)
     {
-        histograms_.push_back({name, desc, h});
-    }
-
-    void
-    addFormula(const std::string &name, const Formula *f,
-               const std::string &desc = {})
-    {
-        formulas_.push_back({name, desc, f});
+        formulas_.push_back({name, f});
     }
 
     const std::string &name() const { return name_; }
 
-    /** Visit every registered stat; prefix is prepended to the name. */
-    void accept(StatVisitor &v, const std::string &prefix = {}) const;
-
-    /** Print all registered stats, one per line, gem5-dump style. */
-    void dump(std::ostream &os, const std::string &prefix = {}) const;
-
-    /** Write this group's stats as one standalone JSON object. */
-    void dumpJson(std::ostream &os) const;
+    /**
+     * Write the group as the member `"prefix + name": {...}` of the
+     * object @p w is in: scalars, then histograms, then formulas, each
+     * kind in registration order. Scalars and formulas are numbers.
+     */
+    void writeJson(sim::JsonWriter &w, const std::string &prefix = {}) const;
 
   private:
     template <typename T>
     struct Entry
     {
         std::string name;
-        std::string desc;
         const T *stat;
     };
 
     std::string name_;
     std::vector<Entry<Scalar>> scalars_;
-    std::vector<Entry<Average>> averages_;
     std::vector<Entry<Histogram>> histograms_;
     std::vector<Entry<Formula>> formulas_;
 };

@@ -52,8 +52,8 @@ void setEnabledMask(unsigned mask);
 /**
  * Enable categories from a comma-separated spec ("dma,xfer" or "all")
  * and install the sink. Returns false (leaving state untouched) if the
- * spec names an unknown category. Used by SHRIMP_TRACE env parsing and
- * the bench `--trace=` option.
+ * spec names an unknown category. Used by the `--trace=` option
+ * (core::parseRunOptions).
  */
 bool applySpec(const std::string &spec, std::ostream *os);
 

@@ -46,11 +46,11 @@ runRing(const RingConfig &cfg)
     scfg.node.devices.push_back(DeviceConfig{});
     // Always install the caller's fault config (specified = true), so
     // a default-constructed RingConfig is genuinely fault-free even
-    // when the process saw --faults= or SHRIMP_FAULTS.
+    // when the process saw --faults=.
     scfg.faults = cfg.faults;
     scfg.faults.specified = true;
     // Same deliberateness for the wiring: the caller's topology always
-    // wins over SHRIMP_TOPO / --topo= seen by the surrounding main.
+    // wins over a --topo= seen by the surrounding main.
     scfg.topology = cfg.topology;
     scfg.topology.specified = true;
     System sys(scfg);

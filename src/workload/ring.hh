@@ -68,14 +68,14 @@ struct RingConfig
      * Backplane fault injection. Always installed with
      * specified = true, so an in-process reference run with a
      * default-constructed config really is fault-free even when the
-     * surrounding main saw `--faults=` or SHRIMP_FAULTS.
+     * surrounding main saw `--faults=`.
      */
     net::FaultConfig faults;
     /**
      * Backplane wiring (crossbar default, or mesh/torus — must match
      * `nodes` when non-flat). Always passed through to SystemConfig,
      * so an in-process reference run with a default-constructed
-     * config really is a crossbar even under SHRIMP_TOPO / --topo=.
+     * config really is a crossbar even under `--topo=`.
      */
     sim::TopologyConfig topology;
     /**

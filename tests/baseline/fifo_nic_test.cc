@@ -33,16 +33,27 @@ fifoConfig(unsigned nodes = 2)
 struct FifoRun
 {
     std::vector<std::uint64_t> got;
+    /** The largest RX_AVAIL the receiver read. */
+    std::uint64_t maxAvail = 0;
     Tick now = 0;
     std::uint64_t events = 0;
 };
 
+/** The @p i-th word sender @p n sends: both halves stay readable. */
+std::uint64_t
+senderWord(unsigned n, std::uint64_t i)
+{
+    return (std::uint64_t(n + 1) << 32) | i;
+}
+
 /**
- * Nodes 0 and 1 each send node 2 @p words words; node 2 pops them all
- * in arrival order. The senders wait for the receiver under runSetup.
+ * Nodes 0 and 1 each send node 2 @p words words; node 2 computes for
+ * @p think, then pops them all in arrival order. The senders wait for
+ * the receiver under runSetup.
  */
 FifoRun
-twoSendersIntoNodeTwo(unsigned shards, std::uint64_t words)
+twoSendersIntoNodeTwo(unsigned shards, std::uint64_t words,
+                      Tick think = 0)
 {
     SystemConfig cfg = fifoConfig(3);
     cfg.shards = shards;
@@ -56,9 +67,14 @@ twoSendersIntoNodeTwo(unsigned shards, std::uint64_t words)
         "recv", [&](os::UserContext &ctx) -> sim::ProcTask {
             Addr win = co_await ctx.sysMapDeviceProxy(0, 0, 2, true);
             recv_ready = true;
+            if (think > 0) {
+                co_await ctx.compute(
+                    std::uint64_t(think / sys.params().instrTicks(1)));
+            }
             while (run.got.size() < 2 * words) {
                 std::uint64_t avail =
                     co_await ctx.load(win + FifoNic::regRxAvail);
+                run.maxAvail = std::max(run.maxAvail, avail);
                 for (std::uint64_t i = 0; i < avail; ++i) {
                     run.got.push_back(
                         co_await ctx.load(win + FifoNic::regRxData));
@@ -76,7 +92,7 @@ twoSendersIntoNodeTwo(unsigned shards, std::uint64_t words)
                 co_await ctx.store(win + FifoNic::regDestNode, 2);
                 Addr tx = win + ctx.pageBytes();
                 for (std::uint64_t w = 0; w < words; ++w)
-                    co_await ctx.store(tx, 100 * (n + 1) + w);
+                    co_await ctx.store(tx, senderWord(n, w));
             });
     }
 
@@ -141,8 +157,12 @@ TEST(FifoNic, RunsOnOneShardOfAMultiNodeSystem)
     // 2 through the PIO path, each at its sender's own clock.
     FifoRun run = twoSendersIntoNodeTwo(1, 4);
     std::sort(run.got.begin(), run.got.end());
-    EXPECT_EQ(run.got, (std::vector<std::uint64_t>{100, 101, 102, 103,
-                                                   200, 201, 202, 203}));
+    std::vector<std::uint64_t> want;
+    for (unsigned n = 0; n < 2; ++n) {
+        for (std::uint64_t w = 0; w < 4; ++w)
+            want.push_back(senderWord(n, w));
+    }
+    EXPECT_EQ(run.got, want);
 }
 
 TEST(FifoNic, EveryShardCountRunsTheSameSimulation)
@@ -155,6 +175,44 @@ TEST(FifoNic, EveryShardCountRunsTheSameSimulation)
     for (unsigned shards : {2u, 3u}) {
         const FifoRun run = twoSendersIntoNodeTwo(shards, 64);
         EXPECT_EQ(run.got, one.got) << shards << " shards";
+        EXPECT_EQ(run.now, one.now) << shards << " shards";
+        EXPECT_EQ(run.events, one.events) << shards << " shards";
+    }
+}
+
+TEST(FifoNic, OversubscribedFifoKeepsEachSendersOrder)
+{
+    // Each sender's credits cover the receiver's whole FIFO, so while
+    // the receiver computes for 2 ms both senders land a FIFO's worth
+    // of words: twice what it holds. The overflow waits at the
+    // ejection port in arrival order, so each sender's words come out
+    // exactly once and in order, RX_AVAIL never reads above the FIFO
+    // size, and every shard count runs the same simulation.
+    const sim::MachineParams p;
+    const std::uint64_t fifo = p.niFifoBytes / 8;
+    const FifoRun one = twoSendersIntoNodeTwo(1, fifo, 2 * tickMs);
+    ASSERT_EQ(one.got.size(), 2 * fifo);
+    EXPECT_EQ(one.maxAvail, fifo);
+    for (unsigned n = 0; n < 2; ++n) {
+        std::vector<std::uint64_t> mine;
+        for (std::uint64_t w : one.got) {
+            if (w >> 32 == n + 1)
+                mine.push_back(w);
+        }
+        std::size_t inversions = 0;
+        for (std::size_t i = 1; i < mine.size(); ++i)
+            inversions += mine[i] < mine[i - 1];
+        std::vector<std::uint64_t> want;
+        for (std::uint64_t w = 0; w < fifo; ++w)
+            want.push_back(senderWord(n, w));
+        EXPECT_TRUE(mine == want)
+            << "sender " << n << ": " << mine.size() << " words, "
+            << inversions << " inversions";
+    }
+    for (unsigned shards : {2u, 3u}) {
+        const FifoRun run = twoSendersIntoNodeTwo(shards, fifo, 2 * tickMs);
+        EXPECT_TRUE(run.got == one.got) << shards << " shards";
+        EXPECT_EQ(run.maxAvail, one.maxAvail) << shards << " shards";
         EXPECT_EQ(run.now, one.now) << shards << " shards";
         EXPECT_EQ(run.events, one.events) << shards << " shards";
     }

@@ -1,17 +1,42 @@
 /**
  * @file
- * Tests for System::dumpStats.
+ * Tests for System::dumpStatsJson.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "../support/mini_json.hh"
 #include "core/system.hh"
 #include "core/udma_lib.hh"
 
 using namespace shrimp;
 using namespace shrimp::core;
+
+namespace
+{
+
+/** Parse @p sys's statistics document, which has a `nodes` array,
+ *  into @p doc. */
+void
+parseStats(System &sys, minijson::Value &doc)
+{
+    std::ostringstream os;
+    sys.dumpStatsJson(os);
+    std::string err;
+    ASSERT_TRUE(minijson::parse(os.str(), doc, &err)) << err;
+    ASSERT_NE(doc.find("nodes"), nullptr);
+}
+
+/** Node @p i's object in the document's `nodes` array. */
+const minijson::Value &
+node(const minijson::Value &doc, std::size_t i)
+{
+    return doc.find("nodes")->array.at(i);
+}
+
+} // namespace
 
 TEST(StatsDump, EmitsAllComponentCounters)
 {
@@ -28,19 +53,19 @@ TEST(StatsDump, EmitsAllComponentCounters)
         });
     sys.runUntilAllDone();
 
-    std::ostringstream os;
-    sys.dumpStats(os);
-    std::string out = os.str();
-
+    minijson::Value doc;
+    ASSERT_NO_FATAL_FAILURE(parseStats(sys, doc));
+    for (const char *key : {"sim.ticks", "sim.events", "net.bytesRouted"})
+        EXPECT_NE(doc.path(key), nullptr) << "missing stat: " << key;
+    ASSERT_EQ(doc.find("nodes")->array.size(), 2u);
     for (const char *key :
-         {"sim.ticks ", "sim.events ", "net.bytesRouted ",
-          "node0.kernel.contextSwitches ", "node0.kernel.pageFaults ",
-          "node0.udma0.transfersStarted ", "node0.ni.messagesSent ",
-          "node0.bus.bursts ", "node0.tlb.hits ",
-          "node1.kernel.contextSwitches ", "node0.swap.pageWrites "}) {
-        EXPECT_NE(out.find(key), std::string::npos)
-            << "missing stat: " << key;
+         {"kernel.contextSwitches", "kernel.pageFaults",
+          "udma0.transfersStarted", "ni.messagesSent", "bus.bursts",
+          "tlb.hits", "swap.pageWrites"}) {
+        EXPECT_NE(node(doc, 0).path(key), nullptr)
+            << "missing stat: node0." << key;
     }
+    EXPECT_NE(node(doc, 1).path("kernel.contextSwitches"), nullptr);
 }
 
 TEST(StatsDump, ValuesReflectActivity)
@@ -62,13 +87,14 @@ TEST(StatsDump, ValuesReflectActivity)
         });
     sys.runUntilAllDone();
 
-    std::ostringstream os;
-    sys.dumpStats(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("node0.udma0.transfersStarted 1"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("node0.udma0.engine.bytesMoved 512"),
-              std::string::npos)
-        << out;
+    minijson::Value doc;
+    ASSERT_NO_FATAL_FAILURE(parseStats(sys, doc));
+    const minijson::Value *started =
+        node(doc, 0).path("udma0.transfersStarted");
+    ASSERT_NE(started, nullptr);
+    EXPECT_EQ(started->number, 1.0);
+    const minijson::Value *moved =
+        node(doc, 0).path("udma0.engine.bytesMoved");
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(moved->number, 512.0);
 }

@@ -12,6 +12,7 @@
 #include "core/system.hh"
 #include "core/udma_lib.hh"
 #include "sim/random.hh"
+#include "sim/span.hh"
 
 using namespace shrimp;
 using namespace shrimp::core;
@@ -29,6 +30,9 @@ struct RunRecord
 RunRecord
 runOnce()
 {
+    // The statistics document carries the process-wide span summary:
+    // count this run's spans only.
+    span::registry().clear();
     SystemConfig cfg;
     cfg.nodes = 2;
     cfg.node.memBytes = 4 << 20;
@@ -72,7 +76,7 @@ runOnce()
     rec.endTick = sys.simNow();
     rec.events = sys.simEvents();
     std::ostringstream os;
-    sys.dumpStats(os);
+    sys.dumpStatsJson(os);
     rec.stats = os.str();
     return rec;
 }

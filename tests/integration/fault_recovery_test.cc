@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "core/system.hh"
 #include "shrimp/fault.hh"
 #include "sim/params.hh"
 #include "workload/ring.hh"
@@ -77,6 +77,16 @@ expectAllDelivered(const RingResult &r, const RingConfig &cfg)
     // fault-free reference run, not a formula.
     EXPECT_GE(r.messagesDelivered,
               std::uint64_t(cfg.nodes) * cfg.records);
+}
+
+/** Apply @p flag (an `--audit=` option) to every System built next. */
+void
+auditFlag(std::string flag)
+{
+    char prog[] = "test";
+    char *argv[] = {prog, flag.data()};
+    int argc = 2;
+    ASSERT_TRUE(core::parseRunOptions(argc, argv).ok) << flag;
 }
 
 } // namespace
@@ -154,9 +164,14 @@ TEST(FaultRecovery, NoRetransmitLosesCompletions)
     // The model-checker mutation at library level: with the retry
     // timers disabled, the same lossy backplane must produce a
     // visible lost completion — senders stuck with unacked chunks.
+    // Unmutated, the ring finishes in 1.77 ms of simulated time; the
+    // limit gives it over five times that, so the limit is not what
+    // leaves the mutated ring's nodes unfinished.
     RingConfig cfg = faultyRing(1);
+    cfg.limit = 10 * tickMs;
+    EXPECT_EQ(runRing(cfg).nodesDone, cfg.nodes)
+        << "the limit cuts the unmutated ring short";
     cfg.faults.disableRetransmit = true;
-    cfg.limit = Tick(5) * tickSec;
     RingResult r = runRing(cfg);
     EXPECT_LT(r.nodesDone, cfg.nodes);
     EXPECT_GT(r.chunksUnacked, 0u);
@@ -168,12 +183,12 @@ TEST(FaultRecovery, AuditorStaysCleanUnderFaults)
     // The auditor watches I1-I4 across every event; retransmission
     // must look like ordinary (if repetitive) NI traffic to it. The
     // monitor reports violations as "audit[...]" lines on stderr.
-    ASSERT_EQ(setenv("SHRIMP_AUDIT", "every-event", 1), 0);
+    ASSERT_NO_FATAL_FAILURE(auditFlag("--audit=every-event"));
     testing::internal::CaptureStderr();
     RingConfig cfg = faultyRing(1); // one shard: per-event hooks
     RingResult r = runRing(cfg);
     std::string err = testing::internal::GetCapturedStderr();
-    unsetenv("SHRIMP_AUDIT");
+    ASSERT_NO_FATAL_FAILURE(auditFlag("--audit=off"));
 
     expectAllDelivered(r, cfg);
     EXPECT_GT(r.retransmits, 0u);

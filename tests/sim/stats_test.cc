@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/stats.hh"
 
 using namespace shrimp::stats;
@@ -94,21 +92,4 @@ TEST(Histogram, SummaryTracksAllSamples)
     h.sample(15);
     EXPECT_EQ(h.summary().count(), 2u);
     EXPECT_DOUBLE_EQ(h.summary().mean(), 5.0);
-}
-
-TEST(StatGroup, DumpsRegisteredStats)
-{
-    StatGroup g("node0.kernel");
-    Scalar s;
-    s += 7;
-    Average a;
-    a.sample(4);
-    g.addScalar("faults", &s, "page faults");
-    g.addAverage("latency", &a);
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("node0.kernel.faults 7"), std::string::npos);
-    EXPECT_NE(out.find("page faults"), std::string::npos);
-    EXPECT_NE(out.find("latency::mean 4"), std::string::npos);
 }

@@ -7,6 +7,13 @@
 # (or `build/examples/<example> > tests/golden/<example>.txt`) and
 # explain the drift in the same change.
 #
+# One case pins a file instead of stdout: the System statistics
+# document `example_message_passing --stats-json=` writes (every
+# StatGroup shape: scalars, histograms, formulas, the nested
+# `udma0.engine` group). Regenerate it with
+# `build/examples/example_message_passing
+#  --stats-json=tests/golden/example_message_passing_stats.json`.
+#
 # Required -D variables:
 #   BENCH_DIR   - directory holding the bench executables
 #   EXAMPLE_DIR - directory holding the example_* executables
@@ -46,11 +53,12 @@ endforeach()
 set(cmd_multinode_patterns_nodes3 multinode_patterns --nodes=3)
 set(cmd_multinode_patterns_mesh4x4
     multinode_patterns --nodes=16 --topo=mesh:4x4)
-
-# The environment must not reshape the runs.
-foreach(var SHRIMP_TRACE SHRIMP_AUDIT SHRIMP_FAULTS SHRIMP_TOPO)
-    unset(ENV{${var}})
-endforeach()
+# A case named in file_<name> compares that file, written into
+# OUT_DIR, with the golden of the same name; its stdout is not pinned.
+list(APPEND cases example_message_passing_stats)
+set(file_example_message_passing_stats example_message_passing_stats.json)
+set(cmd_example_message_passing_stats example_message_passing
+    --stats-json=${OUT_DIR}/example_message_passing_stats.json)
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 find_program(DIFF diff)
@@ -68,6 +76,10 @@ foreach(name IN LISTS cases)
         COMMAND "${dir}/${exe}" ${cmd}
         OUTPUT_FILE "${out}"
         RESULT_VARIABLE rc)
+    if(DEFINED file_${name})
+        set(golden "${GOLDEN_DIR}/${file_${name}}")
+        set(out "${OUT_DIR}/${file_${name}}")
+    endif()
     if(NOT rc EQUAL 0)
         message(SEND_ERROR "${name}: ${exe} exited with ${rc}")
         list(APPEND failed ${name})
@@ -77,7 +89,7 @@ foreach(name IN LISTS cases)
         COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${out}"
         RESULT_VARIABLE same)
     if(NOT same EQUAL 0)
-        message(SEND_ERROR "${name}: stdout differs from ${golden}")
+        message(SEND_ERROR "${name}: output differs from ${golden}")
         if(DIFF)
             execute_process(COMMAND "${DIFF}" "${golden}" "${out}")
         endif()
