@@ -6,6 +6,11 @@
  * the DMA engines address it with physical byte addresses in
  * [0, size()). Timing is charged by the callers (CPU, bus, DMA
  * engines); this class is purely functional state.
+ *
+ * The bytes are sim::ZeroPages: every frame reads as zeros until
+ * written, and the host commits memory for a frame only when it is
+ * first written, so a 64-node machine of 8 MiB nodes costs the host
+ * the frames its run touches, not 512 MiB.
  */
 
 #ifndef SHRIMP_MEM_PHYSICAL_MEMORY_HH
@@ -14,10 +19,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
+#include "sim/zero_pages.hh"
 
 namespace shrimp::mem
 {
@@ -30,9 +35,10 @@ class PhysicalMemory
      * @param bytes Total memory size; must be a multiple of @p
      *        page_bytes.
      * @param page_bytes Frame size (the VM page size); a power of two.
+     * A size the host cannot map is fatal.
      */
     PhysicalMemory(std::uint64_t bytes, std::uint32_t page_bytes)
-        : pageBytes_(page_bytes), data_(bytes, 0)
+        : pageBytes_(page_bytes), data_(bytes)
     {
         if (page_bytes == 0 || (page_bytes & (page_bytes - 1)) != 0)
             fatal("page size must be a power of two");
@@ -111,7 +117,7 @@ class PhysicalMemory
 
     std::uint32_t pageBytes_;
     unsigned pageShift_ = 0;
-    std::vector<std::uint8_t> data_;
+    sim::ZeroPages data_;
 };
 
 } // namespace shrimp::mem

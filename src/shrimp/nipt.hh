@@ -9,16 +9,24 @@
  *
  * A device proxy address on the SHRIMP NI is (proxy page number,
  * offset); the low 15 bits of the page number index this table.
+ *
+ * The 512 KiB table lives in sim::ZeroPages, whose untouched pages
+ * read as zeros, and an all-zero entry is an invalid one: a fresh
+ * table is all invalid and takes host memory only for the pages of
+ * entries the kernel has programmed.
  */
 
 #ifndef SHRIMP_SHRIMP_NIPT_HH
 #define SHRIMP_SHRIMP_NIPT_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
+#include "sim/zero_pages.hh"
 
 namespace shrimp::net
 {
@@ -32,6 +40,14 @@ struct NiptEntry
     std::uint64_t dstPage = 0;
 };
 
+// The table's entries are zero pages that nothing constructs.
+static_assert(std::is_trivially_copyable_v<NiptEntry>,
+              "entries are never constructed");
+static_assert(!std::bit_cast<NiptEntry>(
+                   std::array<std::uint8_t, sizeof(NiptEntry)>{})
+                   .valid,
+              "an all-zero entry is an invalid one");
+
 /** The 32K-entry table on the NI board. */
 class Nipt
 {
@@ -39,19 +55,19 @@ class Nipt
     static constexpr std::size_t indexBits = 15;
     static constexpr std::size_t numEntries = std::size_t(1) << indexBits;
 
-    Nipt() : table_(numEntries) {}
+    Nipt() : table_(numEntries * sizeof(NiptEntry)) {}
 
     const NiptEntry &
     get(std::size_t idx) const
     {
-        return table_.at(idx & (numEntries - 1));
+        return entries()[idx & (numEntries - 1)];
     }
 
     /** Kernel control plane: program an entry. */
     void
     set(std::size_t idx, NodeId node, std::uint64_t dst_page)
     {
-        auto &e = table_.at(idx);
+        auto &e = at(idx);
         e.valid = true;
         e.dstNode = node;
         e.dstPage = dst_page;
@@ -61,26 +77,7 @@ class Nipt
     void
     clear(std::size_t idx)
     {
-        table_.at(idx) = NiptEntry();
-    }
-
-    /** Allocate the lowest free entry; returns numEntries if full. */
-    std::size_t
-    allocate()
-    {
-        for (std::size_t i = nextHint_; i < numEntries; ++i) {
-            if (!table_[i].valid) {
-                nextHint_ = i + 1;
-                return i;
-            }
-        }
-        for (std::size_t i = 0; i < nextHint_; ++i) {
-            if (!table_[i].valid) {
-                nextHint_ = i + 1;
-                return i;
-            }
-        }
-        return numEntries;
+        at(idx) = NiptEntry();
     }
 
     /**
@@ -95,7 +92,7 @@ class Nipt
             return numEntries;
         std::size_t run = 0;
         for (std::size_t i = 0; i < numEntries; ++i) {
-            run = table_[i].valid ? 0 : run + 1;
+            run = entries()[i].valid ? 0 : run + 1;
             if (run == n)
                 return i + 1 - n;
         }
@@ -106,14 +103,27 @@ class Nipt
     validEntries() const
     {
         std::size_t n = 0;
-        for (const auto &e : table_)
-            n += e.valid ? 1 : 0;
+        for (std::size_t i = 0; i < numEntries; ++i)
+            n += entries()[i].valid ? 1 : 0;
         return n;
     }
 
   private:
-    std::vector<NiptEntry> table_;
-    std::size_t nextHint_ = 0;
+    NiptEntry *
+    entries() const
+    {
+        return reinterpret_cast<NiptEntry *>(table_.data());
+    }
+
+    NiptEntry &
+    at(std::size_t idx)
+    {
+        SHRIMP_ASSERT(idx < numEntries, "NIPT index ", idx,
+                      " out of range");
+        return entries()[idx];
+    }
+
+    sim::ZeroPages table_;
 };
 
 } // namespace shrimp::net

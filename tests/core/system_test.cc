@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/resident.hh"
 #include "core/system.hh"
 
 using namespace shrimp;
@@ -24,6 +25,22 @@ TEST(System, BuildsRequestedTopology)
         EXPECT_TRUE(sys.net().hasNode(i));
         EXPECT_EQ(sys.node(i).memory().size(), 1u << 20);
     }
+}
+
+TEST(System, LargeRingCommitsOnlyTouchedMemory)
+{
+    // The ring64 benchmark machine: 64 nodes of 8 MiB, an NI each.
+    SystemConfig cfg;
+    cfg.nodes = 64;
+    cfg.shards = 4;
+    cfg.node.memBytes = std::uint64_t(8) << 20;
+    cfg.node.devices.push_back(DeviceConfig{});
+    const std::uint64_t before = test::residentBytes();
+    System sys(cfg);
+    EXPECT_LT(test::residentGrowth(before), std::uint64_t(64) << 20)
+        << "64 x (8 MiB of DRAM + a 512 KiB NIPT) are committed";
+    EXPECT_EQ(sys.node(63).memory().size(), std::uint64_t(8) << 20);
+    EXPECT_NE(sys.node(63).ni(), nullptr);
 }
 
 TEST(System, ZeroNodesIsFatal)

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/resident.hh"
 #include "shrimp/nipt.hh"
 
 using namespace shrimp;
 using namespace shrimp::net;
+using shrimp::test::hostPageBytes;
+using shrimp::test::residentBytes;
+using shrimp::test::residentGrowth;
 
 TEST(Nipt, Has32kEntries)
 {
@@ -34,6 +38,9 @@ TEST(Nipt, SetGetClear)
     EXPECT_EQ(e.dstPage, 0x55u);
     t.clear(100);
     EXPECT_FALSE(t.get(100).valid);
+    // The control plane's index is checked, not masked.
+    EXPECT_THROW(t.set(Nipt::numEntries, 0, 0), PanicError);
+    EXPECT_THROW(t.clear(Nipt::numEntries), PanicError);
 }
 
 TEST(Nipt, IndexWraps15Bits)
@@ -42,17 +49,6 @@ TEST(Nipt, IndexWraps15Bits)
     t.set(5, 1, 2);
     // The hardware masks the page number to 15 bits.
     EXPECT_TRUE(t.get(5 + Nipt::numEntries).valid);
-}
-
-TEST(Nipt, AllocateFindsFreeSlots)
-{
-    Nipt t;
-    std::size_t a = t.allocate();
-    t.set(a, 0, 0);
-    std::size_t b = t.allocate();
-    EXPECT_NE(a, b);
-    t.set(b, 0, 0);
-    EXPECT_EQ(t.validEntries(), 2u);
 }
 
 TEST(Nipt, AllocateRunIsContiguous)
@@ -85,4 +81,18 @@ TEST(Nipt, AllocateRunFullTableFails)
     for (std::size_t i = 0; i < Nipt::numEntries; ++i)
         t.set(i, 0, 0);
     EXPECT_EQ(t.allocateRun(1), Nipt::numEntries);
+}
+
+TEST(Nipt, FreshTableIsNotResident)
+{
+    const std::uint64_t before = residentBytes();
+    Nipt t;
+    EXPECT_LT(residentGrowth(before), std::uint64_t(64) << 10)
+        << "a fresh 512 KiB table is committed";
+
+    const std::uint64_t fresh = residentBytes();
+    t.set(Nipt::numEntries - 1, 3, 0x55);
+    EXPECT_EQ(residentGrowth(fresh), hostPageBytes())
+        << "programming one entry commits its page";
+    EXPECT_TRUE(t.get(Nipt::numEntries - 1).valid);
 }
