@@ -16,7 +16,8 @@
  *     ring streaming user-level channel records, exercising proxy
  *     faults, context switches, NI delivery and DMA completion events.
  *     Reports host ns per simulated event, heap allocations per
- *     simulated event (counted by this binary's operator new), and
+ *     simulated event (counted by this binary's operator new), the
+ *     share of events that were CPU references fired in place, and
  *     TLB and proxy-translation-cache hit rates.
  *
  * Output: BENCH_selfperf.json via --stats-json=<path>. With
@@ -209,6 +210,8 @@ runEventCore(std::uint64_t target_events, unsigned actors)
 struct UdmaMixResult
 {
     std::uint64_t simEvents = 0;
+    /** Of simEvents, the CPU references fired in place. */
+    std::uint64_t firedInPlace = 0;
     std::uint64_t heapAllocs = 0;
     double hostSec = 0;
     double tlbHitRate = 0;
@@ -231,6 +234,13 @@ struct UdmaMixResult
     allocsPerEvent() const
     {
         return simEvents > 0 ? double(heapAllocs) / double(simEvents) : 0;
+    }
+
+    double
+    inPlaceShare() const
+    {
+        return simEvents > 0 ? double(firedInPlace) / double(simEvents)
+                             : 0;
     }
 };
 
@@ -298,6 +308,7 @@ runUdmaMix(unsigned records)
     UdmaMixResult res;
     res.heapAllocs = g_heapAllocs.load() - allocs0;
     res.simEvents = sys.simEvents();
+    res.firedInPlace = sys.engine()->firedInPlace();
     res.hostSec = hostSeconds(t0, t1);
 
     std::uint64_t tlb_hits = 0, tlb_misses = 0;
@@ -412,10 +423,11 @@ main(int argc, char **argv)
                 ev.heapFallbacksPerEvent);
 
     UdmaMixResult mix = runUdmaMix(records);
-    std::printf("udma-mix: %llu sim events, %.3f s host, %.0f events/s,"
-                " %.1f ns/event, %.4f allocs/event, tlb-hit %.3f, "
-                "tcache-hit %.3f, %.1f MB/s aggregate\n",
-                (unsigned long long)mix.simEvents, mix.hostSec,
+    std::printf("udma-mix: %llu sim events (%.1f%% in place), %.3f s "
+                "host, %.0f events/s, %.1f ns/event, %.4f allocs/event, "
+                "tlb-hit %.3f, tcache-hit %.3f, %.1f MB/s aggregate\n",
+                (unsigned long long)mix.simEvents,
+                100.0 * mix.inPlaceShare(), mix.hostSec,
                 mix.eventsPerSec(), mix.nsPerEvent(), mix.allocsPerEvent(),
                 mix.tlbHitRate, mix.tcacheHitRate, mix.aggregateMbs);
 
@@ -428,6 +440,7 @@ main(int argc, char **argv)
     report.addMetric("udma_events_per_sec", mix.eventsPerSec());
     report.addMetric("udma_host_ns_per_event", mix.nsPerEvent());
     report.addMetric("udma_sim_events", double(mix.simEvents));
+    report.addMetric("udma_in_place_share", mix.inPlaceShare());
     report.addMetric("udma_allocs_per_event", mix.allocsPerEvent());
     report.addMetric("tlb_hit_rate", mix.tlbHitRate);
     report.addMetric("tcache_hit_rate", mix.tcacheHitRate);

@@ -130,7 +130,7 @@ Kernel::rethrowProcessFailures() const
 // The CPU: op issue and completion
 // --------------------------------------------------------------------
 
-void
+bool
 Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
 {
     SHRIMP_ASSERT(running_ == &proc,
@@ -184,15 +184,31 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
         break;
     }
 
+    // A reference that completes before every pending event of the
+    // node completes now, and the process runs on without suspending.
+    // Yield, block, kill and a pending preemption switch away, so
+    // they wait in the heap.
+    const Tick when = eq_.now() + lat;
+    if (after == After::Resume && !preemptPending_
+        && eq_.fireInPlace(when, "cpu.op", sim::EventPriority::CpuResume)) {
+        if (!completeOp(proc, access, after))
+            return true;
+        proc.resumePoint_ = {};
+        return false;
+    }
+
     auto done = [this, &proc, access, after] {
-        if (access.kind != Access::Kind::None)
-            performAccess(access);
-        opDone(proc, after);
+        if (completeOp(proc, access, after)) {
+            auto resume = std::exchange(proc.resumePoint_, {});
+            SHRIMP_ASSERT(resume, "no resume point");
+            resume.resume();
+        }
     };
     static_assert(sizeof(done) <= sim::EventCallback::inlineBytes,
                   "every simulated reference must fit the inline buffer");
-    eq_.scheduleIn(lat, "cpu.op", std::move(done),
-                   sim::EventPriority::CpuResume);
+    eq_.schedule(when, "cpu.op", std::move(done),
+                 sim::EventPriority::CpuResume);
+    return true;
 }
 
 Kernel::Access
@@ -269,7 +285,15 @@ Kernel::performAccess(const Access &a)
         *a.result = a.client->proxyLoad(dec, a.pa);
 }
 
-void
+bool
+Kernel::completeOp(Process &proc, const Access &access, After after)
+{
+    if (access.kind != Access::Kind::None)
+        performAccess(access);
+    return opDone(proc, after);
+}
+
+bool
 Kernel::opDone(Process &proc, After after)
 {
     SHRIMP_ASSERT(running_ == &proc,
@@ -286,7 +310,7 @@ Kernel::opDone(Process &proc, After after)
         running_ = nullptr;
         cancelQuantum();
         dispatch();
-        return;
+        return false;
 
       case After::Block:
         account();
@@ -300,7 +324,7 @@ Kernel::opDone(Process &proc, After after)
         running_ = nullptr;
         cancelQuantum();
         dispatch();
-        return;
+        return false;
 
       case After::Yield:
         account();
@@ -308,7 +332,7 @@ Kernel::opDone(Process &proc, After after)
         running_ = nullptr;
         cancelQuantum();
         dispatch();
-        return;
+        return false;
 
       case After::Resume:
         if (preemptPending_) {
@@ -319,13 +343,11 @@ Kernel::opDone(Process &proc, After after)
             running_ = nullptr;
             cancelQuantum();
             dispatch();
-            return;
+            return false;
         }
-        auto h = std::exchange(proc.resumePoint_, {});
-        SHRIMP_ASSERT(h, "no resume point");
-        h.resume();
-        return;
+        return true;
     }
+    return false;
 }
 
 void

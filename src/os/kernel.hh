@@ -201,8 +201,15 @@ class Kernel
     void rethrowProcessFailures() const;
 
     // --------------------------------------------------- CPU interface
-    /** Called by OpAwaitable::await_suspend; drives everything. */
-    void issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h);
+    /**
+     * Called by OpAwaitable::await_suspend; drives everything. Every
+     * op is a possible switch point, but a reference whose completion
+     * no pending event of the node can precede completes in place
+     * (EventQueue::fireInPlace) and @p proc runs on.
+     * @return true to suspend @p proc until its op completes; false
+     *         when it completed in place.
+     */
+    bool issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h);
 
     /** The currently running process (nullptr if the CPU is idle). */
     Process *running() const { return running_; }
@@ -464,7 +471,15 @@ class Kernel
      */
     Tick switchAddressSpace(Process &next);
 
-    void opDone(Process &proc, After after);
+    /**
+     * The cpu.op completion, scheduled or fired in place: perform the
+     * access, then opDone. @return opDone's verdict.
+     */
+    bool completeOp(Process &proc, const Access &access, After after);
+
+    /** Settle @p proc once its op's latency has elapsed. @return true
+     *  when it keeps the CPU and continues after the op. */
+    bool opDone(Process &proc, After after);
     void dispatch();
     void resumeProcess(Process &proc);
     void onProcessExit(Process &proc);

@@ -6,10 +6,10 @@
 namespace shrimp::os
 {
 
-void
+bool
 OpAwaitable::await_suspend(std::coroutine_handle<> h)
 {
-    proc_.kernel_.issueOp(proc_, &op_, h);
+    return proc_.kernel_.issueOp(proc_, &op_, h);
 }
 
 OpAwaitable

@@ -12,7 +12,9 @@
  *   }
  *
  * — the two-reference UDMA initiation is literally two awaited memory
- * references, protection-checked by the simulated MMU.
+ * references, protection-checked by the simulated MMU. Each await is
+ * a possible context switch; a reference that nothing pending on the
+ * node can precede completes without suspending the coroutine.
  */
 
 #ifndef SHRIMP_OS_USER_CONTEXT_HH
@@ -42,7 +44,9 @@ class OpAwaitable
 
     bool await_ready() const noexcept { return false; }
 
-    void await_suspend(std::coroutine_handle<> h);
+    /** Issue the op; false when it completed in place and the caller
+     *  runs on without suspending (Kernel::issueOp). */
+    bool await_suspend(std::coroutine_handle<> h);
 
     std::uint64_t await_resume() const { return op_.result.value; }
 

@@ -2,10 +2,14 @@
  * @file
  * The operations a simulated user program can perform.
  *
- * Every operation is awaited from inside a process coroutine; the
- * suspension points are exactly where context switches may occur, so
- * the paper's atomicity concern (a switch between the initiating STORE
- * and LOAD) is directly expressible and testable.
+ * Every operation is awaited from inside a process coroutine, and
+ * every await is a possible switch point, so the paper's atomicity
+ * concern (a switch between the initiating STORE and LOAD) is directly
+ * expressible and testable. An op whose completion no pending event of
+ * the node can precede completes in place and the process runs on
+ * without suspending (Kernel::issueOp); anything that could switch
+ * first — a quantum expiry, an interrupt, a device completion due
+ * earlier — is a pending event, so the op then suspends as before.
  */
 
 #ifndef SHRIMP_OS_USER_OP_HH

@@ -7,7 +7,9 @@
  * (memory reference, computation, syscall) is an awaitable supplied by
  * the OS layer; awaiting it suspends the coroutine, schedules the
  * operation's completion on the event queue, and the scheduler resumes
- * the coroutine when the simulated CPU gets back to it. This gives an
+ * the coroutine when the simulated CPU gets back to it — unless the
+ * completion is certain to be the node's next event, when it fires in
+ * place and the coroutine runs on without suspending. This gives an
  * honest interleaving model: context switches can happen between any
  * two operations — exactly the window the paper's invariant I1 is
  * about.

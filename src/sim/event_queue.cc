@@ -111,6 +111,7 @@ EventHeap::maybeCompact()
 void
 EventHeap::fire(const Entry &e)
 {
+    inPlaceRun_ = 0;
     Record &rec = slots_[e.slot];
     SHRIMP_ASSERT(e.when >= owner_.curTick_, "time went backwards");
     owner_.curTick_ = e.when;
@@ -146,14 +147,48 @@ EventHeap::step()
 std::uint64_t
 EventHeap::runTo(Tick limit)
 {
-    std::uint64_t fired = 0;
+    // Arm fireInPlace for this call only; a callback that throws must
+    // not leave it armed for a later step().
+    struct Arm
+    {
+        EventHeap &heap;
+        bool running;
+        Tick limit;
+        ~Arm()
+        {
+            heap.running_ = running;
+            heap.runLimit_ = limit;
+        }
+    } arm{*this, running_, runLimit_};
+    running_ = true;
+    runLimit_ = limit;
+    const std::uint64_t executed0 = owner_.executed_;
     for (;;) {
         dropStale();
         if (heap_.empty() || heap_.front().when > limit)
-            return fired;
+            return owner_.executed_ - executed0;
         fire(popEntry());
-        ++fired;
     }
+}
+
+bool
+EventHeap::fireInPlace(Tick when, std::uint64_t rank, const char *name)
+{
+    if (!running_ || when > runLimit_ || inPlaceRun_ == maxInPlaceRun)
+        return false;
+    SHRIMP_ASSERT(when >= owner_.curTick_, "time went backwards");
+    dropStale();
+    // The key the event would have: allocStamp's next stamp.
+    const Entry key{when, rank, owner_.stampBase_ | owner_.nextSeq_, 0, 0};
+    if (!heap_.empty() && !After{}(heap_.front(), key))
+        return false;
+    (void)owner_.allocStamp();
+    ++inPlaceRun_;
+    owner_.curTick_ = when;
+    owner_.flight_.record(when, name, priorityOf(rank));
+    ++owner_.executed_;
+    ++owner_.firedInPlace_;
+    return true;
 }
 
 EventQueue::EventQueue(std::uint32_t node, EventHeap::Key *front)

@@ -26,9 +26,14 @@
  * front-key hint up to date for the engine's node selection (see
  * scheduleStamped).
  *
- * All timing in the simulator is expressed by scheduling callbacks on
- * a queue. Components never busy-wait; they schedule their next action
- * and return.
+ * All timing in the simulator is expressed by events on a queue.
+ * Components never busy-wait; they schedule their next action and
+ * return. The one exception is an event whose firing is already
+ * certain: inside runTo, when an event is due before every pending
+ * event of the node and within the limit, fireInPlace fires it at
+ * once, with the stamp, clock, flight-recorder line and count it
+ * would have had, and the caller runs its code itself (the kernel
+ * does this for a CPU reference's completion).
  *
  * The scheduling fast path is allocation-free and hash-free in the
  * steady state:
@@ -306,12 +311,22 @@ class EventHeap
     /**
      * Initial slab and heap capacity: over twice the high-water mark of
      * any one node in the benchmark workloads (12 records and 27 heap
-     * entries, stale ones included), so a data phase does not grow a
-     * node's heap. The allocation guard holds that for a 16-node
-     * lossy mesh.
+     * entries, stale ones included, on mesh16-lossy; CPU references
+     * fired in place never enter the heap, and the marks are the same
+     * with or without them), so a data phase does not grow a node's
+     * heap. The allocation guard holds that for a 16-node lossy mesh.
      */
     static constexpr std::size_t initialSlots = 32;
     static constexpr std::size_t initialEntries = 64;
+
+    /**
+     * Most events fireInPlace fires back to back before the next
+     * event must come off the heap. The caller's code runs on the
+     * stack of the runTo that fired the last heap event, and without
+     * optimisation a Task<> chain that never suspends nests a frame
+     * per completed helper; coming back to the heap unwinds it.
+     */
+    static constexpr unsigned maxInPlaceRun = 64;
 
     /** The heap of @p owner, which holds it inline. */
     explicit EventHeap(EventQueue &owner);
@@ -334,8 +349,12 @@ class EventHeap
     bool step();
 
     /** Fire, in order, every event at or before @p limit — including
-     *  those the fired callbacks schedule. @return Events fired. */
+     *  those the fired callbacks schedule. @return Events fired,
+     *  in place or off the heap. */
     std::uint64_t runTo(Tick limit);
+
+    /** EventQueue::fireInPlace, with the rank already packed. */
+    bool fireInPlace(Tick when, std::uint64_t rank, const char *name);
 
     // ------------------------------------------- self-perf counters
     /** Stale-entry heap compactions performed. */
@@ -418,6 +437,11 @@ class EventHeap
     void maybeCompact();
 
     EventQueue &owner_;
+    /** Inside runTo: fireInPlace may fire up to runLimit_. */
+    bool running_ = false;
+    Tick runLimit_ = 0;
+    /** fireInPlace firings since the last event off the heap. */
+    unsigned inPlaceRun_ = 0;
     std::uint64_t compactions_ = 0;
     std::uint64_t containerGrowths_ = 0;
     std::size_t staleInHeap_ = 0;
@@ -430,7 +454,7 @@ class EventHeap
  * One node's event queue: the clock, stamps, counters and flight
  * recorder of the node, and the EventHeap that orders its events.
  * Components hold an EventQueue and see only schedule / scheduleIn /
- * deschedule / now.
+ * deschedule / now; the kernel's CPU also uses fireInPlace.
  */
 class EventQueue
 {
@@ -541,6 +565,36 @@ class EventQueue
      *  is empty. */
     bool step() { return heap_.step(); }
 
+    /**
+     * Fire an event at @p when in place, if it is certain to be this
+     * node's next event: only inside runTo, only at or before its
+     * limit, only when the event's full (tick, priority, stamp) key
+     * precedes every pending event of the node, and at most
+     * EventHeap::maxInPlaceRun times between two events off the heap.
+     * Then it takes the stamp, advances the clock to @p when, writes
+     * the flight recorder and counts the event, exactly as scheduling
+     * it and firing it would, and returns true: the caller runs the
+     * event's code at once. Otherwise nothing changes and it returns
+     * false; the caller schedules the event instead.
+     *
+     * Safe because nothing else can reach the node first: another
+     * node's post lands at least a lookahead past the poster's clock,
+     * so past the sub-window runTo is running, and mailboxes drain
+     * only between rounds. Outside runTo — step(), host code between
+     * runs — it never fires.
+     */
+    bool
+    fireInPlace(Tick when, const char *name,
+                EventPriority prio = EventPriority::Default)
+    {
+        return heap_.fireInPlace(when, EventHeap::rankOf(prio, node_),
+                                 name);
+    }
+
+    /** Events of this node fired in place (included in
+     *  eventsExecuted()). */
+    std::uint64_t firedInPlace() const { return firedInPlace_; }
+
     /** (tick, rank) of the earliest pending event ({maxTick, 0} when
      *  none). The rank carries the node, so the keys of several
      *  queues order their fronts by (tick, priority, node). */
@@ -576,6 +630,7 @@ class EventQueue
     std::uint64_t stampBase_ = 0;
     std::uint32_t node_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t firedInPlace_ = 0;
     std::uint64_t cancelled_ = 0;
     std::size_t liveEvents_ = 0;
     FlightRecorder flight_;

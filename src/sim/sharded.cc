@@ -592,6 +592,15 @@ ShardedEngine::eventsExecuted() const
 }
 
 std::uint64_t
+ShardedEngine::firedInPlace() const
+{
+    std::uint64_t n = 0;
+    for (const auto &q : queues_)
+        n += q->firedInPlace();
+    return n;
+}
+
+std::uint64_t
 ShardedEngine::pendingEvents() const
 {
     std::uint64_t n = 0;

@@ -318,6 +318,10 @@ class ShardedEngine : public NodeRouter
     /** Sum of per-queue executed-event counts. */
     std::uint64_t eventsExecuted() const;
 
+    /** Sum of per-queue in-place firings (EventQueue::fireInPlace),
+     *  a part of eventsExecuted(). */
+    std::uint64_t firedInPlace() const;
+
     /**
      * Pending events: the per-queue counts plus any cross-shard
      * messages still staged in mailboxes (posted but not yet drained
