@@ -17,8 +17,9 @@
  *     faults, context switches, NI delivery and DMA completion events.
  *     Reports host ns per simulated event, heap allocations per
  *     simulated event (counted by this binary's operator new), the
- *     share of events that were CPU references fired in place, and
- *     TLB and proxy-translation-cache hit rates.
+ *     share of events that were CPU references fired in place or in
+ *     a parked poll's stream, and TLB and proxy-translation-cache hit
+ *     rates.
  *
  * Output: BENCH_selfperf.json via --stats-json=<path>. With
  * --check-against=<committed.json> the run is the CI self-perf gate
@@ -210,7 +211,8 @@ runEventCore(std::uint64_t target_events, unsigned actors)
 struct UdmaMixResult
 {
     std::uint64_t simEvents = 0;
-    /** Of simEvents, the CPU references fired in place. */
+    /** Of simEvents, the CPU references fired in place or in a
+     *  parked poll's stream. */
     std::uint64_t firedInPlace = 0;
     std::uint64_t heapAllocs = 0;
     double hostSec = 0;

@@ -144,9 +144,9 @@ pollWord(os::UserContext &ctx, Addr va, std::uint64_t expected)
 {
     std::uint64_t polls = 0;
     for (;;) {
-        std::uint64_t w = co_await ctx.load(va);
-        ++polls;
-        if (w == expected)
+        const os::PollResult r = co_await ctx.poll(va, expected);
+        polls += r.loads;
+        if (r.word == expected)
             co_return polls;
     }
 }

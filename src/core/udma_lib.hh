@@ -106,7 +106,15 @@ sim::Task<std::uint64_t> udmaGather(os::UserContext &ctx,
                                     std::vector<GatherPiece> pieces,
                                     bool wait_completion = true);
 
-/** Spin on a memory word until it holds @p expected. */
+/**
+ * Spin on a memory word until it holds @p expected: the paper's
+ * receive path, where the NI's EISA DMA writes an ordinary word of
+ * the process's memory (Section 8). Each load is a timed reference;
+ * the loads go out as UserContext::poll runs, so a spin that only
+ * its own node's events can end resumes this coroutine once, not
+ * once per load.
+ * @return the number of loads, the matching one included.
+ */
 sim::Task<std::uint64_t> pollWord(os::UserContext &ctx, Addr va,
                                   std::uint64_t expected);
 

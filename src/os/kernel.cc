@@ -182,13 +182,51 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
             lat = fin - eq_.now();
         }
         break;
-    }
 
+      case UserOp::Kind::Poll:
+        panic("a poll is issued through Kernel::issuePoll");
+    }
+    return finishOp(proc, access, after, eq_.now() + lat);
+}
+
+bool
+Kernel::issuePoll(Process &proc, UserOp *op, std::coroutine_handle<> h)
+{
+    SHRIMP_ASSERT(running_ == &proc,
+                  "op issued by a process that does not own the CPU");
+    proc.resumePoint_ = h;
+    proc.pendingOp_ = op;
+
+    // The first load, translated and timed as issueOp times a LOAD.
+    Tick lat = 0;
+    const Access access = resolveAccess(proc, op->vaddr, false, 0,
+                                        &op->result.value, lat);
+    op->result.loads = 1;
+    if (access.kind == Access::Kind::None)
+        return finishOp(proc, access, After::Kill, eq_.now() + lat);
+    if (access.client) {
+        const Tick fin =
+            ioBus_.acquireAt(eq_.now() + lat, params_.ioAccess());
+        return finishOp(proc, access, After::Resume, fin);
+    }
+    // Until another event of the node changes the word, each firing
+    // of this load only issues the next one: park it as a stream.
+    const Tick when = eq_.now() + lat + params_.memAccess();
+    if (!preemptPending_
+        && memory_.read<std::uint64_t>(access.pa) != op->value
+        && poll_.park(proc, *op, access, when))
+        return true;
+    return finishOp(proc, access, After::Resume, when);
+}
+
+bool
+Kernel::finishOp(Process &proc, const Access &access, After after,
+                 Tick when)
+{
     // A reference that completes before every pending event of the
     // node completes now, and the process runs on without suspending.
     // Yield, block, kill and a pending preemption switch away, so
     // they wait in the heap.
-    const Tick when = eq_.now() + lat;
     if (after == After::Resume && !preemptPending_
         && eq_.fireInPlace(when, "cpu.op", sim::EventPriority::CpuResume)) {
         if (!completeOp(proc, access, after))
@@ -196,7 +234,14 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
         proc.resumePoint_ = {};
         return false;
     }
+    eq_.schedule(when, "cpu.op", cpuOp(proc, access, after),
+                 sim::EventPriority::CpuResume);
+    return true;
+}
 
+sim::EventCallback
+Kernel::cpuOp(Process &proc, const Access &access, After after)
+{
     auto done = [this, &proc, access, after] {
         if (completeOp(proc, access, after)) {
             auto resume = std::exchange(proc.resumePoint_, {});
@@ -206,9 +251,43 @@ Kernel::issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h)
     };
     static_assert(sizeof(done) <= sim::EventCallback::inlineBytes,
                   "every simulated reference must fit the inline buffer");
-    eq_.schedule(when, "cpu.op", std::move(done),
-                 sim::EventPriority::CpuResume);
+    return done;
+}
+
+bool
+Kernel::PollStream::park(Process &proc, UserOp &op, const Access &access,
+                         Tick when)
+{
+    if (!kernel_.eq_.parkStream(when, kernel_.params_.memAccess(),
+                                "cpu.op", sim::EventPriority::CpuResume,
+                                *this))
+        return false;
+    proc_ = &proc;
+    op_ = &op;
+    access_ = access;
     return true;
+}
+
+void
+Kernel::PollStream::streamFired(std::uint64_t n)
+{
+    kernel_.mmu_.repeatRead(op_->vaddr, n);
+    op_->result.loads += n;
+}
+
+bool
+Kernel::PollStream::streamMustWake()
+{
+    const Kernel &k = kernel_;
+    return k.preemptPending_ || k.running_ != proc_
+           || k.memory_.read<std::uint64_t>(access_.pa) == op_->value
+           || !k.mmu_.readHits(op_->vaddr);
+}
+
+sim::EventCallback
+Kernel::PollStream::streamWoken()
+{
+    return kernel_.cpuOp(*proc_, access_, After::Resume);
 }
 
 Kernel::Access

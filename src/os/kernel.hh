@@ -211,6 +211,21 @@ class Kernel
      */
     bool issueOp(Process &proc, UserOp *op, std::coroutine_handle<> h);
 
+    /**
+     * Called by PollAwaitable::await_suspend for a UserOp::Kind::Poll.
+     * The first load is translated and timed like a LOAD. When it can
+     * only read a word other than the awaited one — inside runTo, no
+     * preemption pending, a memory reference — it parks on the node's
+     * queue as a stream (EventQueue::parkStream): its repeats fire in
+     * closed form, and it wakes into the heap as an ordinary cpu.op
+     * completion once an event of the node changes the word, the
+     * translation or the process's hold on the CPU. Otherwise it is
+     * one ordinary load, in place or through the heap. Kept apart
+     * from issueOp so the other ops' path carries no poll branches.
+     * @return as issueOp.
+     */
+    bool issuePoll(Process &proc, UserOp *op, std::coroutine_handle<> h);
+
     /** The currently running process (nullptr if the CPU is idle). */
     Process *running() const { return running_; }
 
@@ -477,6 +492,56 @@ class Kernel
      */
     bool completeOp(Process &proc, const Access &access, After after);
 
+    /**
+     * Complete an issued op due at @p when: in place when it resumes
+     * and eq_ can fire it there, else through a cpu.op event.
+     * @return issueOp's verdict.
+     */
+    bool finishOp(Process &proc, const Access &access, After after,
+                  Tick when);
+
+    /** The cpu.op event's callback: completeOp, then resume @p proc
+     *  if it keeps the CPU. */
+    sim::EventCallback cpuOp(Process &proc, const Access &access,
+                             After after);
+
+    /**
+     * The pending load of a spinning poll, parked on eq_ as a stream
+     * (issuePoll). While it is parked its process holds the CPU and
+     * issues nothing else, so only the node's other events — and host
+     * code between runs — can change what its loads read; the queue
+     * asks streamMustWake after each of them and on entry to every
+     * run.
+     */
+    class PollStream final : public sim::StreamOwner
+    {
+      public:
+        explicit PollStream(Kernel &kernel) : kernel_(kernel) {}
+
+        /** Park @p op's load @p access, due at @p when. False when
+         *  the queue declines. */
+        bool park(Process &proc, UserOp &op, const Access &access,
+                  Tick when);
+
+        /** Each firing completed a load of the same word and issued
+         *  the next: one more load and one more TLB hit. */
+        void streamFired(std::uint64_t n) override;
+
+        /** A preemption is pending, the word now matches, or (as a
+         *  defence) another process runs or the translation would no
+         *  longer hit the TLB. */
+        bool streamMustWake() override;
+
+        /** The load's ordinary cpu.op completion. */
+        sim::EventCallback streamWoken() override;
+
+      private:
+        Kernel &kernel_;
+        Process *proc_ = nullptr;
+        UserOp *op_ = nullptr;
+        Access access_;
+    };
+
     /** Settle @p proc once its op's latency has elapsed. @return true
      *  when it keeps the CPU and continues after the op. */
     bool opDone(Process &proc, After after);
@@ -566,6 +631,8 @@ class Kernel
     AuditHook auditHook_;
     /** Actor of an in-progress performUserAccess (else nullptr). */
     Process *actorOverride_ = nullptr;
+    /** The CPU's parked poll, if any. */
+    PollStream poll_{*this};
 
     struct DeviceWindow
     {

@@ -109,6 +109,7 @@ class Process
   private:
     friend class Kernel;
     friend class OpAwaitable;
+    friend class PollAwaitable;
     friend class UserContext;
 
     Kernel &kernel_;

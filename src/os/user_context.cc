@@ -12,6 +12,12 @@ OpAwaitable::await_suspend(std::coroutine_handle<> h)
     return proc_.kernel_.issueOp(proc_, &op_, h);
 }
 
+bool
+PollAwaitable::await_suspend(std::coroutine_handle<> h)
+{
+    return proc_.kernel_.issuePoll(proc_, &op_, h);
+}
+
 OpAwaitable
 UserContext::sysAllocMemory(std::uint64_t bytes, bool writable)
 {

@@ -14,7 +14,9 @@
  * — the two-reference UDMA initiation is literally two awaited memory
  * references, protection-checked by the simulated MMU. Each await is
  * a possible context switch; a reference that nothing pending on the
- * node can precede completes without suspending the coroutine.
+ * node can precede completes without suspending the coroutine. A
+ * poll (poll()) awaits a run of loads of one word, so a spin the
+ * kernel can park resumes the coroutine once, not once per load.
  */
 
 #ifndef SHRIMP_OS_USER_CONTEXT_HH
@@ -50,9 +52,32 @@ class OpAwaitable
 
     std::uint64_t await_resume() const { return op_.result.value; }
 
-  private:
+  protected:
     Process &proc_;
     UserOp op_;
+};
+
+/** What a poll hands back: its last word loaded and its loads. */
+struct PollResult
+{
+    std::uint64_t word = 0;
+    std::uint64_t loads = 0;
+};
+
+/** Awaitable wrapper around one UserOp::Kind::Poll. */
+class PollAwaitable : public OpAwaitable
+{
+  public:
+    using OpAwaitable::OpAwaitable;
+
+    /** Issue the poll (Kernel::issuePoll). */
+    bool await_suspend(std::coroutine_handle<> h);
+
+    PollResult
+    await_resume() const
+    {
+        return {op_.result.value, op_.result.loads};
+    }
 };
 
 /** Per-process handle for issuing simulated operations. */
@@ -73,6 +98,26 @@ class UserContext
         op.kind = UserOp::Kind::Load;
         op.vaddr = va;
         return OpAwaitable(proc_, std::move(op));
+    }
+
+    /**
+     * Spin on the word at @p va: 64-bit loads, each timed, translated
+     * and counted exactly like a load(). Returns the last word loaded
+     * and how many loads it took. While the spin is the only thing
+     * left to happen on the node, its loads run as one parked stream
+     * and the coroutine resumes only once the word matches or the
+     * process must switch; otherwise a poll is a single load. Either
+     * way the word may still differ from @p expected, and the caller
+     * polls again.
+     */
+    PollAwaitable
+    poll(Addr va, std::uint64_t expected)
+    {
+        UserOp op;
+        op.kind = UserOp::Kind::Poll;
+        op.vaddr = va;
+        op.value = expected;
+        return PollAwaitable(proc_, std::move(op));
     }
 
     /** 64-bit store. */

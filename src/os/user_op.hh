@@ -10,6 +10,13 @@
  * without suspending (Kernel::issueOp); anything that could switch
  * first — a quantum expiry, an interrupt, a device completion due
  * earlier — is a pending event, so the op then suspends as before.
+ *
+ * A Poll is a spin on one memory word: a load repeated until it reads
+ * the expected value. Each load is an ordinary reference, but while
+ * only the spin itself could fire next on the node the kernel parks
+ * the pending load as an event stream (Kernel::issuePoll), and the
+ * process resumes only when the word matches or it must switch; a
+ * load that cannot park completes the poll on its own.
  */
 
 #ifndef SHRIMP_OS_USER_OP_HH
@@ -29,8 +36,11 @@ class Process;
 /** Result handed back to the coroutine by await_resume. */
 struct OpResult
 {
-    /** Loaded value (loads and some syscalls). */
+    /** Loaded value (loads, polls and some syscalls); a poll's last
+     *  load. */
     std::uint64_t value = 0;
+    /** Poll: the loads it issued, the last included. */
+    std::uint64_t loads = 0;
 };
 
 /** Control block a syscall implementation fills in. */
@@ -54,11 +64,14 @@ struct UserOp
         Compute, ///< retire N instructions (cached work)
         Yield,   ///< voluntarily give up the CPU
         Syscall, ///< trap into the kernel
+        Poll,    ///< 64-bit loads from a virtual address while they
+                 ///< can only read a word other than `value`
     };
 
     Kind kind = Kind::Compute;
     Addr vaddr = 0;
-    std::uint64_t value = 0; ///< store datum / instruction count
+    /** Store datum / instruction count / the value a poll waits for. */
+    std::uint64_t value = 0;
     /** Syscall body, run in kernel context at dispatch time. */
     std::function<void(Kernel &, Process &, SyscallControl &)> syscall;
 

@@ -9,10 +9,12 @@
  * operation's completion on the event queue, and the scheduler resumes
  * the coroutine when the simulated CPU gets back to it — unless the
  * completion is certain to be the node's next event, when it fires in
- * place and the coroutine runs on without suspending. This gives an
- * honest interleaving model: context switches can happen between any
- * two operations — exactly the window the paper's invariant I1 is
- * about.
+ * place and the coroutine runs on without suspending. A poll awaits a
+ * whole spin of loads on one word: while the node's queue can fire
+ * them as a parked stream, the coroutine resumes once, when the word
+ * matches or the process must switch. This gives an honest
+ * interleaving model: context switches can happen between any two
+ * operations — exactly the window the paper's invariant I1 is about.
  */
 
 #ifndef SHRIMP_SIM_CORO_HH

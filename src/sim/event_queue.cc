@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <limits>
 
 namespace shrimp::sim
 {
@@ -129,18 +130,25 @@ EventHeap::Key
 EventHeap::nextKey()
 {
     dropStale();
-    if (heap_.empty())
-        return {maxTick, 0};
-    return {heap_.front().when, heap_.front().rank};
+    Key key{maxTick, 0};
+    if (!heap_.empty())
+        key = {heap_.front().when, heap_.front().rank};
+    if (stream_.owner && Key{stream_.when, stream_.rank} < key)
+        key = {stream_.when, stream_.rank};
+    return key;
 }
 
 bool
 EventHeap::step()
 {
+    checkStream();
     dropStale();
+    if (stream_.owner && runStream(maxTick, 1) > 0)
+        return true;
     if (heap_.empty())
         return false;
     fire(popEntry());
+    checkStream();
     return true;
 }
 
@@ -163,11 +171,17 @@ EventHeap::runTo(Tick limit)
     running_ = true;
     runLimit_ = limit;
     const std::uint64_t executed0 = owner_.executed_;
+    // Host code may have changed what the stream depends on since
+    // the last run.
+    checkStream();
     for (;;) {
         dropStale();
+        if (stream_.owner)
+            runStream(limit, std::numeric_limits<std::uint64_t>::max());
         if (heap_.empty() || heap_.front().when > limit)
             return owner_.executed_ - executed0;
         fire(popEntry());
+        checkStream();
     }
 }
 
@@ -182,6 +196,8 @@ EventHeap::fireInPlace(Tick when, std::uint64_t rank, const char *name)
     const Entry key{when, rank, owner_.stampBase_ | owner_.nextSeq_, 0, 0};
     if (!heap_.empty() && !After{}(heap_.front(), key))
         return false;
+    if (stream_.owner && !After{}(streamEntry(), key))
+        return false;
     (void)owner_.allocStamp();
     ++inPlaceRun_;
     owner_.curTick_ = when;
@@ -189,6 +205,85 @@ EventHeap::fireInPlace(Tick when, std::uint64_t rank, const char *name)
     ++owner_.executed_;
     ++owner_.firedInPlace_;
     return true;
+}
+
+bool
+EventHeap::parkStream(Tick when, Tick period, std::uint64_t rank,
+                      const char *name, StreamOwner &owner)
+{
+    if (!running_ || stream_.owner || period == 0)
+        return false;
+    if (when < owner_.curTick_) {
+        panic("stream '", name ? name : "?",
+              "' parked in the past: when=", when,
+              " now=", owner_.curTick_);
+    }
+    stream_ = Stream{when, rank, owner_.allocStamp(), period, name, &owner};
+    ++owner_.liveEvents_;
+    if (owner_.front_ && Key{when, rank} < *owner_.front_)
+        *owner_.front_ = {when, rank};
+    return true;
+}
+
+void
+EventHeap::wakeStream()
+{
+    StreamOwner &owner = *stream_.owner;
+    stream_.owner = nullptr;
+    // Still one pending event: liveEvents_ already counts it.
+    push(stream_.when, stream_.rank, stream_.stamp, stream_.name,
+         owner.streamWoken());
+}
+
+std::uint64_t
+EventHeap::runStream(Tick limit, std::uint64_t most)
+{
+    Stream &s = stream_;
+    // Event k of the stream is due at s.when + k * period. Those up to
+    // the limit and up to the front's tick are candidates; one at
+    // the front's tick fires first only if its key is smaller.
+    Tick last = limit;
+    const Entry *front = heap_.empty() ? nullptr : &heap_.front();
+    if (front && front->when < last)
+        last = front->when;
+    if (s.when > last)
+        return 0;
+    std::uint64_t n = (last - s.when) / s.period + 1;
+    if (front && s.when + (n - 1) * s.period == front->when) {
+        // Event 0 holds its stamp; event k > 0 takes the one its
+        // predecessor's firing allocates.
+        const std::uint64_t stamp =
+            n == 1 ? s.stamp
+                   : owner_.stampBase_ | (owner_.nextSeq_ + n - 2);
+        if (!After{}(*front, Entry{front->when, s.rank, stamp, 0, 0}))
+            --n;
+    }
+    n = std::min(n, most);
+    // No firing may leave its repeat past maxTick: the event whose
+    // repeat would not fit fires from the heap instead.
+    const std::uint64_t fits = (maxTick - s.when) / s.period;
+    const bool overflows = n > fits;
+    n = std::min(n, fits);
+    if (n > 0) {
+        SHRIMP_ASSERT(s.when >= owner_.curTick_, "time went backwards");
+        SHRIMP_ASSERT(owner_.nextSeq_ + n
+                          <= (std::uint64_t(1) << EventQueue::stampSeqBits),
+                      "per-source stamp space exhausted");
+        const Tick at = s.when + (n - 1) * s.period;
+        owner_.flight_.recordEvery(s.when, s.period, n, s.name,
+                                   priorityOf(s.rank));
+        owner_.curTick_ = at;
+        owner_.executed_ += n;
+        owner_.firedInPlace_ += n;
+        // Each firing took the stamp of the repeat it issued.
+        owner_.nextSeq_ += n;
+        s.stamp = owner_.stampBase_ | (owner_.nextSeq_ - 1);
+        s.when = at + s.period;
+        s.owner->streamFired(n);
+    }
+    if (overflows)
+        wakeStream();
+    return n;
 }
 
 EventQueue::EventQueue(std::uint32_t node, EventHeap::Key *front)

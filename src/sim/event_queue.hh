@@ -28,12 +28,18 @@
  *
  * All timing in the simulator is expressed by events on a queue.
  * Components never busy-wait; they schedule their next action and
- * return. The one exception is an event whose firing is already
- * certain: inside runTo, when an event is due before every pending
+ * return. Two exceptions skip the heap where the outcome is already
+ * certain. Inside runTo, when an event is due before every pending
  * event of the node and within the limit, fireInPlace fires it at
  * once, with the stamp, clock, flight-recorder line and count it
  * would have had, and the caller runs its code itself (the kernel
- * does this for a CPU reference's completion).
+ * does this for a CPU reference's completion). And a node may park
+ * one *stream* (parkStream): a pending event that, each time it
+ * fires, only schedules its own repeat one period later. runTo and
+ * step fire its events in closed form while they precede the heap
+ * front; its owner is asked after every event off the heap whether
+ * it must wake, and waking hands the pending event back to the heap
+ * (the kernel parks a spinning poll this way).
  *
  * The scheduling fast path is allocation-free and hash-free in the
  * steady state:
@@ -285,11 +291,41 @@ class EventHandle
 class EventQueue;
 
 /**
+ * The owner of a stream parked on an EventQueue (parkStream). A
+ * stream stands for an event that, each time it fires, does nothing
+ * but issue its own repeat one period later, for as long as nothing
+ * else happens on the node. The queue fires such events in closed
+ * form and tells the owner how many; the owner says when the repeat
+ * would now do something else, and then supplies the callback the
+ * pending event fires with from the heap.
+ */
+class StreamOwner
+{
+  public:
+    /** @p n more events of the stream fired, the last at the queue's
+     *  now(); each issued the next, so one is pending again. Apply
+     *  what n firings do beyond the queue's own bookkeeping. */
+    virtual void streamFired(std::uint64_t n) = 0;
+
+    /** True when the pending event must fire from the heap. Asked
+     *  after every event off the heap and on entry to runTo and
+     *  step, so it sees every change any other code makes. */
+    virtual bool streamMustWake() = 0;
+
+    /** The stream wakes: the callback its pending event fires with
+     *  from the heap. The stream is gone once this returns. */
+    virtual EventCallback streamWoken() = 0;
+
+  protected:
+    ~StreamOwner() = default;
+};
+
+/**
  * One node's event core: a slab of event records and a binary
  * min-heap of (tick, rank, stamp) entries referencing slab slots,
- * where the rank packs (priority, node). It belongs to exactly one
- * EventQueue, whose clock and counters firing an event advances. Not
- * thread-safe.
+ * where the rank packs (priority, node), plus at most one parked
+ * stream beside the heap. It belongs to exactly one EventQueue, whose
+ * clock and counters firing an event advances. Not thread-safe.
  */
 class EventHeap
 {
@@ -341,20 +377,29 @@ class EventHeap
     /** EventQueue::deschedule. */
     bool cancel(EventHandle handle);
 
-    /** Key of the earliest pending event ({maxTick, 0} when none);
-     *  drops stale cancelled entries first. */
+    /** Key of the earliest pending event, the stream's included
+     *  ({maxTick, 0} when none); drops stale cancelled entries
+     *  first. */
     Key nextKey();
 
-    /** Fire the earliest pending event, if any. False if none. */
+    /** Fire the earliest pending event, if any: one heap event or
+     *  one stream event. False if none. */
     bool step();
 
     /** Fire, in order, every event at or before @p limit — including
      *  those the fired callbacks schedule. @return Events fired,
-     *  in place or off the heap. */
+     *  in place, in the stream or off the heap. */
     std::uint64_t runTo(Tick limit);
 
     /** EventQueue::fireInPlace, with the rank already packed. */
     bool fireInPlace(Tick when, std::uint64_t rank, const char *name);
+
+    /** EventQueue::parkStream, with the rank already packed. */
+    bool parkStream(Tick when, Tick period, std::uint64_t rank,
+                    const char *name, StreamOwner &owner);
+
+    /** True while a stream is parked. */
+    bool streamParked() const { return stream_.owner != nullptr; }
 
     // ------------------------------------------- self-perf counters
     /** Stale-entry heap compactions performed. */
@@ -436,6 +481,42 @@ class EventHeap
     /** Rebuild the heap without stale entries when they dominate. */
     void maybeCompact();
 
+    /** The parked stream: its pending event's key, its period, and
+     *  its owner (null when no stream is parked). */
+    struct Stream
+    {
+        Tick when = 0;
+        std::uint64_t rank = 0;
+        std::uint64_t stamp = 0;
+        Tick period = 0;
+        const char *name = nullptr;
+        StreamOwner *owner = nullptr;
+    };
+
+    /** The key of the stream's pending event. */
+    Entry
+    streamEntry() const
+    {
+        return Entry{stream_.when, stream_.rank, stream_.stamp, 0, 0};
+    }
+
+    /** Wake the stream if its owner says it must. */
+    void
+    checkStream()
+    {
+        if (stream_.owner && stream_.owner->streamMustWake())
+            wakeStream();
+    }
+
+    /** Move the stream's pending event into the heap, with its own
+     *  key and the callback its owner supplies. */
+    void wakeStream();
+
+    /** Fire, in closed form and at most @p most, the stream events
+     *  that precede the heap front and are due at or before
+     *  @p limit. @return how many fired. */
+    std::uint64_t runStream(Tick limit, std::uint64_t most);
+
     EventQueue &owner_;
     /** Inside runTo: fireInPlace may fire up to runLimit_. */
     bool running_ = false;
@@ -448,13 +529,15 @@ class EventHeap
     std::vector<Record> slots_;
     std::vector<std::uint32_t> freeSlots_;
     std::vector<Entry> heap_;
+    Stream stream_;
 };
 
 /**
  * One node's event queue: the clock, stamps, counters and flight
  * recorder of the node, and the EventHeap that orders its events.
  * Components hold an EventQueue and see only schedule / scheduleIn /
- * deschedule / now; the kernel's CPU also uses fireInPlace.
+ * deschedule / now; the kernel's CPU also uses fireInPlace and
+ * parkStream.
  */
 class EventQueue
 {
@@ -543,7 +626,8 @@ class EventQueue
     /** True if no events of this node remain. */
     bool empty() const { return liveEvents_ == 0; }
 
-    /** Number of this node's pending (non-cancelled) events. */
+    /** Number of this node's pending (non-cancelled) events; a
+     *  parked stream counts once. */
     std::size_t pendingEvents() const { return liveEvents_; }
 
     /**
@@ -561,15 +645,16 @@ class EventQueue
         return curTick_;
     }
 
-    /** Execute exactly one event, if any. Returns false if the queue
-     *  is empty. */
+    /** Execute exactly one event (off the heap or of a parked
+     *  stream), if any. Returns false if the queue is empty. */
     bool step() { return heap_.step(); }
 
     /**
      * Fire an event at @p when in place, if it is certain to be this
      * node's next event: only inside runTo, only at or before its
      * limit, only when the event's full (tick, priority, stamp) key
-     * precedes every pending event of the node, and at most
+     * precedes every pending event of the node (a parked stream's
+     * too), and at most
      * EventHeap::maxInPlaceRun times between two events off the heap.
      * Then it takes the stamp, advances the clock to @p when, writes
      * the flight recorder and counts the event, exactly as scheduling
@@ -591,13 +676,48 @@ class EventQueue
                                  name);
     }
 
-    /** Events of this node fired in place (included in
-     *  eventsExecuted()). */
+    /** Events of this node fired in place or in a stream (included
+     *  in eventsExecuted()). */
     std::uint64_t firedInPlace() const { return firedInPlace_; }
 
-    /** (tick, rank) of the earliest pending event ({maxTick, 0} when
-     *  none). The rank carries the node, so the keys of several
-     *  queues order their fronts by (tick, priority, node). */
+    /**
+     * Park a stream: a pending event at @p when that, each time it
+     * fires, only issues its own repeat @p period ticks later, with
+     * the next stamp. Only inside runTo, and only while no stream is
+     * parked (a node has one). The event takes its stamp now, as
+     * schedule would, and counts as one pending event however often
+     * it repeats.
+     *
+     * runTo and step fire the stream's events in closed form while
+     * they precede every pending event of the node, each with the
+     * stamp, clock, flight-recorder line and count its firing would
+     * have had (the count in firedInPlace() too), and report them to
+     * @p owner (StreamOwner::streamFired). After every event off the
+     * heap, and on entry to runTo and step, the owner is asked
+     * whether the stream must wake; waking moves the pending event,
+     * with its own tick and stamp, into the heap with the owner's
+     * callback. Nothing else can reach the node in between, as for
+     * fireInPlace, so the owner's check sees every change.
+     *
+     * @return false, changing nothing, outside runTo, when a stream
+     *         is parked, or when @p period is 0.
+     */
+    bool
+    parkStream(Tick when, Tick period, const char *name,
+               EventPriority prio, StreamOwner &owner)
+    {
+        return heap_.parkStream(when, period,
+                                EventHeap::rankOf(prio, node_), name,
+                                owner);
+    }
+
+    /** True while a stream is parked on this queue. */
+    bool streamParked() const { return heap_.streamParked(); }
+
+    /** (tick, rank) of the earliest pending event, a parked stream's
+     *  included ({maxTick, 0} when none). The rank carries the node,
+     *  so the keys of several queues order their fronts by (tick,
+     *  priority, node). */
     EventHeap::Key nextKey() { return heap_.nextKey(); }
 
     /** Events of this node executed over the queue's lifetime. */

@@ -68,6 +68,29 @@ class FlightRecorder
         ++head_;
     }
 
+    /**
+     * Record @p n fired events of one label and priority, the first
+     * at @p first and then one every @p period ticks: the ring ends
+     * as n record() calls would leave it, but only the events that
+     * stay in it are written.
+     */
+    void
+    recordEvery(Tick first, Tick period, std::uint64_t n,
+                const char *name, std::int32_t prio)
+    {
+        if (!enabled_.load(std::memory_order_relaxed))
+            return;
+        const std::uint64_t skipped = n > capacity ? n - capacity : 0;
+        head_ += skipped;
+        for (std::uint64_t k = skipped; k < n; ++k) {
+            Entry &e = ring_[head_ % capacity];
+            e.when = first + k * period;
+            e.name = name;
+            e.prio = prio;
+            ++head_;
+        }
+    }
+
     /** Events recorded over this recorder's lifetime. */
     std::uint64_t recorded() const { return head_; }
 

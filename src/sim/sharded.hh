@@ -318,8 +318,9 @@ class ShardedEngine : public NodeRouter
     /** Sum of per-queue executed-event counts. */
     std::uint64_t eventsExecuted() const;
 
-    /** Sum of per-queue in-place firings (EventQueue::fireInPlace),
-     *  a part of eventsExecuted(). */
+    /** Sum of per-queue firings in place or in a parked stream
+     *  (EventQueue::fireInPlace, parkStream), a part of
+     *  eventsExecuted(). */
     std::uint64_t firedInPlace() const;
 
     /**

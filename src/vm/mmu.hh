@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "sim/logging.hh"
 #include "vm/layout.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -92,6 +93,31 @@ class Mmu
             pte->dirty = true;
         res.paddr = pte->frameAddr + layout_.pageOffset(vaddr);
         return res;
+    }
+
+    /**
+     * True when a read of @p vaddr would hit the TLB and translate
+     * without a fault, so translate() would change nothing but the
+     * counters, the LRU clock and the referenced bit.
+     */
+    bool
+    readHits(Addr vaddr) const
+    {
+        const Pte *pte = tlb_.peek(layout_.pageOf(vaddr));
+        return pte && pte->valid;
+    }
+
+    /**
+     * @p n more reads of @p vaddr, each a TLB hit (readHits): what n
+     * translate(vaddr, false) calls do, in one step.
+     */
+    void
+    repeatRead(Addr vaddr, std::uint64_t n)
+    {
+        Pte *pte = tlb_.repeatHit(layout_.pageOf(vaddr), n);
+        SHRIMP_ASSERT(pte && pte->valid, "repeated read of a page the "
+                      "TLB does not hold, va=", vaddr);
+        pte->referenced = true;
     }
 
     /** Kernel-initiated single-page shootdown. */

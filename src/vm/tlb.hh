@@ -40,6 +40,38 @@ class Tlb
         return nullptr;
     }
 
+    /** The cached PTE pointer of @p vpn, or nullptr; counts
+     *  nothing and leaves the LRU order alone. */
+    Pte *
+    peek(std::uint64_t vpn) const
+    {
+        for (const auto &e : slots_) {
+            if (e.vpn == vpn)
+                return e.pte;
+        }
+        return nullptr;
+    }
+
+    /**
+     * @p n more lookups of @p vpn that hit: what n lookup() calls do
+     * when the TLB holds it, in one step (n hits and n LRU ticks).
+     * @return the cached PTE pointer; nullptr, counting nothing, when
+     *         the TLB does not hold @p vpn.
+     */
+    Pte *
+    repeatHit(std::uint64_t vpn, std::uint64_t n)
+    {
+        for (auto &e : slots_) {
+            if (e.vpn == vpn) {
+                useClock_ += n;
+                e.lastUse = useClock_;
+                hits_ += n;
+                return e.pte;
+            }
+        }
+        return nullptr;
+    }
+
     /** Insert a translation, evicting LRU if full. */
     void
     insert(std::uint64_t vpn, Pte *pte)

@@ -158,6 +158,7 @@ runRing(const RingConfig &cfg)
     res.crossPosts = sys.engine()->crossPosts();
     res.windows = sys.engine()->windows();
     res.subWindows = sys.engine()->subWindows();
+    res.firedInPlace = sys.engine()->firedInPlace();
 
     res.faults = sys.net().faults().totals();
     res.linksTotal = nlinks;

@@ -154,6 +154,11 @@ struct RingResult
     std::uint64_t crossPosts = 0;
     std::uint64_t windows = 0;
     std::uint64_t subWindows = 0;
+    /** Of simEvents, those fired in place or in a parked stream
+     *  rather than off a heap (ShardedEngine::firedInPlace). Where
+     *  sub-windows end decides some of them, so unlike simEvents it
+     *  may differ between shard counts. */
+    std::uint64_t firedInPlace = 0;
 };
 
 /** Build the system, run both phases, and report. */

@@ -171,4 +171,10 @@ TEST(UdmaLib, PollWordSpinsUntilValue)
         });
     sys.runUntilAllDone(Tick(10) * tickSec);
     EXPECT_GT(polls, 10u) << "a 200 us delay needs many polls";
+    // Read from a kernel that issued every load of the spin as its own
+    // reference: the flag event wakes the parked spin at its tick.
+    EXPECT_EQ(polls, 1283u);
+    EXPECT_EQ(sys.simNow(), 211382612u);
+    EXPECT_EQ(sys.simEvents(), 1286u);
+    EXPECT_EQ(sys.node(0).mmu().tlb().hits(), 1282u);
 }

@@ -651,6 +651,30 @@ const ArrivalStep arrivalSteps[] = {
 
 } // namespace
 
+TEST(ChunkChecksum, EveryOneByteCorruptionChangesIt)
+{
+    // A corrupting hop flips one payload byte (XOR 0xFF). Whole words
+    // and a tail of single bytes are both covered.
+    for (const std::uint32_t len : {256u, 13u}) {
+        std::vector<std::uint8_t> bytes(len);
+        for (std::uint32_t i = 0; i < len; ++i)
+            bytes[i] = std::uint8_t(i * 37 + 11);
+        Chunk c{.h = {.src = 3, .seq = 9, .dstAddr = 0x4000},
+                .data = Payload::copyOf(bytes.data(), len)};
+        const std::uint64_t sum = chunkChecksum(c.h, c.data);
+        for (std::uint32_t i = 0; i < len; ++i) {
+            for (const std::uint8_t flip : {0xFF, 0x01, 0x80}) {
+                c.data.data()[i] ^= flip;
+                EXPECT_NE(chunkChecksum(c.h, c.data), sum)
+                    << len << "-byte payload, byte " << i << " ^ "
+                    << int(flip);
+                c.data.data()[i] ^= flip;
+            }
+        }
+        EXPECT_EQ(chunkChecksum(c.h, c.data), sum);
+    }
+}
+
 TEST(RxFlow, ArrivalsFollowTheTable)
 {
     RxFlow flow;
