@@ -55,7 +55,7 @@ Monitor::Monitor(core::System &sys, Mode mode, bool fail_fast)
     : sys_(sys), mode_(mode), failFast_(fail_fast)
 {
     // AtBarrier installs no per-event hooks: the sharded engine calls
-    // auditNow from its barrier hook, when all shards are quiescent.
+    // auditNode from its per-node hook at every round boundary.
     if (mode_ == Mode::Off || mode_ == Mode::AtBarrier)
         return;
     const bool every = mode_ == Mode::EveryEvent;
@@ -94,8 +94,18 @@ Monitor::~Monitor()
 void
 Monitor::auditNow(const char *why)
 {
-    ++audits_;
+    audits_.fetch_add(1, std::memory_order_relaxed);
     std::vector<Violation> found = checkAll(sys_);
+    if (!found.empty())
+        record(why, std::move(found));
+}
+
+void
+Monitor::auditNode(NodeId node, const char *why)
+{
+    audits_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<Violation> found;
+    checkNode(sys_.node(node), found);
     if (!found.empty())
         record(why, std::move(found));
 }
@@ -103,6 +113,7 @@ Monitor::auditNow(const char *why)
 void
 Monitor::record(const char *why, std::vector<Violation> found)
 {
+    std::lock_guard<std::mutex> g(recordMu_);
     for (const Violation &v : found) {
         ++violationCount_;
         if (violationCount_ <= maxWarnings || failFast_) {

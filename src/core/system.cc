@@ -234,15 +234,17 @@ System::enableAudit(const std::string &spec, bool fail_fast)
     if (mode == audit::Mode::Off)
         return true;
     // On several shards, per-event hooks would fire concurrently on
-    // worker threads and read other shards' state mid-window; audit
-    // where the world is quiescent instead. One shard runs every
-    // event on one thread, so every mode works there as requested.
+    // worker threads and one shard's audit would read the other
+    // shards' nodes mid-window; audit each node at its own shard's
+    // round boundaries instead. One shard runs every event on one
+    // thread, so every mode works there as requested.
     if (engine_->shardCount() > 1)
         mode = audit::Mode::AtBarrier;
     auditor_ = std::make_unique<audit::Monitor>(*this, mode, fail_fast);
     if (mode == audit::Mode::AtBarrier) {
-        engine_->setBarrierHook(
-            [this] { auditor_->auditNow("window-barrier"); });
+        engine_->setBarrierHook([this](NodeId n) {
+            auditor_->auditNode(n, "window-barrier");
+        });
     }
     return true;
 }
@@ -425,14 +427,11 @@ writeStatsJson(System &sys, const RunOptions &opts)
 Tick
 System::runUntilAllDone(Tick limit)
 {
-    auto all_done = [this] {
-        for (auto &n : nodes_) {
-            if (!n->kernel().allProcessesDone())
-                return false;
-        }
-        return true;
-    };
-    Tick t = runUntil(all_done, limit);
+    const Tick t = engine_->runUntil(
+        [this](NodeId n) {
+            return nodes_[n]->kernel().allProcessesDone();
+        },
+        limit);
     for (auto &n : nodes_)
         n->kernel().rethrowProcessFailures();
     return t;

@@ -212,19 +212,6 @@ class System
     Tick run(Tick limit = maxTick) { return engine_->run(limit); }
 
     /**
-     * Run until @p pred returns true, or all queues drain, or
-     * @p limit. The predicate is evaluated at window barriers with
-     * every worker parked, so it may read any state. On one shard the
-     * first window already reaches @p limit, so a predicate that turns
-     * true mid-run does not stop the run early.
-     */
-    Tick
-    runUntil(const std::function<bool()> &pred, Tick limit = maxTick)
-    {
-        return engine_->runUntil(pred, limit);
-    }
-
-    /**
      * Sequential phase for workload setup that rendezvouses through
      * host-shared state (e.g. msg::Channel export/import): events of
      * all nodes are interleaved in one canonical global order on the
@@ -238,7 +225,11 @@ class System
 
     /**
      * Run until every process on every node is done (or @p limit).
-     * Rethrows any exception a process body terminated with.
+     * Each node's processes are checked at every round boundary by
+     * the worker that owns the node; the run stops at the first
+     * boundary where all are done. On one shard the first window
+     * already reaches @p limit, so the check stops nothing early
+     * there. Rethrows any exception a process body terminated with.
      */
     Tick runUntilAllDone(Tick limit = maxTick);
 
@@ -253,10 +244,11 @@ class System
     /**
      * Turn on continuous invariant auditing (check/monitor.hh):
      * "on-switch" audits at context switches, "every-event" at every
-     * kernel event and DMA completion, "at-barrier" at the engine's
-     * window barriers, "off" detaches. On more than one shard every
-     * non-off mode is coerced to at-barrier — the only point where
-     * all shards are quiescent. Returns false on an unknown spec.
+     * kernel event and DMA completion, "at-barrier" every node at
+     * every round boundary of the engine, on the worker that owns the
+     * node, "off" detaches. On more than one shard every non-off mode
+     * is coerced to at-barrier — a node is quiescent at its shard's
+     * boundaries. Returns false on an unknown spec.
      * With @p fail_fast the monitor throws audit::ViolationError at
      * the first violation.
      */

@@ -42,7 +42,6 @@ class Disk : public dma::UdmaDevice
     }
 
     std::uint64_t capacity() const { return image_.size(); }
-    std::uint32_t blockBytes() const { return blockBytes_; }
 
     /** Host-side image access for tests/examples. */
     void

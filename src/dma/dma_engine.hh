@@ -134,9 +134,6 @@ class DmaEngine
         return std::uint64_t(stalls_.value());
     }
 
-    /** End-to-end transfer latencies (us) for completed transfers. */
-    const stats::Histogram &transferLatency() const { return xferUs_; }
-
     /** The engine's registered stats ("engine.*"). */
     const stats::StatGroup &statGroup() const { return statGroup_; }
 

@@ -235,12 +235,6 @@ class UdmaController : public bus::ProxyClient
         return engine_.statGroup();
     }
 
-    /** Span id of the currently latched destination (0 if none). */
-    std::uint64_t pendingSpanId() const
-    {
-        return pending_.valid ? pending_.spanId : 0;
-    }
-
   private:
     /** A latched (STORE) destination awaiting its LOAD. */
     struct PendingDest

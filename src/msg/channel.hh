@@ -132,8 +132,6 @@ class ReceiverChannel
     /** Acknowledge the message returned by recvZeroCopy. */
     sim::Task<std::uint64_t> ackLast();
 
-    std::uint64_t messagesReceived() const { return rseq_; }
-
   private:
     os::UserContext &ctx_;
     unsigned dev_;

@@ -447,6 +447,10 @@ Kernel::dispatch()
         [this, next] {
             dispatchPending_ = false;
             running_ = next;
+            // A quantum that expired while the previous process's
+            // yield, block or kill was pending preempted nobody; the
+            // new process gets a fresh quantum, not that expiry.
+            preemptPending_ = false;
             next->state_ = ProcState::Running;
             next->lastDispatch_ = eq_.now();
             armQuantum(*next);

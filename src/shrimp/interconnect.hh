@@ -33,8 +33,8 @@
  * was attached instead of resizing (a mid-run grow would be a data
  * race under shards). Each link slot is only ever touched by the shard
  * executing its owner, so the byte counters are exact with no shared
- * atomics, and bytesRouted() merges them when the world is quiescent
- * (window barriers or after the run).
+ * atomics, and bytesRouted() merges them when no run is in
+ * progress.
  */
 
 #ifndef SHRIMP_SHRIMP_INTERCONNECT_HH

@@ -19,10 +19,7 @@ void
 ShardProfiler::beginRun()
 {
     for (auto &p : slots_)
-        p.s = Slot{};
-    skippedRuns_.store(0, std::memory_order_relaxed);
-    for (auto &b : widthHist_)
-        b.store(0, std::memory_order_relaxed);
+        p = PaddedSlot{};
     barSpinWakes_.store(0, std::memory_order_relaxed);
     barSleeps_.store(0, std::memory_order_relaxed);
     wallNs_ = 0;
@@ -112,6 +109,24 @@ ShardProfiler::totals() const
         t.maxDrainBatch = std::max(t.maxDrainBatch, p.s.maxDrainBatch);
     }
     return t;
+}
+
+std::uint64_t
+ShardProfiler::skippedWindowRuns() const
+{
+    std::uint64_t n = 0;
+    for (const auto &p : slots_)
+        n += p.skippedRuns;
+    return n;
+}
+
+std::uint64_t
+ShardProfiler::windowWidthBucket(unsigned i) const
+{
+    std::uint64_t n = 0;
+    for (const auto &p : slots_)
+        n += p.widthHist[i];
+    return n;
 }
 
 double

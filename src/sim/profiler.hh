@@ -9,11 +9,12 @@
  *   execute       running a window's events (>=1 event fired)
  *   idle          an execute phase that fired zero events on this
  *                 shard (the wall cost of conservative window skew)
- *   barrier_plan  waiting at the round barrier (includes the one
- *                 thread that runs planRound in the completion). The
- *                 engine fuses plan and sync into this single
- *                 barrier, so barrier_sync is retained only for
- *                 schema stability and reads ~0.
+ *   barrier_plan  the round boundary: the worker's per-node hook and
+ *                 stop predicate, publishing its promise line,
+ *                 waiting for its peers' lines and planning its own
+ *                 window. The engine has one boundary per round, so
+ *                 barrier_sync is retained only for schema stability
+ *                 and reads ~0.
  *   barrier_sync  legacy post-execute sync barrier (see above)
  *   drain         draining cross-shard mailboxes into the queues
  *   spawn         worker start-up and join around each run: from the
@@ -29,14 +30,14 @@
  * the bench asserts at >= 95%.
  *
  * Occupancy counters ride along: events executed per window (an idle
- * window is one that executed none), messages drained per barrier and
- * the max drain batch, skipped-window runs noted by the planner when
- * consecutive windows are not adjacent in sim time, a log2 histogram
+ * window is one that executed none), messages drained per round and
+ * the max drain batch, skipped-window runs noted by worker 0's plan
+ * when consecutive windows are not adjacent in sim time, a log2 histogram
  * of planned per-shard window widths (bucket 0 = rounds where the
  * shard had nothing to run — the direct readout of how much the
  * promise-based horizons widen windows beyond the static lookahead),
- * and the engine's barrier outcomes (waits resolved by spinning vs.
- * futex sleeps).
+ * and the engine's round-boundary waits (resolved by spinning vs.
+ * futex sleeps). Every note comes from the worker that owns the slot.
  *
  * The profiler only observes: attaching it changes no sim-visible
  * state, so digests and sim-time metrics are identical with and
@@ -127,9 +128,8 @@ class ShardProfiler
     // ------------------------------------------ engine note points
     // All notes take profiler-relative timestamps from nowNs() so the
     // caller can chain one clock read across phase boundaries. Each
-    // slot is written only by its own worker thread between the
-    // barriers; the joins at the end of runWindows publish the slots
-    // to the reader.
+    // slot is written only by its own worker thread; the joins at the
+    // end of runWindows publish the slots to the reader.
     void notePlan(unsigned worker, std::uint64_t t0, std::uint64_t t1);
     void noteExecute(unsigned worker, std::uint64_t t0, std::uint64_t t1,
                      std::uint64_t events_fired);
@@ -140,14 +140,14 @@ class ShardProfiler
      *  interval is noted by the engine's thread after the join. */
     void noteSpawn(unsigned worker, std::uint64_t t0, std::uint64_t t1);
 
-    /** Planner saw a sim-time gap between consecutive windows (the
-     *  next event lies beyond the previous window's end + 1). Called
-     *  from the barrier completion: serialized, but possibly from a
-     *  different thread each window, hence the relaxed atomic. */
+    /** Worker @p worker's plan hopped over simulated time: the next
+     *  event lies beyond the previous round's widest window end + 1
+     *  (every shard plans the same rounds; the engine notes this from
+     *  worker 0 only). */
     void
-    noteWindowSkip()
+    noteWindowSkip(unsigned worker)
     {
-        skippedRuns_.fetch_add(1, std::memory_order_relaxed);
+        ++slots_[worker].skippedRuns;
     }
 
     /** Log2 window-width histogram buckets: [0] counts rounds where a
@@ -155,19 +155,17 @@ class ShardProfiler
      *  in [2^(k-1), 2^k) ticks; the last bucket absorbs the rest. */
     static constexpr unsigned widthBuckets = 65;
 
-    /** Planner computed a per-shard window of @p width ticks (0 =
-     *  the shard was idle this round). Called from the barrier
-     *  completion — serialized, but possibly from a different thread
-     *  each round, hence the relaxed atomics. */
+    /** Worker @p worker planned a window of @p width ticks for its
+     *  shard (0 = the shard was idle this round). */
     void
-    noteWindowWidth(Tick width)
+    noteWindowWidth(unsigned worker, Tick width)
     {
         const unsigned b =
             width == 0
                 ? 0u
                 : std::min<unsigned>(widthBuckets - 1,
                                      std::bit_width(std::uint64_t(width)));
-        widthHist_[b].fetch_add(1, std::memory_order_relaxed);
+        ++slots_[worker].widthHist[b];
     }
 
     /** Accumulate the engine's barrier outcomes for a run (called
@@ -188,18 +186,11 @@ class ShardProfiler
     /** Sum of all workers' buckets and occupancy counters. */
     Slot totals() const;
 
-    std::uint64_t
-    skippedWindowRuns() const
-    {
-        return skippedRuns_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t skippedWindowRuns() const;
 
-    /** Count in window-width histogram bucket @p i (see widthBuckets). */
-    std::uint64_t
-    windowWidthBucket(unsigned i) const
-    {
-        return widthHist_[i].load(std::memory_order_relaxed);
-    }
+    /** Count in window-width histogram bucket @p i (see widthBuckets),
+     *  summed over workers. */
+    std::uint64_t windowWidthBucket(unsigned i) const;
 
     /** Barrier waits resolved while spinning, this run. */
     std::uint64_t
@@ -233,14 +224,14 @@ class ShardProfiler
     struct alignas(64) PaddedSlot
     {
         Slot s;
+        std::uint64_t skippedRuns = 0;
+        std::array<std::uint64_t, widthBuckets> widthHist{};
     };
 
     std::vector<PaddedSlot> slots_;
     std::chrono::steady_clock::time_point origin_;
     std::uint64_t wallNs_ = 0;
     bool running_ = false;
-    std::atomic<std::uint64_t> skippedRuns_{0};
-    std::array<std::atomic<std::uint64_t>, widthBuckets> widthHist_{};
     std::atomic<std::uint64_t> barSpinWakes_{0};
     std::atomic<std::uint64_t> barSleeps_{0};
     TraceSink *sink_ = nullptr;

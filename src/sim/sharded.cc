@@ -48,23 +48,53 @@ cpuRelax()
 
 } // namespace
 
-bool
-SpinBarrier::spinUntilReleased(std::uint64_t phase) const
+void
+PeerWait::await(const std::atomic<std::uint32_t> *const *words,
+                std::size_t n, std::uint32_t round)
+{
+    if (n == 0)
+        return;
+    std::size_t i = 0;
+    if (spin_) {
+        i = spinUntil(words, n, round);
+        if (i == n) {
+            ++spinWakes_;
+            return;
+        }
+    }
+    ++futexSleeps_;
+    for (; i < n; ++i) {
+        for (;;) {
+            const std::uint32_t v = words[i]->load(std::memory_order_acquire);
+            if (reached(v, round))
+                break;
+            words[i]->wait(v, std::memory_order_acquire);
+        }
+    }
+}
+
+std::size_t
+PeerWait::spinUntil(const std::atomic<std::uint32_t> *const *words,
+                    std::size_t n, std::uint32_t round) const
 {
     // The clock is read once per 64 polls: often enough to honour the
     // budget within a few microseconds, rarely enough to stay off the
     // poll's critical path.
-    // shrimp-lint: allow(D1) bounds a barrier spin in wall time only; never feeds sim state
+    // shrimp-lint: allow(D1) bounds a round wait in wall time only; never feeds sim state
     using Clock = std::chrono::steady_clock;
     const Clock::time_point deadline = Clock::now() + spinBudget;
+    std::size_t i = 0;
     for (;;) {
-        for (int i = 0; i < 64; ++i) {
-            if (phase_.load(std::memory_order_acquire) != phase)
-                return true;
+        for (int poll = 0; poll < 64; ++poll) {
+            while (reached(words[i]->load(std::memory_order_acquire),
+                           round)) {
+                if (++i == n)
+                    return n;
+            }
             cpuRelax();
         }
         if (Clock::now() >= deadline)
-            return false;
+            return i;
     }
 }
 
@@ -83,12 +113,22 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
 {
     SHRIMP_ASSERT(nodes > 0, "engine needs at least one node");
     SHRIMP_ASSERT(la, "engine needs a lookahead function");
+    // Contiguous balanced blocks: shard s holds the nodes n with
+    // n * shards / nodes == s, ceil or floor of nodes / shards each.
+    nodeShard_.resize(nodes);
+    std::vector<unsigned> block(shards_, 0);
+    for (unsigned n = 0; n < nodes; ++n) {
+        nodeShard_[n] = unsigned(std::uint64_t(n) * shards_ / nodes);
+        ++block[nodeShard_[n]];
+    }
+    const unsigned cores = hostCoreCount();
     for (unsigned s = 0; s < shards_; ++s) {
         ShardState &st = shardStates_[s];
         st.postedMin.assign(shards_, maxTick);
-        // Nodes s, s + shards, ...: node n is entry n / shards.
-        st.front.assign((nodes - s + shards_ - 1) / shards_,
-                        EventHeap::Key{maxTick, 0});
+        st.nextEvent.assign(shards_, maxTick);
+        st.front.assign(block[s], EventHeap::Key{maxTick, 0});
+        st.queues.reserve(block[s]);
+        st.wait = PeerWait(shards_, cores);
     }
     queues_.reserve(nodes);
     for (unsigned n = 0; n < nodes; ++n) {
@@ -96,8 +136,10 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
         // (tick, priority) then execute in (source node, per-source
         // order) regardless of which shard drained the message when.
         ShardState &st = shardStates_[shardOf(n)];
-        queues_.push_back(
-            std::make_unique<EventQueue>(n, &st.front[n / shards_]));
+        if (st.queues.empty())
+            st.first = n;
+        queues_.push_back(std::make_unique<EventQueue>(
+            n, &st.front[st.queues.size()]));
         queues_.back()->setFlightLabel("node" + std::to_string(n));
         st.queues.push_back(queues_.back().get());
     }
@@ -112,6 +154,22 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
                 continue;
             for (Mailbox::Buffer &b : box(src, dst).buf)
                 b.msgs.reserve(Mailbox::reserved);
+        }
+    }
+
+    // Two promises per shard, one per round parity, each on lines of
+    // its own; every shard waits on its peers' round words.
+    promiseLines_ = (1 + shards_ + PromiseLine::words - 1)
+                    / PromiseLine::words;
+    promises_ = std::make_unique<PromiseLine[]>(std::size_t(shards_) * 2
+                                                * promiseLines_);
+    for (unsigned s = 0; s < shards_; ++s) {
+        for (unsigned p = 0; p < 2; ++p) {
+            for (unsigned peer = 0; peer < shards_; ++peer) {
+                if (peer != s)
+                    shardStates_[s].peerRound[p].push_back(
+                        &promiseLine(peer, p, 0).round);
+            }
         }
     }
 
@@ -135,7 +193,6 @@ ShardedEngine::ShardedEngine(unsigned nodes, unsigned shards,
     }
     if (minLookahead_ == maxTick)
         minLookahead_ = 1; // single node: no pairs, value unused
-    nextEvent_.resize(shards_, maxTick);
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -174,11 +231,11 @@ ShardedEngine::post(NodeId src, NodeId dst, Tick when, const char *name,
         ++st.directPosts;
         return;
     }
-    box(ss, ds).buf[ctrl_.parity].msgs.push_back(
+    box(ss, ds).buf[st.parity].msgs.push_back(
         CrossMsg{when, std::int32_t(prio), stamp, src, dst, name,
                  std::move(fn)});
-    // Publish the promise: the earliest tick shard ds may receive from
-    // us this round. The next barrier folds it into ds's horizon.
+    // The promise: the earliest tick shard ds may receive from us
+    // this round, published at the next boundary for every planner.
     if (when < st.postedMin[ds])
         st.postedMin[ds] = when;
 }
@@ -275,6 +332,7 @@ ShardedEngine::drainShard(unsigned dst_shard, bool both)
     // per-source counter) makes every key unique, so the execution
     // order cannot depend on how nodes map to shards or how drains
     // were batched.
+    const unsigned parity = shardStates_[dst_shard].parity;
     std::size_t delivered = 0;
     auto take = [this, &delivered](std::vector<CrossMsg> &msgs) {
         for (CrossMsg &m : msgs)
@@ -290,9 +348,9 @@ ShardedEngine::drainShard(unsigned dst_shard, bool both)
         // Only the *previous* round's buffer is safe to touch while
         // producers run (they append to buf[parity]); the sequential
         // entry drain takes both.
-        take(mb.buf[ctrl_.parity ^ 1].msgs);
+        take(mb.buf[parity ^ 1].msgs);
         if (both)
-            take(mb.buf[ctrl_.parity].msgs);
+            take(mb.buf[parity].msgs);
         mb.delivered += delivered - before;
     }
     return delivered;
@@ -305,42 +363,64 @@ ShardedEngine::drainAll()
         drainShard(s, /*both=*/true);
 }
 
-void
-ShardedEngine::planRound()
+std::uint32_t
+ShardedEngine::checkNodes(unsigned shard)
 {
-    if (ctrl_.error) {
-        ctrl_.done = true;
-        return;
+    const ShardState &st = shardStates_[shard];
+    const NodeId end = st.first + NodeId(st.queues.size());
+    if (barrierHook_) {
+        for (NodeId n = st.first; n < end; ++n)
+            barrierHook_(n);
     }
-    try {
-        if (barrierHook_)
-            barrierHook_();
-        if (ctrl_.pred && (*ctrl_.pred)()) {
-            ctrl_.done = true;
-            return;
-        }
-    } catch (...) {
-        ctrl_.error = std::current_exception();
-        ctrl_.done = true;
-        return;
+    if (!ctrl_.pred)
+        return 0;
+    for (NodeId n = st.first; n < end; ++n) {
+        if (!(*ctrl_.pred)(n))
+            return 0;
     }
+    return stopBit;
+}
+
+void
+ShardedEngine::publish(unsigned shard, std::uint32_t round,
+                       std::uint32_t flags)
+{
+    const ShardState &st = shardStates_[shard];
+    const unsigned p = round & 1;
+    PromiseLine &head = promiseLine(shard, p, 0);
+    head.flags = flags;
+    promiseWord(shard, p, 0) = st.localNext;
+    for (unsigned d = 0; d < shards_; ++d)
+        promiseWord(shard, p, 1 + d) = st.postedMin[d];
+    PeerWait::publish(head.round, round);
+}
+
+bool
+ShardedEngine::planWindow(unsigned shard, std::uint32_t round)
+{
+    ShardState &st = shardStates_[shard];
+    const unsigned p = round & 1;
     // Earliest possible next event per shard: its own queues' minimum
-    // plus every promise staged toward it this round (those messages
-    // are drained at the start of the next round).
+    // plus every promise staged toward it last round (those messages
+    // are drained at the start of this one).
+    std::vector<Tick> &next = st.nextEvent;
+    std::uint32_t all = stopBit;
+    std::uint32_t any = 0;
+    for (unsigned d = 0; d < shards_; ++d)
+        next[d] = promiseWord(d, p, 0);
+    for (unsigned s = 0; s < shards_; ++s) {
+        const std::uint32_t flags = promiseLine(s, p, 0).flags;
+        all &= flags;
+        any |= flags;
+        for (unsigned d = 0; d < shards_; ++d)
+            next[d] = std::min(next[d], promiseWord(s, p, 1 + d));
+    }
     Tick global_next = maxTick;
     for (unsigned d = 0; d < shards_; ++d)
-        nextEvent_[d] = shardStates_[d].localNext;
-    for (unsigned s = 0; s < shards_; ++s) {
-        const ShardState &st = shardStates_[s];
-        for (unsigned d = 0; d < shards_; ++d)
-            nextEvent_[d] = std::min(nextEvent_[d], st.postedMin[d]);
-    }
-    for (unsigned d = 0; d < shards_; ++d)
-        global_next = std::min(global_next, nextEvent_[d]);
-    if (global_next == maxTick || global_next > ctrl_.limit) {
-        ctrl_.done = true;
-        return;
-    }
+        global_next = std::min(global_next, next[d]);
+    if ((any & errorBit) || (all & stopBit) || global_next == maxTick
+        || global_next > ctrl_.limit)
+        return false;
     // Relax to the LBTS fixpoint: an apparently idle shard can still
     // be *woken* by a peer's message and reflect one back, so each
     // shard's earliest possible event is bounded through every path of
@@ -350,22 +430,29 @@ ShardedEngine::planRound()
     for (bool changed = true; changed;) {
         changed = false;
         for (unsigned s = 0; s < shards_; ++s) {
-            if (nextEvent_[s] == maxTick)
+            if (next[s] == maxTick)
                 continue;
             for (unsigned d = 0; d < shards_; ++d) {
                 if (d == s)
                     continue;
                 const Tick l = pairL_[std::size_t(s) * shards_ + d];
-                if (nextEvent_[s] >= maxTick - l)
+                if (next[s] >= maxTick - l)
                     continue;
-                const Tick reach = nextEvent_[s] + l;
-                if (reach < nextEvent_[d]) {
-                    nextEvent_[d] = reach;
+                const Tick reach = next[s] + l;
+                if (reach < next[d]) {
+                    next[d] = reach;
                     changed = true;
                 }
             }
         }
     }
+    st.windowEnd = horizon(next, shard);
+    return true;
+}
+
+Tick
+ShardedEngine::horizon(const std::vector<Tick> &next, unsigned dst) const
+{
     // Promise-based horizons: shard d may run to one tick short of the
     // earliest event any *other* shard could still send it. A shard
     // whose peers are far in the future (or reachable only by a long
@@ -373,104 +460,127 @@ ShardedEngine::planRound()
     // hundreds of lookaheads when traffic is sparse — and the shard
     // holding the global minimum always gets windowEnd >= that event,
     // so every round makes progress.
+    Tick h = maxTick;
+    for (unsigned s = 0; s < shards_; ++s) {
+        if (s == dst || next[s] == maxTick)
+            continue;
+        const Tick l = pairL_[std::size_t(s) * shards_ + dst];
+        const Tick reach =
+            (next[s] >= maxTick - l) ? maxTick : next[s] + l;
+        h = std::min(h, reach);
+    }
+    const Tick end = (h == maxTick) ? maxTick : h - 1;
+    return std::min(end, ctrl_.limit);
+}
+
+void
+ShardedEngine::noteWindow(unsigned shard, Tick &prev_max_end)
+{
+    ShardProfiler &prof = *ctrl_.prof;
+    const ShardState &st = shardStates_[shard];
+    const std::vector<Tick> &next = st.nextEvent;
+    // Window width in ticks of actual work: 0 when the shard has
+    // nothing to run this round.
+    Tick width = 0;
+    if (next[shard] <= st.windowEnd) {
+        width = st.windowEnd - next[shard];
+        if (width != maxTick)
+            ++width;
+    }
+    prof.noteWindowWidth(shard, width);
+    if (shard != 0)
+        return;
+    // A gap between the previous round's widest horizon and the next
+    // event means the engine hopped over empty time in one round —
+    // the signature of a decoupled phase. Every shard plans the same
+    // rounds, so worker 0 alone notes it.
+    Tick global_next = maxTick;
     Tick max_end = 0;
     for (unsigned d = 0; d < shards_; ++d) {
-        Tick h = maxTick;
-        for (unsigned s = 0; s < shards_; ++s) {
-            if (s == d || nextEvent_[s] == maxTick)
-                continue;
-            const Tick l = pairL_[std::size_t(s) * shards_ + d];
-            const Tick reach = (nextEvent_[s] >= maxTick - l)
-                                   ? maxTick
-                                   : nextEvent_[s] + l;
-            h = std::min(h, reach);
-        }
-        Tick end = (h == maxTick) ? maxTick : h - 1;
-        end = std::min(end, ctrl_.limit);
-        shardStates_[d].windowEnd = end;
-        max_end = std::max(max_end, end);
-        if (profiler_) {
-            // Window width in ticks of actual work: 0 when the shard
-            // has nothing to run this round.
-            Tick width = 0;
-            if (nextEvent_[d] <= end) {
-                width = end - nextEvent_[d];
-                if (width != maxTick)
-                    ++width;
-            }
-            profiler_->noteWindowWidth(width);
-        }
+        global_next = std::min(global_next, next[d]);
+        max_end = std::max(max_end, horizon(next, d));
     }
-    // A gap between the previous round's widest horizon and the next
-    // event means the engine hopped over empty time in one plan — the
-    // signature of a decoupled phase.
-    if (profiler_ && ctrl_.haveWindow && global_next > ctrl_.prevMaxEnd
-        && global_next - ctrl_.prevMaxEnd > 1)
-        profiler_->noteWindowSkip();
-    ctrl_.prevMaxEnd = max_end;
-    ctrl_.haveWindow = true;
-    // Flip the mailbox parity: producers of the coming round write the
-    // other buffer, freeing this round's for its consumer.
-    ctrl_.parity ^= 1u;
-    ++windows_;
+    if (st.rounds > 0 && global_next > prev_max_end
+        && global_next - prev_max_end > 1)
+        prof.noteWindowSkip(shard);
+    prev_max_end = max_end;
 }
 
 void
 ShardedEngine::noteError()
 {
     std::lock_guard<std::mutex> g(errMu_);
-    if (!ctrl_.error)
-        ctrl_.error = std::current_exception();
+    if (!error_)
+        error_ = std::current_exception();
 }
 
 void
-ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
-                          std::uint64_t t_enter)
+ShardedEngine::workerBody(unsigned worker, std::uint64_t t_enter)
 {
-    // One round: barrier (completion plans every shard's window) ->
-    // drain own inbox -> execute own window -> publish the promises
-    // for the next plan. Profiling (when attached and running) chains
-    // one clock read per phase transition so the buckets tile this
-    // thread's wall time with no gaps; the fused barrier wait lands in
-    // the plan bucket (there is no separate sync barrier any more).
-    // The stretch from runWindows entry to this first read — thread
-    // creation and scheduling — is the worker's spawn time.
+    // One round k: publish this shard's promise for round k -> wait
+    // for the peers' promises of round k -> plan this shard's window
+    // from all of them -> drain the round-(k - 1) inboxes -> execute.
+    // Profiling (when attached and running) chains one clock read per
+    // phase transition so the buckets tile this thread's wall time
+    // with no gaps; the boundary (hook, predicate, publish, wait and
+    // plan) lands in the plan bucket. The stretch from runWindows
+    // entry to this first read — thread creation and scheduling — is
+    // the worker's spawn time.
+    ShardProfiler *prof = ctrl_.prof;
     std::uint64_t t = prof ? prof->nowNs() : 0;
     if (prof)
         prof->noteSpawn(worker, t_enter, t);
     ShardState &st = shardStates_[worker];
-    for (;;) {
-        barrier_->arriveAndWait();
+    bool failed = false;
+    Tick prev_max_end = 0;
+    for (std::uint32_t round = 0;; ++round) {
+        // The boundary into `round`: this shard's nodes are quiescent.
+        std::uint32_t flags = 0;
+        try {
+            flags = checkNodes(worker);
+        } catch (...) {
+            noteError();
+            failed = true;
+        }
+        publish(worker, round, flags | (failed ? errorBit : 0));
+        const unsigned p = round & 1;
+        st.wait.await(st.peerRound[p].data(), st.peerRound[p].size(),
+                      round);
+        const bool go = planWindow(worker, round);
+        if (go && prof)
+            noteWindow(worker, prev_max_end);
         if (prof) {
             const std::uint64_t n = prof->nowNs();
             prof->notePlan(worker, t, n);
             t = n;
         }
-        if (ctrl_.done) {
+        if (!go) {
             st.profEnd = t;
             return;
         }
-        // The promises published last round were consumed by the plan
-        // we just crossed; start the new round's accounting.
+        ++st.rounds;
+        // Posts of this round go to buf[p]; the drain takes last
+        // round's, which every producer finished before publishing.
+        st.parity = p;
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
         std::size_t drained = 0;
         try {
             drained = drainShard(worker, /*both=*/false);
         } catch (...) {
             noteError();
+            failed = true;
         }
         if (prof) {
             const std::uint64_t n = prof->nowNs();
             prof->noteDrain(worker, t, n, drained);
             t = n;
         }
-        // The run publishes this shard's earliest pending tick for the
-        // next plan; the barrier provides the happens-before edge.
         std::uint64_t executed = 0;
         try {
             executed = runNodeMajor(worker, st.windowEnd);
         } catch (...) {
             noteError();
+            failed = true;
         }
         if (prof) {
             const std::uint64_t n = prof->nowNs();
@@ -481,49 +591,52 @@ ShardedEngine::workerBody(unsigned worker, ShardProfiler *prof,
 }
 
 Tick
-ShardedEngine::runWindows(const std::function<bool()> *pred, Tick limit)
+ShardedEngine::runWindows(const NodePredicate *pred, Tick limit)
 {
     ShardProfiler *prof =
         (profiler_ && profiler_->running()) ? profiler_ : nullptr;
     const std::uint64_t t_enter = prof ? prof->nowNs() : 0;
     // Mailboxes may hold messages from a previous partial run (e.g. a
-    // runSetup that stopped mid-window); deliver them first so the
-    // first plan sees every pending event.
+    // run stopped at its predicate); deliver them first so the first
+    // plan sees every pending event.
     drainAll();
     refreshFronts();
-    ctrl_ = Control{};
-    ctrl_.limit = limit;
-    ctrl_.pred = pred;
-    for (ShardState &st : shardStates_) {
+    ctrl_ = Control{limit, pred, prof};
+    error_ = nullptr;
+    const std::uint64_t spins = barrierSpinWakes();
+    const std::uint64_t sleeps = barrierFutexSleeps();
+    for (unsigned s = 0; s < shards_; ++s) {
+        ShardState &st = shardStates_[s];
         st.localNext = st.nextTick();
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
+        st.parity = 0;
+        st.rounds = 0;
+        // Rounds count from 0 in every run: the parity-p line reads
+        // round p - 2, which has not reached round p.
+        for (unsigned p = 0; p < 2; ++p)
+            promiseLine(s, p, 0).round.store(p - 2,
+                                             std::memory_order_relaxed);
     }
-    const unsigned workers = shards_;
-    barrier_ =
-        std::make_unique<SpinBarrier>(workers, [this] { planRound(); });
     std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w)
-        threads.emplace_back(
-            [this, w, prof, t_enter] { workerBody(w, prof, t_enter); });
-    workerBody(0, prof, t_enter);
+    threads.reserve(shards_ - 1);
+    for (unsigned w = 1; w < shards_; ++w)
+        threads.emplace_back([this, w, t_enter] { workerBody(w, t_enter); });
+    workerBody(0, t_enter);
     for (auto &t : threads)
         t.join();
-    const std::uint64_t spins = barrier_->spinWakes();
-    const std::uint64_t sleeps = barrier_->futexSleeps();
-    barSpinWakes_ += spins;
-    barSleeps_ += sleeps;
+    windows_ += shardStates_[0].rounds;
     if (prof) {
         // Each worker's tail — from its last clock read through the
         // joins — closes its budget for this run.
         const std::uint64_t t_exit = prof->nowNs();
-        for (unsigned w = 0; w < workers; ++w)
+        for (unsigned w = 0; w < shards_; ++w)
             prof->noteSpawn(w, shardStates_[w].profEnd, t_exit);
-        prof->addBarrierWaits(spins, sleeps);
+        prof->addBarrierWaits(barrierSpinWakes() - spins,
+                              barrierFutexSleeps() - sleeps);
     }
-    barrier_.reset();
-    if (ctrl_.error)
-        std::rethrow_exception(ctrl_.error);
+    ctrl_ = Control{};
+    if (error_)
+        std::rethrow_exception(error_);
     return now();
 }
 
@@ -534,7 +647,7 @@ ShardedEngine::run(Tick limit)
 }
 
 Tick
-ShardedEngine::runUntil(const std::function<bool()> &pred, Tick limit)
+ShardedEngine::runUntil(const NodePredicate &pred, Tick limit)
 {
     return runWindows(&pred, limit);
 }
@@ -545,8 +658,10 @@ ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
     drainAll();
     refreshFronts();
     for (;;) {
-        if (barrierHook_)
-            barrierHook_();
+        if (barrierHook_) {
+            for (NodeId n = 0; n < nodeCount(); ++n)
+                barrierHook_(n);
+        }
         if (pred())
             break;
         const auto [q, front] = earliestFront();
@@ -617,6 +732,24 @@ ShardedEngine::subWindows() const
     std::uint64_t n = 0;
     for (const auto &st : shardStates_)
         n += st.subWindows;
+    return n;
+}
+
+std::uint64_t
+ShardedEngine::barrierSpinWakes() const
+{
+    std::uint64_t n = 0;
+    for (const auto &st : shardStates_)
+        n += st.wait.spinWakes();
+    return n;
+}
+
+std::uint64_t
+ShardedEngine::barrierFutexSleeps() const
+{
+    std::uint64_t n = 0;
+    for (const auto &st : shardStates_)
+        n += st.wait.futexSleeps();
     return n;
 }
 

@@ -1,9 +1,14 @@
 /**
  * @file
  * The sharded simulation core: one event queue (and heap) per node,
- * nodes grouped into shards, each shard executed in distance-aware
- * conservative time windows (Chandy-Misra-style) by a pool of worker
- * threads, one shard per worker.
+ * nodes grouped into shards of contiguous node ids, each shard
+ * executed in distance-aware conservative time windows
+ * (Chandy-Misra-Bryant) by a pool of worker threads, one shard per
+ * worker.
+ *
+ * Placement: shard s holds the nodes n with n * shards / nodes == s,
+ * one balanced block of ascending ids. Ring and mesh neighbours
+ * therefore mostly share a shard, and their posts skip the mailboxes.
  *
  * Synchronization is driven by two inputs instead of one global
  * horizon:
@@ -15,22 +20,26 @@
  *    event node s schedules on node d lands at least
  *    `pairLookahead(shard(s), shard(d))` ticks past s's clock.
  *
- *  - Per-round *promises*: at every barrier each shard publishes its
- *    earliest possible next event (its queues' minimum pending tick,
- *    plus a per-destination minimum over the cross-posts it staged
- *    this round). The planner computes each shard's safe horizon as
+ *  - Per-round *promise lines*: at every round boundary each shard
+ *    publishes, in its own cache line, its earliest pending tick, a
+ *    per-destination minimum over the cross-posts it staged the round
+ *    before, and a stop bit and an error bit. Each shard then reads
+ *    its peers' lines of the same round and computes its own safe
+ *    horizon as
  *
  *        H[d] = min over s != d of (nextEvent[s] + pairLookahead[s][d])
  *
- *    and shard d executes the inclusive window [.., H[d] - 1]. A
- *    shard whose peers are idle or far in the future runs a huge
- *    window — up to the limit in one hop — instead of lock-stepping
- *    at the static lookahead like the original global-window scheme.
+ *    (after the LBTS fixpoint over the matrix) and executes the
+ *    inclusive window [.., H[d] - 1]. A shard whose peers are idle or
+ *    far in the future runs a huge window — up to the limit in one
+ *    round.
  *
- * One barrier per round: the plan runs in the barrier's completion
- * step (every worker parked), and each worker then drains its inbox
- * and runs its nodes to the window end — there is no separate
- * post-execute sync barrier.
+ * There is no barrier and no serial step: a shard waits only for its
+ * peers' promise lines of the round it is entering, every shard
+ * derives the same stop decision from the same lines, and no two
+ * shards write one line. Lines and mailboxes are double-buffered by
+ * round parity; DESIGN.md §10 gives the four arguments that keep this
+ * race-free and bit-identical.
  *
  * Node-major execution: inside its window a shard runs sub-windows
  * [next, min(windowEnd, next + L_diag - 1)], where next is the
@@ -55,9 +64,9 @@
  * was drained — which is what makes `--shards=1` and `--shards=N`
  * bit-identical in sim time.
  *
- * Barriers are also where the world is quiescent, so the invariant
- * auditor's hook and the stop predicate run in the barrier completion
- * step, on exactly one thread, with every worker parked.
+ * A round boundary is where a shard's own nodes are quiescent, so the
+ * per-node stop predicate and the per-node audit hook run there, for
+ * each node on the worker that owns it.
  */
 
 #ifndef SHRIMP_SIM_SHARDED_HH
@@ -68,6 +77,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -115,23 +125,25 @@ class NodeRouter
 unsigned hostCoreCount();
 
 /**
- * A barrier with a completion callback: the last thread to arrive
- * runs the completion (with every other participant parked), then
- * releases the phase.
+ * How a shard waits for its peers at a round boundary: until each of
+ * their round words (one per peer, in the peer's promise line) reads
+ * the round it is entering.
  *
  * Waiting policy, fixed at construction from the core count: when the
  * process may run on at least as many cores as there are parties, a
  * waiter spins — with a CPU-relax hint — for up to spinBudget of wall
- * time before it sleeps on the futex. The engine's rounds turn over in
- * microseconds and a futex wake-up costs more than that on a
- * virtualized host, so a spinning waiter is released well inside the
- * budget (DESIGN.md §10 has the measured wait distribution). With
- * fewer cores than parties a spinning waiter would only steal the core
- * the straggler needs, so every wait sleeps on the futex at once. Both
- * outcomes are counted — the profiler exports them so barrier
- * behaviour is observable, not guessed.
+ * time before it sleeps with std::atomic::wait on the word it still
+ * lacks. The engine's rounds turn over in microseconds and a futex
+ * wake-up costs more than that on a virtualized host, so a spinning
+ * waiter is released well inside the budget (DESIGN.md §10 has the
+ * measured wait distribution). With fewer cores than parties a
+ * spinning waiter would only steal the core its peer needs, so every
+ * wait sleeps at once. Each wait is counted once, as a spin wake or a
+ * futex sleep — the profiler exports both, so waiting is observable,
+ * not guessed. One PeerWait belongs to one waiting thread; its
+ * counters are plain and read once that thread has been joined.
  */
-class SpinBarrier
+class PeerWait
 {
   public:
     /** Wall time a waiter spins before it sleeps on the futex. */
@@ -140,79 +152,65 @@ class SpinBarrier
 
     /** @p cores is the core count the policy compares against
      *  @p parties; the default asks the host. */
-    explicit SpinBarrier(unsigned parties,
-                         std::function<void()> completion = {},
-                         unsigned cores = hostCoreCount())
-        : parties_(parties), spin_(cores >= parties),
-          completion_(std::move(completion))
+    explicit PeerWait(unsigned parties = 1,
+                      unsigned cores = hostCoreCount())
+        : spin_(cores >= parties)
     {}
-
-    void
-    arriveAndWait()
-    {
-        const std::uint64_t phase =
-            phase_.load(std::memory_order_acquire);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1
-                == parties_) {
-            arrived_.store(0, std::memory_order_relaxed);
-            if (completion_)
-                completion_();
-            phase_.store(phase + 1, std::memory_order_release);
-            phase_.notify_all();
-            return;
-        }
-        if (spin_ && spinUntilReleased(phase)) {
-            spinWakes_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        futexSleeps_.fetch_add(1, std::memory_order_relaxed);
-        while (phase_.load(std::memory_order_acquire) == phase)
-            phase_.wait(phase, std::memory_order_acquire);
-    }
 
     /** True when waits spin before sleeping (cores >= parties). */
     bool spins() const { return spin_; }
 
-    /** Waits released while still spinning (no futex involved). */
-    std::uint64_t
-    spinWakes() const
+    /** Whether a round word reading @p word has reached @p round
+     *  (modulo 2^32: a word is never more than 2^31 rounds behind). */
+    static bool
+    reached(std::uint32_t word, std::uint32_t round)
     {
-        return spinWakes_.load(std::memory_order_relaxed);
+        return std::int32_t(word - round) >= 0;
     }
 
-    /** Waits that slept on the futex (spin budget exhausted, or no
-     *  spinning at all). */
-    std::uint64_t
-    futexSleeps() const
+    /** Publish @p round in @p word (release) and wake its sleepers. */
+    static void
+    publish(std::atomic<std::uint32_t> &word, std::uint32_t round)
     {
-        return futexSleeps_.load(std::memory_order_relaxed);
+        word.store(round, std::memory_order_release);
+        word.notify_all();
     }
+
+    /** Wait until each of the @p n words has reached @p round
+     *  (acquire). One call is one wait. */
+    void await(const std::atomic<std::uint32_t> *const *words,
+               std::size_t n, std::uint32_t round);
+
+    /** Waits released while still spinning (no futex involved). */
+    std::uint64_t spinWakes() const { return spinWakes_; }
+
+    /** Waits that slept (spin budget exhausted, or no spinning). */
+    std::uint64_t futexSleeps() const { return futexSleeps_; }
 
   private:
-    /** Spin until the phase moves past @p phase (true) or the wall
-     *  budget runs out (false). */
-    bool spinUntilReleased(std::uint64_t phase) const;
+    /** Spin until the @p n words reach @p round or the budget runs
+     *  out. @return The first word still short of it (n if none). */
+    std::size_t spinUntil(const std::atomic<std::uint32_t> *const *words,
+                          std::size_t n, std::uint32_t round) const;
 
-    const unsigned parties_;
-    const bool spin_;
-    std::function<void()> completion_;
-    std::atomic<unsigned> arrived_{0};
-    std::atomic<std::uint64_t> phase_{0};
-    std::atomic<std::uint64_t> spinWakes_{0};
-    std::atomic<std::uint64_t> futexSleeps_{0};
+    bool spin_;
+    std::uint64_t spinWakes_ = 0;
+    std::uint64_t futexSleeps_ = 0;
 };
 
 /**
- * The engine: per-node queues, shard-of-nodes worker partitioning,
- * mailboxes, and the windowed run loop.
+ * The engine: per-node queues, contiguous shards of nodes, mailboxes,
+ * promise lines and the windowed run loop.
  *
  * Two run modes:
  *  - run()/runUntil(): the parallel data-phase loop. Within a window
  *    each shard executes independently and node-major (file
  *    comment), so node state must not be read across nodes except
- *    through post() — not even on one shard. The stop predicate is
- *    evaluated at window barriers — note that a shard decoupled from
- *    all cross-traffic may execute all the way to the limit in one
+ *    through post() — not even on one shard. The per-node stop
+ *    predicate is evaluated at round boundaries, for each node by the
+ *    worker that owns it; the run stops at the first boundary where
+ *    it holds for every node. A shard decoupled from all
+ *    cross-traffic may execute all the way to the limit in one
  *    window, so the predicate's granularity is the window, not the
  *    event.
  *  - runSetup(): a sequential phase for workload setup that *does*
@@ -229,6 +227,12 @@ class ShardedEngine : public NodeRouter
   public:
     /** Minimum delivery latency from node @p src to node @p dst. */
     using PairLookahead = std::function<Tick(NodeId src, NodeId dst)>;
+
+    /** A per-node stop predicate: true once node @p n may stop. */
+    using NodePredicate = std::function<bool(NodeId n)>;
+
+    /** A per-node hook, run at every round boundary. */
+    using NodeHook = std::function<void(NodeId n)>;
 
     /** Uniform lookahead (floored at 1 tick) between any node pair. */
     ShardedEngine(unsigned nodes, unsigned shards, Tick lookahead);
@@ -248,7 +252,17 @@ class ShardedEngine : public NodeRouter
 
     unsigned nodeCount() const { return unsigned(queues_.size()); }
     unsigned shardCount() const { return shards_; }
-    unsigned shardOf(NodeId node) const { return node % shards_; }
+
+    /** The shard owning @p node: n * shards / nodes, so each shard
+     *  holds one balanced block of ascending node ids. */
+    unsigned shardOf(NodeId node) const { return nodeShard_[node]; }
+
+    /** The nodes of shard @p shard, in ascending order. */
+    const std::vector<EventQueue *> &
+    shardQueues(unsigned shard) const
+    {
+        return shardStates_[shard].queues;
+    }
 
     /** The smallest entry of the lookahead matrix (also the uniform
      *  window width runSetup uses). */
@@ -278,25 +292,25 @@ class ShardedEngine : public NodeRouter
     Tick run(Tick limit = maxTick);
 
     /**
-     * Parallel windowed run; @p pred is evaluated in the barrier
-     * completion (all workers parked) and stops the run when true.
+     * Parallel windowed run that stops at the first round boundary
+     * where @p pred holds for every node. Each node's predicate runs
+     * on the worker that owns the node, so it may read that node's
+     * state and nothing that another shard writes.
      */
-    Tick runUntil(const std::function<bool()> &pred,
-                  Tick limit = maxTick);
+    Tick runUntil(const NodePredicate &pred, Tick limit = maxTick);
 
     /** Sequential canonical-order run (see class comment). */
     Tick runSetup(const std::function<bool()> &pred,
                   Tick limit = maxTick);
 
     /**
-     * Invoked in the barrier completion step before each window (and
-     * once before the run finishes), where every shard is quiescent:
-     * the natural audit point.
+     * Invoked for every node at every round boundary (and once more
+     * before the run finishes), by the worker that owns the node,
+     * where that node is quiescent: the natural audit point. runSetup
+     * invokes it for every node, in ascending order, before each of
+     * its windows.
      */
-    void setBarrierHook(std::function<void()> hook)
-    {
-        barrierHook_ = std::move(hook);
-    }
+    void setBarrierHook(NodeHook hook) { barrierHook_ = std::move(hook); }
 
     /**
      * Attach a time-budget profiler. Workers note their window
@@ -336,7 +350,8 @@ class ShardedEngine : public NodeRouter
      *  same-shard direct deliveries. Shard-count invariant. */
     std::uint64_t crossPosts() const;
 
-    /** Conservative windows executed (both run modes). */
+    /** Conservative windows executed: rounds of run()/runUntil() (every
+     *  shard runs the same rounds) plus runSetup's windows. */
     std::uint64_t windows() const { return windows_; }
 
     /** Node-major sub-windows executed, summed over shards. Exact when
@@ -344,10 +359,11 @@ class ShardedEngine : public NodeRouter
      *  to learn which sub-window it fires in. */
     std::uint64_t subWindows() const;
 
-    /** Barrier waits resolved by spinning / by futex sleep, summed
-     *  over all runs since construction. */
-    std::uint64_t barrierSpinWakes() const { return barSpinWakes_; }
-    std::uint64_t barrierFutexSleeps() const { return barSleeps_; }
+    /** Round-boundary waits for peers resolved by spinning / by a
+     *  futex sleep, summed over shards and over all runs since
+     *  construction. One shard never waits. */
+    std::uint64_t barrierSpinWakes() const;
+    std::uint64_t barrierFutexSleeps() const;
 
   private:
     struct CrossMsg
@@ -365,15 +381,14 @@ class ShardedEngine : public NodeRouter
 
     /**
      * One (source shard -> destination shard) channel: two vectors
-     * selected by the round parity. The producer appends to
-     * buf[parity] while the consumer drains buf[parity ^ 1] — always
-     * the previous round's posts, published by the barrier in between
-     * — so the fused-barrier round (drain concurrent with the
-     * producers' execution) never has two threads on one vector. The
-     * buffers sit on separate cache lines, and `delivered` (consumer
-     * owned) on a third; a message is posted when it enters a buffer,
-     * so the posted count is `delivered` plus both buffers' sizes,
-     * exact when the world is quiescent.
+     * selected by round parity. In round k the producer appends to
+     * buf[k & 1] while the consumer drains buf[(k - 1) & 1] — always
+     * the previous round's posts — so the two never share a vector
+     * (DESIGN.md §10, argument 2). The buffers sit on separate cache
+     * lines, and `delivered` (consumer owned) on a third; a message
+     * is posted when it enters a buffer, so the posted count is
+     * `delivered` plus both buffers' sizes, exact when the engine is
+     * not running.
      */
     struct Mailbox
     {
@@ -395,32 +410,55 @@ class ShardedEngine : public NodeRouter
     };
 
     /**
+     * One cache line of a shard's promise for one round parity. A
+     * promise is a run of lines: the first carries the round word and
+     * the flags, and its words, continued on the following lines, are
+     * [localNext, postedMin[0], ..., postedMin[shards - 1]]. Up to
+     * six shards, a promise is one line. Only its shard writes it.
+     */
+    struct alignas(64) PromiseLine
+    {
+        static constexpr unsigned words = 7;
+        /** The round this promise was published for (first line). */
+        std::atomic<std::uint32_t> round{0};
+        /** stopBit | errorBit (first line). */
+        std::uint32_t flags = 0;
+        Tick word[words] = {};
+    };
+    static constexpr std::uint32_t stopBit = 1;
+    static constexpr std::uint32_t errorBit = 2;
+
+    /**
      * Per-shard working state, one cache line set per shard (the
      * alignment keeps one shard's hot fields — horizons, counters and
      * the headers of its hint and promise arrays — off every other
      * shard's lines; the window loop touches these every sub-window).
-     *
-     * Ownership: the shard's own worker writes everything during its
-     * round, including every push into its nodes' queues (their own
-     * events, same-shard posts, its inbox drain) and so every `front`
-     * hint; `windowEnd` is written by the barrier completion (all
-     * workers parked) and read by the owner; `localNext` and
-     * `postedMin` are written by the owner and read by the
-     * completion. The barrier provides the happens-before edges in
-     * both directions, so none of it needs atomics.
+     * Only the shard's own worker touches it during a run, including
+     * every push into its nodes' queues (their own events, same-shard
+     * posts, its inbox drain) and so every `front` hint; its peers see
+     * what they need through its promise lines.
      */
     struct alignas(64) ShardState
     {
-        /** Earliest pending tick over this shard's nodes, published
-         *  at the end of each round. */
+        /** Earliest pending tick over this shard's nodes, set by the
+         *  execute phase and published at the next boundary. */
         Tick localNext = maxTick;
-        /** This round's inclusive execution horizon (completion). */
+        /** This round's inclusive execution horizon. */
         Tick windowEnd = 0;
+        /** The current round's parity: the mailbox buffer this
+         *  shard's posts go to. */
+        unsigned parity = 0;
         /** postedMin[d]: earliest cross-post staged toward shard d
-         *  this round — the shard's promise to its peers. */
+         *  this round, published at the next boundary. */
         std::vector<Tick> postedMin;
-        /** The shard's nodes' queues, in ascending node order. */
+        /** Plan scratch: every shard's earliest possible next event. */
+        std::vector<Tick> nextEvent;
+        /** Each peer's round word, for parity 0 and parity 1. */
+        std::vector<const std::atomic<std::uint32_t> *> peerRound[2];
+        /** The shard's nodes' queues, in ascending node order from
+         *  node `first`. */
         std::vector<EventQueue *> queues;
+        NodeId first = 0;
         /** front[i]: queues[i]'s front-key hint (EventQueue), exact
          *  after the node runs. Sized once, before the queues that
          *  point into it are built. */
@@ -435,33 +473,46 @@ class ShardedEngine : public NodeRouter
                 t = std::min(t, k.first);
             return t;
         }
+        PeerWait wait;
         /** Same-shard cross-node posts delivered directly. */
         std::uint64_t directPosts = 0;
         /** Node-major sub-windows run. */
         std::uint64_t subWindows = 0;
+        /** Rounds executed in the current run. */
+        std::uint64_t rounds = 0;
         /** The worker's last profiler clock read of the run; the
          *  engine notes the join from there after the threads end. */
         std::uint64_t profEnd = 0;
     };
 
+    /** What every worker reads and nobody writes during a run. */
     struct Control
     {
         Tick limit = maxTick;
-        const std::function<bool()> *pred = nullptr;
-        bool done = false;
-        /** Which mailbox buffer producers write this round. */
-        unsigned parity = 0;
-        /** True once a first window has been planned this run. */
-        bool haveWindow = false;
-        /** Max shard horizon of the previous round (skip detection). */
-        Tick prevMaxEnd = 0;
-        std::exception_ptr error;
+        const NodePredicate *pred = nullptr;
+        ShardProfiler *prof = nullptr;
     };
 
     Mailbox &
     box(unsigned src_shard, unsigned dst_shard)
     {
         return boxes_[src_shard * shards_ + dst_shard];
+    }
+
+    /** Line @p i of shard @p shard's promise for round parity @p p. */
+    PromiseLine &
+    promiseLine(unsigned shard, unsigned p, unsigned i)
+    {
+        return promises_[(std::size_t(shard) * 2 + p) * promiseLines_
+                         + i];
+    }
+
+    /** Word @p i of shard @p shard's promise for parity @p p. */
+    Tick &
+    promiseWord(unsigned shard, unsigned p, unsigned i)
+    {
+        return promiseLine(shard, p, i / PromiseLine::words)
+            .word[i % PromiseLine::words];
     }
 
     /** Uniform runSetup windows: [start, start + lookahead() - 1]. */
@@ -483,8 +534,8 @@ class ShardedEngine : public NodeRouter
     bool stepCanonical(Tick limit);
 
     /** Fire shard @p shard's events at or before @p end node-major,
-     *  one sub-window at a time; publish its localNext. @return
-     *  Events fired. */
+     *  one sub-window at a time; set its localNext. @return Events
+     *  fired. */
     std::uint64_t runNodeMajor(unsigned shard, Tick end);
 
     /**
@@ -498,20 +549,38 @@ class ShardedEngine : public NodeRouter
     /** Sequential full drain (entry to either run mode). */
     void drainAll();
 
-    /** Barrier completion: audit hook, predicate, promise-based
-     *  per-shard horizons for the next round. */
-    void planRound();
+    /** Run the hook and the stop predicate over shard @p shard's
+     *  nodes. @return stopBit when the predicate holds for all. */
+    std::uint32_t checkNodes(unsigned shard);
 
-    /** One worker's round loop. @p prof is the profiler when one is
-     *  attached and running (else null); @p t_enter is its clock at
+    /** Write shard @p shard's promise for round @p round. */
+    void publish(unsigned shard, std::uint32_t round, std::uint32_t flags);
+
+    /**
+     * Read every shard's promise for round @p round into shard
+     * @p shard's plan and set its windowEnd. @return False when the
+     * run is over: an error or stop bit, or nothing left to run.
+     * Every shard reads the same lines, so all of them agree.
+     */
+    bool planWindow(unsigned shard, std::uint32_t round);
+
+    /** Shard @p dst's horizon under the relaxed @p next (LBTS). */
+    Tick horizon(const std::vector<Tick> &next, unsigned dst) const;
+
+    /** Profiler notes of shard @p shard's planned window; worker 0
+     *  also notes a hop over empty simulated time. */
+    void noteWindow(unsigned shard, Tick &prev_max_end);
+
+    /** One worker's round loop. @p t_enter is the profiler clock at
      *  runWindows entry. */
-    void workerBody(unsigned worker, ShardProfiler *prof,
-                    std::uint64_t t_enter);
+    void workerBody(unsigned worker, std::uint64_t t_enter);
     void noteError();
 
-    Tick runWindows(const std::function<bool()> *pred, Tick limit);
+    Tick runWindows(const NodePredicate *pred, Tick limit);
 
     const unsigned shards_;
+    /** shardOf(n) for every node. */
+    std::vector<unsigned> nodeShard_;
     /** Min of pairL_ (runSetup window width; lookahead() accessor). */
     Tick minLookahead_ = 1;
     /** Shard-pair lookahead matrix, row-major [src * shards_ + dst]:
@@ -523,18 +592,18 @@ class ShardedEngine : public NodeRouter
     std::vector<ShardState> shardStates_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
     std::vector<Mailbox> boxes_;
-    /** Completion scratch: per-shard earliest possible next event. */
-    std::vector<Tick> nextEvent_;
+    /** Lines per promise: ceil((1 + shards) / PromiseLine::words). */
+    unsigned promiseLines_ = 1;
+    /** Every shard's two promises, [(shard * 2 + parity) * lines]. */
+    std::unique_ptr<PromiseLine[]> promises_;
 
-    std::function<void()> barrierHook_;
+    NodeHook barrierHook_;
     ShardProfiler *profiler_ = nullptr;
     std::uint64_t windows_ = 0;
-    std::uint64_t barSpinWakes_ = 0;
-    std::uint64_t barSleeps_ = 0;
 
     Control ctrl_;
     std::mutex errMu_;
-    std::unique_ptr<SpinBarrier> barrier_;
+    std::exception_ptr error_;
 };
 
 } // namespace shrimp::sim

@@ -75,7 +75,6 @@ class AddressLayout
 
     std::uint64_t memBytes() const { return memBytes_; }
     std::uint32_t pageBytes() const { return pageBytes_; }
-    unsigned maxDevices() const { return maxDevices_; }
 
     /** Base of device @p d's memory proxy region. */
     Addr

@@ -123,9 +123,6 @@ class Mmu
     /** Kernel-initiated single-page shootdown. */
     void invalidatePage(std::uint64_t vpn) { tlb_.invalidatePage(vpn); }
 
-    /** Kernel-initiated full flush. */
-    void flushTlb() { tlb_.flushAll(); }
-
     const AddressLayout &layout() const { return layout_; }
     const Tlb &tlb() const { return tlb_; }
 

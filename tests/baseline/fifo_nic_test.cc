@@ -101,7 +101,7 @@ twoSendersIntoNodeTwo(unsigned shards, std::uint64_t words,
     EXPECT_EQ(sys.node(0).fifoNic()->wordsSent(), words);
     EXPECT_EQ(sys.node(1).fifoNic()->wordsSent(), words);
     EXPECT_EQ(sys.node(2).fifoNic()->wordsReceived(), 2 * words);
-    // runUntilAllDone stops at a window barrier, which depends on the
+    // runUntilAllDone stops at a round boundary, which depends on the
     // shard count; drain the credits still in flight.
     sys.run();
     run.now = sys.simNow();

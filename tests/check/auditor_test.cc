@@ -371,6 +371,75 @@ TEST(Monitor, SeveralShardsAuditOnlyAtBarriers)
     EXPECT_EQ(sys.auditMonitor(), nullptr);
 }
 
+TEST(Monitor, FailFastAtBarrierThrowsOnFourShards)
+{
+    // An I1 hole on node 2 (shard 2 of 4): its owner audits it at the
+    // first round boundary and throws; every shard stops there and
+    // the run hands the ViolationError to the caller.
+    SystemConfig cfg = fbConfig();
+    cfg.nodes = 4;
+    cfg.shards = 4;
+    System sys(cfg);
+    ASSERT_EQ(sys.engine()->shardCount(), 4u);
+    auto &node = sys.node(2);
+    ASSERT_EQ(sys.engine()->shardOf(2), 2u);
+    Addr buf_a = 0, win_a = 0, buf_b = 0, win_b = 0;
+    os::Process &a = spawnParked(node, buf_a, win_a);
+    os::Process &b = spawnParked(node, buf_b, win_b);
+    node.kernel().modelSwitchTo(a);
+    ASSERT_TRUE(node.kernel()
+                    .performUserAccess(a, win_a, true,
+                                       node.kernel().layout().pageBytes())
+                    .ok);
+    os::MutationKnobs m;
+    m.skipInvalOnSwitch = true;
+    node.kernel().setMutations(m);
+    node.kernel().modelSwitchTo(b);
+    for (unsigned n : {0u, 1u, 3u}) {
+        sys.node(n).kernel().spawn(
+            "worker", [](os::UserContext &ctx) -> sim::ProcTask {
+                co_await ctx.compute(100000);
+            });
+    }
+
+    ASSERT_TRUE(sys.enableAudit("at-barrier", /*fail_fast=*/true));
+    try {
+        sys.runUntilAllDone();
+        ADD_FAILURE() << "the audit did not throw";
+    } catch (const audit::ViolationError &e) {
+        ASSERT_FALSE(e.violations().empty());
+        EXPECT_EQ(e.violations().front().invariant,
+                  audit::Invariant::I1Atomicity);
+        EXPECT_EQ(e.violations().front().node, 2u);
+    }
+    for (unsigned n : {0u, 1u, 3u})
+        EXPECT_EQ(sys.nodeEq(n).eventsExecuted(), 0u)
+            << "node " << n << " ran no round past the first boundary";
+    EXPECT_GE(sys.auditMonitor()->audits(), 1u);
+}
+
+TEST(Monitor, AtBarrierAuditsEveryNodeEveryRound)
+{
+    // A clean 4-node, 2-shard run: each node is audited at every
+    // round boundary — the engine's rounds plus the final one.
+    SystemConfig cfg = fbConfig();
+    cfg.nodes = 4;
+    cfg.shards = 2;
+    System sys(cfg);
+    ASSERT_TRUE(sys.enableAudit("at-barrier", /*fail_fast=*/true));
+    for (unsigned n = 0; n < 4; ++n) {
+        sys.node(n).kernel().spawn(
+            "worker", [](os::UserContext &ctx) -> sim::ProcTask {
+                for (int i = 0; i < 10; ++i)
+                    co_await ctx.compute(1000);
+            });
+    }
+    EXPECT_NO_THROW(sys.runUntilAllDone());
+    EXPECT_EQ(sys.auditMonitor()->audits(),
+              4 * (sys.engine()->windows() + 1));
+    EXPECT_EQ(sys.auditMonitor()->violationCount(), 0u);
+}
+
 // --------------------------------------------------------- run options
 
 TEST(RunOptions, AuditSpecParsedAndStripped)

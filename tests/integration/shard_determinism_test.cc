@@ -1,7 +1,7 @@
 /**
  * @file
  * The sharded engine's central contract, end to end: the same ring
- * workload run on 1, 3 and 4 shards produces bit-identical simulated
+ * workload run on 1, 2, 3, 4 and 8 shards produces bit-identical simulated
  * time and counters — the canonical mailbox drain order makes the
  * shard layout invisible to the simulation. Sizes are kept small so
  * the suite stays fast under TSan, where these tests are the main
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/sharded.hh"
 #include "workload/ring.hh"
 
 using namespace shrimp;
@@ -61,6 +62,27 @@ TEST(ShardDeterminism, UnevenShardCount)
     RingResult r1 = workload::runRing(smallRing(1));
     RingResult r3 = workload::runRing(smallRing(3));
     expectIdentical(r1, r3, "shards=1 vs shards=3");
+}
+
+TEST(ShardDeterminism, TwoAndThreeShardBlocksStayIdentical)
+{
+    // An 8-node ring on contiguous blocks: on 2 shards links 3 -> 4
+    // and 7 -> 0 cross shards, on 3 shards three links do; the rest
+    // are same-shard posts. Both must match one shard exactly.
+    RingConfig cfg = smallRing(1);
+    cfg.nodes = 8;
+    const RingResult r1 = workload::runRing(cfg);
+    for (unsigned shards : {2u, 3u}) {
+        sim::ShardedEngine layout(cfg.nodes, shards, 1);
+        unsigned crossing = 0;
+        for (NodeId n = 0; n < cfg.nodes; ++n)
+            crossing += layout.shardOf(n) != layout.shardOf((n + 1) % 8);
+        EXPECT_EQ(crossing, shards) << shards << " shards";
+        cfg.shards = shards;
+        expectIdentical(r1, workload::runRing(cfg),
+                        shards == 2 ? "8 nodes, shards=1 vs shards=2"
+                                    : "8 nodes, shards=1 vs shards=3");
+    }
 }
 
 TEST(ShardDeterminism, RerunIsBitIdentical)

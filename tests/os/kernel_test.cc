@@ -294,3 +294,150 @@ TEST(Kernel, FindProcessAndPids)
     sys.runUntilAllDone();
     EXPECT_EQ(a.state(), os::ProcState::Zombie);
 }
+
+namespace
+{
+
+/** What a quantum-expiry probe reads once both processes are done. */
+struct ExpiryProbe
+{
+    std::uint64_t bPreemptions = 0;
+    std::uint64_t switches = 0;
+    Tick end = 0;
+};
+
+/**
+ * One node with a 20 us quantum. Process A computes @p n instructions
+ * and then yields, 40 times; process B loops 4,000 x compute(7). For
+ * n = 1195-1200, A's yield is still pending when the quantum expires.
+ */
+ExpiryProbe
+yieldProbe(std::uint64_t n)
+{
+    SystemConfig cfg;
+    cfg.params.quantumUs = 20.0;
+    System sys(cfg);
+    sys.node(0).kernel().spawn(
+        "a", [n](os::UserContext &ctx) -> sim::ProcTask {
+            for (int i = 0; i < 40; ++i) {
+                co_await ctx.compute(n);
+                co_await ctx.yield();
+            }
+        });
+    auto &b = sys.node(0).kernel().spawn(
+        "b", [](os::UserContext &ctx) -> sim::ProcTask {
+            for (int i = 0; i < 4000; ++i)
+                co_await ctx.compute(7);
+        });
+    sys.runUntilAllDone();
+    return {b.preemptions(), sys.node(0).kernel().contextSwitches(),
+            sys.simNow()};
+}
+
+/**
+ * As yieldProbe, but A's pending op at the expiry is a blocking
+ * syscall (10 us of kernel time) whose wake comes 100 us later, 20
+ * times; B loops 4,000 x compute(7).
+ */
+ExpiryProbe
+blockProbe(std::uint64_t n)
+{
+    SystemConfig cfg;
+    cfg.params.quantumUs = 20.0;
+    System sys(cfg);
+    sys.node(0).kernel().spawn(
+        "a", [n](os::UserContext &ctx) -> sim::ProcTask {
+            for (int i = 0; i < 20; ++i) {
+                co_await ctx.compute(n);
+                co_await ctx.syscall([](os::Kernel &k, os::Process &proc,
+                                        os::SyscallControl &sc) {
+                    sc.blocks = true;
+                    sc.extraLatency = k.params().instrTicks(600);
+                    k.eq().scheduleIn(100 * tickUs, "test.wake",
+                                      [&k, &proc] { k.wake(proc); });
+                });
+            }
+        });
+    auto &b = sys.node(0).kernel().spawn(
+        "b", [](os::UserContext &ctx) -> sim::ProcTask {
+            for (int i = 0; i < 4000; ++i)
+                co_await ctx.compute(7);
+        });
+    sys.runUntilAllDone();
+    return {b.preemptions(), sys.node(0).kernel().contextSwitches(),
+            sys.simNow()};
+}
+
+/**
+ * Five processes each compute @p n instructions and then store to an
+ * address they never allocated, so each is killed by a fault that is
+ * still pending when the quantum expires; B, spawned last, loops
+ * 4,000 x compute(7).
+ */
+ExpiryProbe
+killProbe(std::uint64_t n)
+{
+    SystemConfig cfg;
+    cfg.params.quantumUs = 20.0;
+    System sys(cfg);
+    for (int i = 0; i < 5; ++i) {
+        sys.node(0).kernel().spawn(
+            "k" + std::to_string(i),
+            [n](os::UserContext &ctx) -> sim::ProcTask {
+                co_await ctx.compute(n);
+                co_await ctx.store(0x900000, 1);
+            });
+    }
+    auto &b = sys.node(0).kernel().spawn(
+        "b", [](os::UserContext &ctx) -> sim::ProcTask {
+            for (int i = 0; i < 4000; ++i)
+                co_await ctx.compute(7);
+        });
+    sys.runUntilAllDone();
+    EXPECT_EQ(sys.node(0).kernel().processesKilled(), 5u);
+    return {b.preemptions(), sys.node(0).kernel().contextSwitches(),
+            sys.simNow()};
+}
+
+} // namespace
+
+// A quantum that expires while a yield, block or kill is pending
+// preempts nobody: the process dispatched next gets a full quantum.
+// Before the kernel cleared the stale flag at dispatch, it was
+// preempted at its first reference instead; the figures that kernel
+// read are in each test's comment.
+
+TEST(Kernel, YieldPendingAtExpiryLeavesTheNextProcessAFullQuantum)
+{
+    // At N = 1195 A's yield straddles the expiry; at 1190 it does not,
+    // and both kernels agree there. The stale flag read 40 preemptions
+    // of B, 82 switches and an end at tick 1,543,271,600.
+    const ExpiryProbe straddle = yieldProbe(1195);
+    EXPECT_EQ(straddle.bPreemptions, 23u);
+    EXPECT_EQ(straddle.switches, 65u);
+    EXPECT_EQ(straddle.end, 1'486'607'200u);
+    const ExpiryProbe before = yieldProbe(1190);
+    EXPECT_EQ(before.bPreemptions, 23u);
+    EXPECT_EQ(before.switches, 65u);
+    EXPECT_EQ(before.end, 1'483'274'000u);
+}
+
+TEST(Kernel, BlockPendingAtExpiryLeavesTheNextProcessAFullQuantum)
+{
+    // The stale flag read 11 preemptions of B, 33 switches and an end
+    // at tick 2,412,380,170.
+    const ExpiryProbe p = blockProbe(1000);
+    EXPECT_EQ(p.bPreemptions, 4u);
+    EXPECT_EQ(p.switches, 26u);
+    EXPECT_EQ(p.end, 2'477'031'584u);
+}
+
+TEST(Kernel, KillPendingAtExpiryLeavesTheNextProcessAFullQuantum)
+{
+    // The stale flag read 1 preemption of B, 9 switches and an end at
+    // tick 611,142,220.
+    const ExpiryProbe p = killProbe(1000);
+    EXPECT_EQ(p.bPreemptions, 0u);
+    EXPECT_EQ(p.switches, 6u);
+    EXPECT_EQ(p.end, 601'142'620u);
+}

@@ -58,7 +58,7 @@ TEST(ShardProfilerTest, BeginRunResetsState)
     ShardProfiler prof(1);
     prof.beginRun();
     prof.noteExecute(0, 0, 100, 1);
-    prof.noteWindowSkip();
+    prof.noteWindowSkip(0);
     prof.endRun();
     EXPECT_EQ(prof.slot(0).executeNs, 100u);
     EXPECT_EQ(prof.skippedWindowRuns(), 1u);
@@ -78,7 +78,7 @@ TEST(ShardProfilerTest, JsonBlockCarriesTheFullBudget)
     prof.noteExecute(0, 0, 40, 7);
     prof.noteDrain(1, 0, 10, 2);
     prof.noteSpawn(1, 10, 14);
-    prof.noteWindowSkip();
+    prof.noteWindowSkip(0);
     prof.endRun();
 
     std::ostringstream os;

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the sharded simulation engine: shard/lookahead
- * clamping, windowed and node-major execution, the canonical
- * cross-shard drain order, and the sequential runSetup interleave.
- * These run the real worker threads, so they double as TSan coverage
- * for the barrier and mailbox paths.
+ * clamping, contiguous placement, windowed and node-major execution,
+ * the canonical cross-shard drain order, the round protocol (promise
+ * lines, waits, per-node stop predicate and hook, errors) and the
+ * sequential runSetup interleave. These run the real worker threads,
+ * so they double as TSan coverage for the promise-line and mailbox
+ * paths.
  */
 
 #include <gtest/gtest.h>
@@ -32,13 +34,44 @@ TEST(Sharded, ClampsShardsAndLookahead)
     EXPECT_EQ(eng.lookahead(), 1u) << "lookahead floor is one tick";
 }
 
-TEST(Sharded, RoundRobinShardAssignment)
+TEST(Sharded, ContiguousBlockShardAssignment)
 {
+    // Shard s holds the nodes n with n * shards / nodes == s: one
+    // block of ascending ids per shard, sizes differing by at most one.
+    for (const auto &[nodes, shards] :
+         {std::pair{5u, 2u}, {10u, 4u}, {64u, 4u}, {256u, 8u}}) {
+        ShardedEngine eng(nodes, shards, 10);
+        ASSERT_EQ(eng.shardCount(), shards);
+        std::vector<unsigned> owners(nodes, 0);
+        std::size_t smallest = nodes;
+        std::size_t largest = 0;
+        NodeId next = 0;
+        for (unsigned s = 0; s < shards; ++s) {
+            const std::vector<EventQueue *> &queues = eng.shardQueues(s);
+            smallest = std::min(smallest, queues.size());
+            largest = std::max(largest, queues.size());
+            for (EventQueue *q : queues) {
+                // Ascending and contiguous: the next node in id order.
+                ASSERT_LT(next, nodes);
+                EXPECT_EQ(q, &eng.queue(next)) << nodes << "/" << shards;
+                EXPECT_EQ(eng.shardOf(next), s);
+                EXPECT_EQ(eng.shardOf(next),
+                          unsigned(std::uint64_t(next) * shards / nodes));
+                ++owners[next];
+                ++next;
+            }
+        }
+        EXPECT_EQ(next, nodes);
+        EXPECT_EQ(std::count(owners.begin(), owners.end(), 1u),
+                  std::ptrdiff_t(nodes))
+            << "every node on exactly one shard";
+        EXPECT_LE(largest - smallest, 1u) << nodes << "/" << shards;
+    }
     ShardedEngine eng(5, 2, 10);
     EXPECT_EQ(eng.shardOf(0), 0u);
-    EXPECT_EQ(eng.shardOf(1), 1u);
     EXPECT_EQ(eng.shardOf(2), 0u);
-    EXPECT_EQ(eng.shardOf(4), 0u);
+    EXPECT_EQ(eng.shardOf(3), 1u);
+    EXPECT_EQ(eng.shardOf(4), 1u);
 }
 
 TEST(Sharded, RunsNodeLocalEventsToCompletion)
@@ -62,6 +95,7 @@ TEST(Sharded, RunsNodeLocalEventsToCompletion)
 TEST(Sharded, CrossPostsDeliverAtTheRequestedTick)
 {
     ShardedEngine eng(2, 2, 50);
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(1));
     std::vector<Tick> seen;
     eng.queue(0).schedule(10, "test.src", [&eng] {
         // From node 0's shard, one hop in the future.
@@ -86,6 +120,7 @@ TEST(Sharded, DrainOrderIsTickPriorityThenSourceNode)
     ShardedEngine eng(4, 4, 10);
     std::vector<int> order;
     for (NodeId src = 0; src < 3; ++src) {
+        ASSERT_NE(eng.shardOf(src), eng.shardOf(3));
         eng.queue(src).schedule(
             5, "test.src", [&eng, &order, src] {
                 // Reversed priorities across sources so source order
@@ -122,6 +157,7 @@ TEST(Sharded, SelfPostSchedulesDirectly)
 TEST(Sharded, CrossPostInsideTheWindowPanics)
 {
     ShardedEngine eng(2, 2, 100);
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(1));
     eng.queue(0).schedule(50, "test.src", [&eng] {
         // 100 < 50 + lookahead: would land inside the current window.
         eng.post(0, 1, 100, "test.bad", [] {},
@@ -152,6 +188,7 @@ TEST(Sharded, RunUntilStopsAtABarrierOncePredHolds)
     // no incoming traffic would instead run to the limit in one
     // window — see WindowsWidenForDecoupledShards.)
     ShardedEngine eng(2, 2, 10);
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(1));
     std::atomic<int> fired{0};
     for (Tick t = 1; t <= 20; ++t) {
         eng.queue(0).schedule(t * 7, "test.tick",
@@ -159,7 +196,7 @@ TEST(Sharded, RunUntilStopsAtABarrierOncePredHolds)
         eng.queue(1).schedule(t * 7, "test.tock",
                               [&fired] { ++fired; });
     }
-    eng.runUntil([&fired] { return fired >= 3; });
+    eng.runUntil([&fired](NodeId) { return fired >= 3; });
     EXPECT_GE(fired, 3);
     EXPECT_LT(fired, 40) << "stopped well before the queues drained";
 }
@@ -173,6 +210,7 @@ TEST(Sharded, OneRoundOfCrossPostsOverflowsNothing)
     constexpr int kMsgs = 5000;
     constexpr int kTicks = kMsgs / 4;
     ShardedEngine eng(2, 2, 10);
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(1));
     std::vector<std::pair<Tick, int>> seen;
     bool posted = false;
     eng.queue(0).schedule(10, "test.burst", [&eng, &seen, &posted] {
@@ -186,9 +224,11 @@ TEST(Sharded, OneRoundOfCrossPostsOverflowsNothing)
         posted = true;
     });
 
-    // The round that posted them ends at a barrier where the
-    // predicate holds: the messages are still staged, not delivered.
-    eng.runUntil([&posted] { return posted; });
+    // The round that posted them ends at a boundary where the
+    // predicate holds for both nodes: the messages are still staged,
+    // not delivered. Node 0's predicate reads the flag its own events
+    // write; node 1's always holds.
+    eng.runUntil([&posted](NodeId n) { return n != 0 || posted; });
     EXPECT_TRUE(seen.empty());
     EXPECT_EQ(eng.queue(1).pendingEvents(), 0u);
     EXPECT_EQ(eng.pendingEvents(), std::uint64_t(kMsgs));
@@ -232,10 +272,10 @@ TEST(Sharded, PairLookaheadFoldsNodePairMinima)
                                 [](NodeId src, NodeId) -> Tick {
                                     return src == 0 ? 20 : 80;
                                 }));
-    // Shard 0 = {0, 2}, shard 1 = {1, 3}. Cell (0, 1) sees src 0
-    // (floor 20) and src 2 (floor 80): the min wins.
+    // Shard 0 = {0, 1}, shard 1 = {2, 3}. Cell (0, 1) sees src 0
+    // (floor 20) and src 1 (floor 80): the min wins.
     EXPECT_EQ(eng.pairLookahead(0, 1), 20u);
-    EXPECT_EQ(eng.pairLookahead(1, 0), 80u) << "srcs 1 and 3 only";
+    EXPECT_EQ(eng.pairLookahead(1, 0), 80u) << "srcs 2 and 3 only";
     EXPECT_EQ(eng.lookahead(), 20u) << "min over the whole matrix";
 }
 
@@ -248,10 +288,11 @@ TEST(Sharded, CrossPostInsideThePairWindowPanics)
                                 [](NodeId src, NodeId) -> Tick {
                                     return src == 0 ? 20 : 80;
                                 }));
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(2));
     bool delivered = false;
     eng.queue(0).schedule(10, "test.ok", [&eng, &delivered] {
         // 10 + 20 = 30: exactly at shard pair (0, 1)'s floor.
-        eng.post(0, 1, 30, "test.x", [&delivered] { delivered = true; },
+        eng.post(0, 2, 30, "test.x", [&delivered] { delivered = true; },
                  EventPriority::Default);
     });
     eng.run();
@@ -261,9 +302,10 @@ TEST(Sharded, CrossPostInsideThePairWindowPanics)
                                 [](NodeId src, NodeId) -> Tick {
                                     return src == 0 ? 20 : 80;
                                 }));
-    bad.queue(1).schedule(10, "test.src", [&bad] {
+    ASSERT_NE(bad.shardOf(2), bad.shardOf(0));
+    bad.queue(2).schedule(10, "test.src", [&bad] {
         // Shard pair (1, 0) floor is 80; 10 + 50 lands inside it.
-        bad.post(1, 0, 60, "test.bad", [] {},
+        bad.post(2, 0, 60, "test.bad", [] {},
                  EventPriority::Default);
     });
     EXPECT_THROW(bad.run(), PanicError);
@@ -272,17 +314,18 @@ TEST(Sharded, CrossPostInsideThePairWindowPanics)
 TEST(Sharded, SameShardPostInsideTheDiagonalPanics)
 {
     // The same-shard twin of CrossPostInsideThePairWindowPanics: nodes
-    // 0 and 2 share shard 0, whose diagonal is the smaller of their
+    // 0 and 1 share shard 0, whose diagonal is the smaller of their
     // two floors. A post exactly at it is fine; one tick inside it
     // could land in the sub-window being executed, and panics.
     const ShardedEngine::PairLookahead la = [](NodeId src, NodeId) {
         return Tick(src == 0 ? 20 : 80);
     };
     ShardedEngine eng(4, 2, la);
+    ASSERT_EQ(eng.shardOf(0), eng.shardOf(1));
     ASSERT_EQ(eng.pairLookahead(0, 0), 20u);
     bool delivered = false;
     eng.queue(0).schedule(10, "test.ok", [&eng, &delivered] {
-        eng.post(0, 2, 30, "test.x", [&delivered] { delivered = true; },
+        eng.post(0, 1, 30, "test.x", [&delivered] { delivered = true; },
                  EventPriority::Default);
     });
     eng.run();
@@ -290,21 +333,22 @@ TEST(Sharded, SameShardPostInsideTheDiagonalPanics)
 
     ShardedEngine bad(4, 2, la);
     bad.queue(0).schedule(10, "test.src", [&bad] {
-        bad.post(0, 2, 29, "test.bad", [] {}, EventPriority::Default);
+        bad.post(0, 1, 29, "test.bad", [] {}, EventPriority::Default);
     });
     EXPECT_THROW(bad.run(), PanicError);
 }
 
 TEST(Sharded, SameShardCrossPostsDeliverDirectly)
 {
-    // Nodes 0 and 2 share shard 0: the post skips the mailbox, is
+    // Nodes 0 and 1 share shard 0: the post skips the mailbox, is
     // executed in a later node-major sub-window at its exact tick,
     // and still counts as cross-node traffic.
     ShardedEngine eng(4, 2, 10);
+    ASSERT_EQ(eng.shardOf(0), eng.shardOf(1));
     std::vector<Tick> seen;
     eng.queue(0).schedule(10, "test.src", [&eng, &seen] {
-        eng.post(0, 2, 25, "test.x", [&eng, &seen] {
-            seen.push_back(eng.queue(2).now());
+        eng.post(0, 1, 25, "test.x", [&eng, &seen] {
+            seen.push_back(eng.queue(1).now());
         }, EventPriority::Default);
     });
     eng.run();
@@ -568,78 +612,181 @@ TEST(Sharded, RandomizedOrderIsCanonicalOnEveryShardLayout)
 namespace
 {
 
-struct BarrierOutcome
+struct WaitOutcome
 {
-    unsigned completions = 0;
     std::uint64_t spins = 0;
     std::uint64_t sleeps = 0;
 };
 
-/** One thread per party crosses a fresh barrier @p rounds times. */
-BarrierOutcome
-runBarrierRounds(unsigned parties, unsigned cores, unsigned rounds)
+/**
+ * One thread per party runs @p rounds lock-step rounds the way the
+ * engine's workers do: publish its own round word, then wait for every
+ * peer's. Each thread owns its PeerWait.
+ */
+WaitOutcome
+runPeerRounds(unsigned parties, unsigned cores, unsigned rounds)
 {
-    BarrierOutcome out;
-    SpinBarrier bar(parties, [&out] { ++out.completions; }, cores);
+    std::vector<std::atomic<std::uint32_t>> words(parties);
+    for (auto &w : words)
+        w.store(std::uint32_t(-1));
+    std::vector<PeerWait> waits(parties, PeerWait(parties, cores));
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < parties; ++t) {
-        threads.emplace_back([&bar, rounds] {
-            for (unsigned r = 0; r < rounds; ++r)
-                bar.arriveAndWait();
+        threads.emplace_back([&words, &waits, parties, rounds, t] {
+            std::vector<const std::atomic<std::uint32_t> *> peers;
+            for (unsigned p = 0; p < parties; ++p) {
+                if (p != t)
+                    peers.push_back(&words[p]);
+            }
+            for (std::uint32_t r = 0; r < rounds; ++r) {
+                PeerWait::publish(words[t], r);
+                waits[t].await(peers.data(), peers.size(), r);
+            }
         });
     }
     for (auto &t : threads)
         t.join();
-    out.spins = bar.spinWakes();
-    out.sleeps = bar.futexSleeps();
+    WaitOutcome out;
+    for (const PeerWait &w : waits) {
+        out.spins += w.spinWakes();
+        out.sleeps += w.futexSleeps();
+    }
     return out;
 }
 
 } // namespace
 
-TEST(SpinBarrier, NeverSpinsWithFewerCoresThanParties)
+TEST(PeerWait, NeverSpinsWithFewerCoresThanShards)
 {
-    EXPECT_FALSE(SpinBarrier(3, {}, 2).spins());
-    const BarrierOutcome o = runBarrierRounds(3, 2, 200);
-    EXPECT_EQ(o.completions, 200u);
+    EXPECT_FALSE(PeerWait(3, 2).spins());
+    const WaitOutcome o = runPeerRounds(3, 2, 200);
     EXPECT_EQ(o.spins, 0u) << "an oversubscribed waiter must not spin";
-    EXPECT_EQ(o.sleeps, 2u * 200) << "every non-last arrival sleeps";
+    EXPECT_EQ(o.sleeps, 3u * 200) << "every wait sleeps";
 }
 
-TEST(SpinBarrier, EveryNonLastArrivalResolvesExactlyOnce)
+TEST(PeerWait, EveryWaitCountsExactlyOnce)
 {
-    EXPECT_TRUE(SpinBarrier(3, {}, 3).spins());
-    const BarrierOutcome o = runBarrierRounds(3, 3, 200);
-    EXPECT_EQ(o.completions, 200u);
+    EXPECT_TRUE(PeerWait(3, 3).spins());
+    const WaitOutcome o = runPeerRounds(3, 3, 200);
     // Which way each wait resolved depends on timing; that each one
     // is counted exactly once does not.
-    EXPECT_EQ(o.spins + o.sleeps, 2u * 200);
+    EXPECT_EQ(o.spins + o.sleeps, 3u * 200);
+}
+
+TEST(PeerWait, RoundWordsCompareAcrossTheWrap)
+{
+    EXPECT_TRUE(PeerWait::reached(5, 5));
+    EXPECT_TRUE(PeerWait::reached(6, 5));
+    EXPECT_FALSE(PeerWait::reached(3, 5));
+    EXPECT_FALSE(PeerWait::reached(std::uint32_t(-2), 0));
+    EXPECT_TRUE(PeerWait::reached(1, std::uint32_t(-1)));
 }
 
 TEST(Sharded, BarrierWaitCountersAccumulate)
 {
-    // Every non-last arrival at the round barrier resolves either by
-    // spinning or by a futex sleep; with two workers and a few rounds
-    // the sum must be nonzero (which of the two depends on timing).
+    // Every shard waits for its peers once at every round boundary —
+    // each round's and the final one — and each wait resolves either
+    // by spinning or by a futex sleep, counted once.
     ShardedEngine eng(2, 2, 10);
     for (Tick t = 1; t <= 20; ++t) {
         eng.queue(0).schedule(t * 7, "test.tick", [] {});
         eng.queue(1).schedule(t * 7, "test.tock", [] {});
     }
     eng.run();
-    EXPECT_GT(eng.barrierSpinWakes() + eng.barrierFutexSleeps(), 0u);
+    ASSERT_GT(eng.windows(), 1u);
+    EXPECT_EQ(eng.barrierSpinWakes() + eng.barrierFutexSleeps(),
+              2 * (eng.windows() + 1));
+    const std::uint64_t first = eng.windows();
+    eng.queue(0).schedule(1000, "test.more", [] {});
+    eng.run();
+    EXPECT_EQ(eng.barrierSpinWakes() + eng.barrierFutexSleeps(),
+              2 * (first + 1) + 2 * (eng.windows() - first + 1))
+        << "summed over runs";
+}
+
+TEST(Sharded, NoShardSpinsWithMoreShardsThanCores)
+{
+    const unsigned shards = hostCoreCount() + 1;
+    if (shards > 17)
+        GTEST_SKIP() << "keeps the thread count small";
+    ShardedEngine eng(shards, shards, 10);
+    for (NodeId n = 0; n < shards; ++n) {
+        for (Tick t = 1; t <= 10; ++t)
+            eng.queue(n).schedule(t * 7, "test.tick", [] {});
+    }
+    eng.run();
+    EXPECT_EQ(eng.barrierSpinWakes(), 0u);
+    EXPECT_EQ(eng.barrierFutexSleeps(), shards * (eng.windows() + 1));
+}
+
+TEST(Sharded, OneShardNeverWaits)
+{
+    ShardedEngine eng(4, 1, 10);
+    for (Tick t = 1; t <= 10; ++t)
+        eng.queue(t % 4).schedule(t * 25, "test.tick", [] {});
+    eng.run();
+    EXPECT_GT(eng.windows(), 0u);
+    EXPECT_EQ(eng.barrierSpinWakes() + eng.barrierFutexSleeps(), 0u);
 }
 
 TEST(Sharded, BarrierHookSeesAQuiescentWorld)
 {
-    ShardedEngine eng(2, 2, 10);
-    std::uint64_t hooks = 0;
-    eng.setBarrierHook([&hooks] { ++hooks; });
-    for (Tick t = 1; t <= 10; ++t)
-        eng.queue(t % 2).schedule(t * 25, "test.tick", [] {});
+    // The hook runs for every node at every round boundary — each
+    // round's and the final one — on the worker that owns the node:
+    // one thread per shard, a different one for each shard. Each
+    // counter is written only by its node's owner.
+    ShardedEngine eng(4, 2, 10);
+    ASSERT_EQ(eng.shardOf(1), eng.shardOf(0));
+    ASSERT_EQ(eng.shardOf(3), eng.shardOf(2));
+    ASSERT_NE(eng.shardOf(0), eng.shardOf(2));
+    struct alignas(64) Seen
+    {
+        std::uint64_t hooks = 0;
+        std::thread::id thread;
+        bool sameThread = true;
+    };
+    std::vector<Seen> seen(4);
+    eng.setBarrierHook([&seen](NodeId n) {
+        Seen &s = seen[n];
+        if (s.hooks++ == 0)
+            s.thread = std::this_thread::get_id();
+        s.sameThread &= s.thread == std::this_thread::get_id();
+    });
+    for (Tick t = 1; t <= 20; ++t)
+        eng.queue(t % 4).schedule(t * 25, "test.tick", [] {});
     eng.run();
-    EXPECT_GT(hooks, 0u);
-    EXPECT_GE(hooks, eng.windows());
+    ASSERT_GT(eng.windows(), 1u);
+    for (NodeId n = 0; n < 4; ++n) {
+        EXPECT_EQ(seen[n].hooks, eng.windows() + 1) << "node " << n;
+        EXPECT_TRUE(seen[n].sameThread) << "node " << n;
+    }
+    EXPECT_EQ(seen[0].thread, seen[1].thread);
+    EXPECT_EQ(seen[2].thread, seen[3].thread);
+    EXPECT_NE(seen[0].thread, seen[2].thread);
+}
+
+TEST(Sharded, RunUntilAsksEachNodeOnItsOwnShard)
+{
+    // The predicate stops the run once it holds for every node. Here
+    // node 3 finishes last, so the run goes on until its events are
+    // done even though the others' hold from the start.
+    ShardedEngine eng(4, 2, 10);
+    struct alignas(64) Count
+    {
+        int fired = 0;
+    };
+    std::vector<Count> counts(4);
+    for (NodeId n = 0; n < 4; ++n) {
+        const int events = n == 3 ? 30 : 1;
+        for (int k = 1; k <= events; ++k)
+            eng.queue(n).schedule(Tick(k) * 20, "test.tick",
+                                  [&counts, n] { ++counts[n].fired; });
+    }
+    eng.runUntil([&counts](NodeId n) {
+        return n != 3 || counts[3].fired >= 30;
+    });
+    EXPECT_EQ(counts[3].fired, 30);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
 }
 
 TEST(Sharded, RunSetupInterleavesInCanonicalNodeOrder)
@@ -675,4 +822,35 @@ TEST(Sharded, WorkerExceptionPropagatesToTheCaller)
     eng.queue(1).schedule(5, "test.boom",
                           [] { panic("boom on a worker thread"); });
     EXPECT_THROW(eng.run(), PanicError);
+}
+
+TEST(Sharded, AnExceptionStopsEveryShardInTheSameRound)
+{
+    // Node 5 (shard 2 of 4) throws at tick 500 while every node has
+    // an event every 5 ticks to tick 5,000. The throwing shard sets
+    // its error bit at the next boundary, and every shard reads it
+    // there: none runs a round past the one that threw. With windows
+    // one lookahead (10 ticks) wide, no node gets far past tick 500.
+    constexpr unsigned kNodes = 8;
+    ShardedEngine eng(kNodes, 4, 10);
+    ASSERT_EQ(eng.shardOf(5), 2u);
+    struct alignas(64) Last
+    {
+        Tick tick = 0;
+    };
+    std::vector<Last> last(kNodes);
+    for (NodeId n = 0; n < kNodes; ++n) {
+        for (Tick t = 5; t <= 5000; t += 5) {
+            eng.queue(n).schedule(t, "test.tick", [&eng, &last, n] {
+                last[n].tick = eng.queue(n).now();
+            });
+        }
+    }
+    eng.queue(5).schedule(500, "test.boom",
+                          [] { panic("boom on shard 2"); });
+    EXPECT_THROW(eng.run(), PanicError);
+    for (NodeId n = 0; n < kNodes; ++n) {
+        EXPECT_GE(last[n].tick, 480u) << "node " << n;
+        EXPECT_LE(last[n].tick, 530u) << "node " << n;
+    }
 }

@@ -33,7 +33,7 @@
 #                                multinode and netperf gates (the
 #                                crossbar legs still run)
 #   SHRIMP_SKIP_PROFILE=1        skip the profiled-trace gate (trace
-#                                validation + <= 5% profiler overhead)
+#                                validation + <= 10% profiler overhead)
 #   SHRIMP_SKIP_WINDOWEFF=1      skip the window-efficiency gate
 #                                (barrier plan+sync share <= 50% of
 #                                the profiled 4-shard run)
@@ -279,17 +279,22 @@ step_tsan() {
         -DSHRIMP_WERROR=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
     cmake --build "${tsan_dir}" -j "$(nproc)" \
-        --target test_sim test_integration test_baseline > /dev/null
-    # The worker threads, barriers, and cross-shard mailboxes are the
-    # only concurrency in the simulator; together with the NI
-    # retransmission machinery running under shards (FaultRecovery*)
-    # and the FIFO NIC's words and credits crossing shards (FifoNic*)
-    # these filters cover all of it.
+        --target test_sim test_integration test_baseline test_check \
+        > /dev/null
+    # The worker threads, their promise lines and round waits, and the
+    # cross-shard mailboxes are the only concurrency in the simulator;
+    # together with the NI retransmission machinery running under
+    # shards (FaultRecovery*), the FIFO NIC's words and credits
+    # crossing shards (FifoNic*) and the per-node audits the workers
+    # run at their round boundaries (Monitor.*AtBarrier*) these
+    # filters cover all of it. ShardDeterminism* runs the ring on 2,
+    # 3, 4 and 8 shards.
     "${tsan_dir}/tests/test_sim" \
-        --gtest_filter='Sharded*:SpinBarrier*'
+        --gtest_filter='Sharded*:PeerWait*'
     "${tsan_dir}/tests/test_integration" \
         --gtest_filter='ShardDeterminism*:FaultRecovery*'
     "${tsan_dir}/tests/test_baseline" --gtest_filter='FifoNic*'
+    "${tsan_dir}/tests/test_check" --gtest_filter='Monitor.*AtBarrier*'
 }
 
 step_chaos() {
@@ -447,43 +452,53 @@ step_profile() {
     fi
     ensure_release_target multinode_traffic trace_validate
 
-    # Best-of-two per mode damps scheduler noise; the profiler's cost
-    # per window is a handful of clock reads and three lock-free trace
-    # appends per worker. The bound is 10%, not 5%: on a host with
-    # fewer cores than shards the workers serialize, so their per-round
-    # profiling costs sum instead of overlapping — and the
-    # distance-aware engine shrank the denominator ~3x at this config.
-    # Full records (not 16) keep the measured region long enough that
-    # single-core scheduler jitter stays below the bound.
-    best_wall() {
-        local profile_arg="$1" out="$2" best=""
-        for _ in 1 2; do
-            "${perf_dir}/bench/multinode_traffic" \
-                --nodes=16 --shards=4 --records=64 \
-                ${profile_arg} "--stats-json=${out}" > /dev/null
-            local w
-            w="$(grep -o '"wall_s_shards": [0-9.e-]*' "${out}" \
-                | awk '{print $2}')"
-            if [ -z "${best}" ] \
-                || awk -v a="${w}" -v b="${best}" \
-                    'BEGIN { exit !(a < b) }'; then
-                best="${w}"
-            fi
-        done
-        echo "${best}"
+    # The timing protocol of the host-time gates (ROADMAP item 4): a
+    # warm-up run, then interleaved pairs of a plain and a profiled run
+    # of the same shape, and the median over the pairs of profiled /
+    # plain wall time. Pairing each profiled run with its neighbour
+    # cancels a host phase that moves both; the median keeps one
+    # preempted run from deciding the verdict. Best-of-two single runs
+    # read 0.91-1.38 on one host, so the ratio measured the host, not
+    # the profiler. The profiler's cost per round is a handful of clock
+    # reads and three lock-free trace appends per worker. The bound is
+    # 10%, not 5%: on a host with fewer cores than shards the workers
+    # serialize, so their per-round profiling costs sum instead of
+    # overlapping. Full records (not 16) keep the measured region long
+    # enough that single-core scheduler jitter stays below the bound.
+    local pairs=7
+    wall_of() {
+        "${perf_dir}/bench/multinode_traffic" \
+            --nodes=16 --shards=4 --records=64 \
+            ${1} "--stats-json=${2}" > /dev/null
+        grep -o '"wall_s_shards": [0-9.e-]*' "${2}" | awk '{print $2}'
     }
-
-    plain_wall="$(best_wall "" "${perf_dir}/BENCH_profile_off.json")"
-    prof_wall="$(best_wall "--profile=${perf_dir}/trace.json" \
-        "${perf_dir}/BENCH_profile_on.json")"
+    median() {
+        sort -g | awk '{ v[NR] = $1 } END {
+            if (NR % 2) print v[(NR + 1) / 2];
+            else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+    }
+    wall_of "" "${perf_dir}/BENCH_profile_off.json" > /dev/null
+    local plain_walls="" prof_walls="" ratios="" p q
+    for _ in $(seq "${pairs}"); do
+        p="$(wall_of "" "${perf_dir}/BENCH_profile_off.json")"
+        q="$(wall_of "--profile=${perf_dir}/trace.json" \
+            "${perf_dir}/BENCH_profile_on.json")"
+        plain_walls="${plain_walls}${p}"$'\n'
+        prof_walls="${prof_walls}${q}"$'\n'
+        ratios="${ratios}$(awk -v p="${p}" -v q="${q}" \
+            'BEGIN { printf "%.4f", q / p }')"$'\n'
+    done
+    plain_wall="$(printf '%s' "${plain_walls}" | median)"
+    prof_wall="$(printf '%s' "${prof_walls}" | median)"
+    ratio="$(printf '%s' "${ratios}" | median)"
 
     "${perf_dir}/tools/trace_validate" "${perf_dir}/trace.json" \
         --min-events=100
 
-    echo "profiled-trace gate: wall ${plain_wall}s plain vs" \
-        "${prof_wall}s profiled"
-    if ! awk -v p="${plain_wall}" -v q="${prof_wall}" \
-            'BEGIN { exit !(q <= p * 1.10) }'; then
+    echo "profiled-trace gate: median of ${pairs} pairs" \
+        "${ratio}x (wall ${plain_wall}s plain vs ${prof_wall}s" \
+        "profiled; ratios $(printf '%s' "${ratios}" | tr '\n' ' '))"
+    if ! awk -v r="${ratio}" 'BEGIN { exit !(r <= 1.10) }'; then
         # With fewer cores than shards the workers serialize, so their
         # per-round profiling costs sum on the critical path instead
         # of overlapping — the ratio stops measuring the profiler.
@@ -494,7 +509,7 @@ step_profile() {
                 "failure"
         else
             echo "PROFILE REGRESSION: profiling overhead exceeds 10%" \
-                "(${plain_wall}s -> ${prof_wall}s)"
+                "(median pair ratio ${ratio})"
             exit 1
         fi
     fi

@@ -305,7 +305,7 @@ apply(World &w, const Action &a)
         return kernel.evictOneFrame(lat);
       case ActionKind::Complete: {
         // runSetup checks the predicate after every event, so the
-        // run stops at the completion, not at a window barrier.
+        // run stops at the completion, not at a round boundary.
         w.sys->runSetup([&w] { return !w.transferring(); },
                         w.sys->simNow() + tickSec);
         return !w.transferring();
