@@ -127,14 +127,20 @@ EventHeap::fire(const Entry &e)
 }
 
 EventHeap::Key
-EventHeap::nextKey()
+EventHeap::heapKey()
 {
     dropStale();
-    Key key{maxTick, 0};
-    if (!heap_.empty())
-        key = {heap_.front().when, heap_.front().rank};
+    if (heap_.empty())
+        return {maxTick, 0};
+    return {heap_.front().when, heap_.front().rank};
+}
+
+EventHeap::Key
+EventHeap::nextKey()
+{
+    const Key key = heapKey();
     if (stream_.owner && Key{stream_.when, stream_.rank} < key)
-        key = {stream_.when, stream_.rank};
+        return {stream_.when, stream_.rank};
     return key;
 }
 
@@ -218,21 +224,36 @@ EventHeap::parkStream(Tick when, Tick period, std::uint64_t rank,
               "' parked in the past: when=", when,
               " now=", owner_.curTick_);
     }
+    // The engine's front hint stays as it is: a stream never posts,
+    // so it neither holds its node nor its shard's promise.
     stream_ = Stream{when, rank, owner_.allocStamp(), period, name, &owner};
     ++owner_.liveEvents_;
-    if (owner_.front_ && Key{when, rank} < *owner_.front_)
-        *owner_.front_ = {when, rank};
     return true;
 }
 
 void
 EventHeap::wakeStream()
 {
+    if (!stream_.owner)
+        return;
     StreamOwner &owner = *stream_.owner;
     stream_.owner = nullptr;
-    // Still one pending event: liveEvents_ already counts it.
+    // Still one pending event: liveEvents_ already counts it. It is a
+    // heap event from now on, so the front hint must not lie past it.
+    const Key key{stream_.when, stream_.rank};
+    if (owner_.front_ && key < *owner_.front_)
+        *owner_.front_ = key;
     push(stream_.when, stream_.rank, stream_.stamp, stream_.name,
          owner.streamWoken());
+}
+
+std::uint64_t
+EventHeap::advanceStream(Tick limit)
+{
+    if (!stream_.owner)
+        return 0;
+    dropStale();
+    return runStream(limit, std::numeric_limits<std::uint64_t>::max());
 }
 
 std::uint64_t

@@ -23,8 +23,8 @@
  * of what is per node: the clock (the tick of the node's last fired
  * event), the stamp counter, the executed / cancelled / pending
  * counts and the flight recorder. An engine queue also keeps a
- * front-key hint up to date for the engine's node selection (see
- * scheduleStamped).
+ * front-key hint of its heap up to date for the engine's node
+ * selection (see scheduleStamped).
  *
  * All timing in the simulator is expressed by events on a queue.
  * Components never busy-wait; they schedule their next action and
@@ -39,7 +39,11 @@
  * step fire its events in closed form while they precede the heap
  * front; its owner is asked after every event off the heap whether
  * it must wake, and waking hands the pending event back to the heap
- * (the kernel parks a spinning poll this way).
+ * (the kernel parks a spinning poll this way). A stream never posts,
+ * so the engine's node fronts leave it out (heapKey): a node whose
+ * only pending work is a stream is not run at all, and its events
+ * fire when the node next runs for a heap event, or when the engine
+ * advances it at the end of a run (advanceStream).
  *
  * The scheduling fast path is allocation-free and hash-free in the
  * steady state:
@@ -308,8 +312,9 @@ class StreamOwner
     virtual void streamFired(std::uint64_t n) = 0;
 
     /** True when the pending event must fire from the heap. Asked
-     *  after every event off the heap and on entry to runTo and
-     *  step, so it sees every change any other code makes. */
+     *  after every event off the heap, on entry to runTo and step,
+     *  and by the sharded engine on entry to every run, so it sees
+     *  every change any other code makes. */
     virtual bool streamMustWake() = 0;
 
     /** The stream wakes: the callback its pending event fires with
@@ -382,6 +387,10 @@ class EventHeap
      *  first. */
     Key nextKey();
 
+    /** nextKey() without the stream: the earliest event in the
+     *  heap. */
+    Key heapKey();
+
     /** Fire the earliest pending event, if any: one heap event or
      *  one stream event. False if none. */
     bool step();
@@ -400,6 +409,21 @@ class EventHeap
 
     /** True while a stream is parked. */
     bool streamParked() const { return stream_.owner != nullptr; }
+
+    /** Wake the stream if its owner says it must. */
+    void
+    checkStream()
+    {
+        if (stream_.owner && stream_.owner->streamMustWake())
+            wakeStream();
+    }
+
+    /** Move the stream's pending event, if one is parked, into the
+     *  heap with its own key and the callback its owner supplies. */
+    void wakeStream();
+
+    /** EventQueue::advanceStream. */
+    std::uint64_t advanceStream(Tick limit);
 
     // ------------------------------------------- self-perf counters
     /** Stale-entry heap compactions performed. */
@@ -500,18 +524,6 @@ class EventHeap
         return Entry{stream_.when, stream_.rank, stream_.stamp, 0, 0};
     }
 
-    /** Wake the stream if its owner says it must. */
-    void
-    checkStream()
-    {
-        if (stream_.owner && stream_.owner->streamMustWake())
-            wakeStream();
-    }
-
-    /** Move the stream's pending event into the heap, with its own
-     *  key and the callback its owner supplies. */
-    void wakeStream();
-
     /** Fire, in closed form and at most @p most, the stream events
      *  that precede the heap front and are due at or before
      *  @p limit. @return how many fired. */
@@ -545,12 +557,13 @@ class EventQueue
     /**
      * Node @p node's queue (a standalone queue is node 0); stamps
      * carry the node id in their high bits. @p front, when given, is
-     * the engine's front-key hint for this node: every schedule lowers
-     * it to the new event's key when that is earlier, so the hint
-     * never lies past the true front however the event arrived (own
-     * schedule, same-shard post, mailbox drain, or host code between
-     * runs). Firing and cancelling leave it low; the engine re-reads
-     * the queue where it needs the exact key.
+     * the engine's front-key hint for this node's heap: every schedule
+     * (and a stream's wake) lowers it to the new event's key when that
+     * is earlier, so the hint never lies past the heap front however
+     * the event arrived (own schedule, same-shard post, mailbox drain,
+     * or host code between runs). Firing and cancelling leave it low;
+     * the engine re-reads heapKey() where it needs the exact key. A
+     * parked stream is not in it.
      */
     explicit EventQueue(std::uint32_t node = 0,
                         EventHeap::Key *front = nullptr);
@@ -697,7 +710,9 @@ class EventQueue
      * whether the stream must wake; waking moves the pending event,
      * with its own tick and stamp, into the heap with the owner's
      * callback. Nothing else can reach the node in between, as for
-     * fireInPlace, so the owner's check sees every change.
+     * fireInPlace, so the owner's check sees every change. The
+     * stream counts in nextKey() and pendingEvents(), not in
+     * heapKey() or the engine's front hint.
      *
      * @return false, changing nothing, outside runTo, when a stream
      *         is parked, or when @p period is 0.
@@ -714,11 +729,38 @@ class EventQueue
     /** True while a stream is parked on this queue. */
     bool streamParked() const { return heap_.streamParked(); }
 
+    /** Ask a parked stream's owner whether it must wake, and wake it
+     *  if so: what the entry to runTo does, for host code that ran
+     *  since the queue last ran. */
+    void checkStream() { heap_.checkStream(); }
+
+    /** Wake a parked stream, if any, whatever its owner says: its
+     *  pending event moves into the heap with its own tick and
+     *  stamp. */
+    void wakeStream() { heap_.wakeStream(); }
+
+    /**
+     * Fire, in closed form, a parked stream's events that are due at
+     * or before @p limit and precede the heap front, without asking
+     * its owner anything. The sharded engine calls it where a run
+     * ends, for nodes it skipped while only their stream was pending.
+     * @return Events fired.
+     */
+    std::uint64_t
+    advanceStream(Tick limit)
+    {
+        return heap_.advanceStream(limit);
+    }
+
     /** (tick, rank) of the earliest pending event, a parked stream's
      *  included ({maxTick, 0} when none). The rank carries the node,
      *  so the keys of several queues order their fronts by (tick,
      *  priority, node). */
     EventHeap::Key nextKey() { return heap_.nextKey(); }
+
+    /** (tick, rank) of the earliest event in the heap, a parked
+     *  stream's excluded: the key the engine's front hint tracks. */
+    EventHeap::Key heapKey() { return heap_.heapKey(); }
 
     /** Events of this node executed over the queue's lifetime. */
     std::uint64_t eventsExecuted() const { return executed_; }

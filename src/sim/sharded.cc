@@ -255,7 +255,7 @@ ShardedEngine::refreshFronts()
 {
     for (ShardState &st : shardStates_) {
         for (std::size_t i = 0; i < st.queues.size(); ++i)
-            st.front[i] = st.queues[i]->nextKey();
+            st.front[i] = st.queues[i]->heapKey();
     }
 }
 
@@ -277,8 +277,9 @@ ShardedEngine::earliestFront()
         if (!best.first)
             return best;
         // Hints never lie past the front, so the smallest one that
-        // holds is the global minimum.
-        const EventHeap::Key actual = best.first->nextKey();
+        // holds is the global minimum (runSetup has woken every
+        // stream, so the heaps hold every pending event).
+        const EventHeap::Key actual = best.first->heapKey();
         if (actual == best_key)
             return best;
         *best.second = actual;
@@ -292,7 +293,7 @@ ShardedEngine::stepCanonical(Tick limit)
     if (!q || front->first > limit)
         return false;
     q->step();
-    *front = q->nextKey();
+    *front = q->heapKey();
     return true;
 }
 
@@ -303,7 +304,10 @@ ShardedEngine::runNodeMajor(unsigned shard, Tick end)
     // Sub-windows are L_diag wide: a post between two nodes of this
     // shard lands at least L_diag past the poster's clock, so past
     // the sub-window it was posted in. A one-node shard has no
-    // diagonal pairs (maxTick) and runs its window in one piece.
+    // diagonal pairs (maxTick) and runs its window in one piece. The
+    // fronts are heap keys: a node whose only pending work is a
+    // parked stream is not run; its stream catches up when the node
+    // next runs for a heap event, or at the end of the run.
     const Tick span = pairLookahead(shard, shard) - 1;
     std::uint64_t fired = 0;
     for (;;) {
@@ -319,7 +323,7 @@ ShardedEngine::runNodeMajor(unsigned shard, Tick end)
                 continue;
             EventQueue &q = *st.queues[i];
             fired += q.runTo(sub_end);
-            st.front[i] = q.nextKey();
+            st.front[i] = q.heapKey();
         }
     }
 }
@@ -418,9 +422,15 @@ ShardedEngine::planWindow(unsigned shard, std::uint32_t round)
     Tick global_next = maxTick;
     for (unsigned d = 0; d < shards_; ++d)
         global_next = std::min(global_next, next[d]);
-    if ((any & errorBit) || (all & stopBit) || global_next == maxTick
-        || global_next > ctrl_.limit)
+    // A stopped run leaves windowEnd at the last window run.
+    if ((any & errorBit) || (all & stopBit))
         return false;
+    if (global_next == maxTick || global_next > ctrl_.limit) {
+        // No heap event is left at or before the limit anywhere, so
+        // nothing can reach a parked stream before it either.
+        st.windowEnd = ctrl_.limit;
+        return false;
+    }
     // Relax to the LBTS fixpoint: an apparently idle shard can still
     // be *woken* by a peer's message and reflect one back, so each
     // shard's earliest possible event is bounded through every path of
@@ -555,6 +565,15 @@ ShardedEngine::workerBody(unsigned worker, std::uint64_t t_enter)
             t = n;
         }
         if (!go) {
+            // The run ends for this shard at windowEnd: bring the
+            // parked streams there, as if the shard had run them in
+            // every sub-window. None of them can have posted.
+            try {
+                for (EventQueue *q : st.queues)
+                    q->advanceStream(st.windowEnd);
+            } catch (...) {
+                noteError();
+            }
             st.profEnd = t;
             return;
         }
@@ -600,6 +619,11 @@ ShardedEngine::runWindows(const NodePredicate *pred, Tick limit)
     // run stopped at its predicate); deliver them first so the first
     // plan sees every pending event.
     drainAll();
+    // Host code between runs may have changed what a parked stream
+    // reads. Its node may have no heap event in this run, so the
+    // check on entry to runTo would come late or never: ask here.
+    for (const auto &q : queues_)
+        q->checkStream();
     refreshFronts();
     ctrl_ = Control{limit, pred, prof};
     error_ = nullptr;
@@ -608,6 +632,9 @@ ShardedEngine::runWindows(const NodePredicate *pred, Tick limit)
     for (unsigned s = 0; s < shards_; ++s) {
         ShardState &st = shardStates_[s];
         st.localNext = st.nextTick();
+        // A run stopped at its first boundary advances no stream:
+        // every parked stream is due past tick 0 once a run is over.
+        st.windowEnd = 0;
         std::fill(st.postedMin.begin(), st.postedMin.end(), maxTick);
         st.parity = 0;
         st.rounds = 0;
@@ -656,6 +683,12 @@ Tick
 ShardedEngine::runSetup(const std::function<bool()> &pred, Tick limit)
 {
     drainAll();
+    // The canonical order picks events by heap front, so a stream
+    // left parked by an earlier run wakes into the heap: its pending
+    // load fires there with its own key, and the spin's later loads
+    // are ordinary events, since step() parks nothing.
+    for (const auto &q : queues_)
+        q->wakeStream();
     refreshFronts();
     for (;;) {
         if (barrierHook_) {

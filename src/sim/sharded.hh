@@ -21,9 +21,9 @@
  *    `pairLookahead(shard(s), shard(d))` ticks past s's clock.
  *
  *  - Per-round *promise lines*: at every round boundary each shard
- *    publishes, in its own cache line, its earliest pending tick, a
- *    per-destination minimum over the cross-posts it staged the round
- *    before, and a stop bit and an error bit. Each shard then reads
+ *    publishes, in its own cache line, its earliest pending heap tick,
+ *    a per-destination minimum over the cross-posts it staged the
+ *    round before, and a stop bit and an error bit. Each shard then reads
  *    its peers' lines of the same round and computes its own safe
  *    horizon as
  *
@@ -43,7 +43,7 @@
  *
  * Node-major execution: inside its window a shard runs sub-windows
  * [next, min(windowEnd, next + L_diag - 1)], where next is the
- * earliest pending tick over its nodes and L_diag the shard's own
+ * earliest pending heap tick over its nodes and L_diag the shard's own
  * diagonal of the lookahead matrix, and fires each node's events to
  * the sub-window end before it moves to the next node. That is legal
  * because nodes interact only through post(), which lands at least
@@ -64,9 +64,22 @@
  * was drained — which is what makes `--shards=1` and `--shards=N`
  * bit-identical in sim time.
  *
+ * A parked stream (EventQueue::parkStream, a spinning poll) is in
+ * neither a node's front nor its shard's promise: each of its events
+ * only schedules its own repeat and never posts, and the heap event
+ * that wakes one is in the front. A node whose only pending work is a
+ * stream is not run; its stream fires in closed form when the node
+ * next runs for a heap event, and where the run ends each shard
+ * advances its streams to its last window end (a stopped run) or to
+ * the limit. A run first asks every parked stream whether host code
+ * has woken it; runSetup wakes them all into their heaps.
+ *
  * A round boundary is where a shard's own nodes are quiescent, so the
  * per-node stop predicate and the per-node audit hook run there, for
- * each node on the worker that owns it.
+ * each node on the worker that owns it. They may see a parked stream
+ * behind the boundary: its outstanding events change only its node's
+ * clock and event counts and what its owner counts (a poll's loads,
+ * TLB hits and LRU order).
  */
 
 #ifndef SHRIMP_SIM_SHARDED_HH
@@ -440,10 +453,11 @@ class ShardedEngine : public NodeRouter
      */
     struct alignas(64) ShardState
     {
-        /** Earliest pending tick over this shard's nodes, set by the
-         *  execute phase and published at the next boundary. */
+        /** Earliest pending heap tick over this shard's nodes, set
+         *  by the execute phase and published at the next boundary. */
         Tick localNext = maxTick;
-        /** This round's inclusive execution horizon. */
+        /** This round's inclusive execution horizon; once the run is
+         *  over, the tick the shard's parked streams advance to. */
         Tick windowEnd = 0;
         /** The current round's parity: the mailbox buffer this
          *  shard's posts go to. */
@@ -459,9 +473,9 @@ class ShardedEngine : public NodeRouter
          *  node `first`. */
         std::vector<EventQueue *> queues;
         NodeId first = 0;
-        /** front[i]: queues[i]'s front-key hint (EventQueue), exact
-         *  after the node runs. Sized once, before the queues that
-         *  point into it are built. */
+        /** front[i]: queues[i]'s heap front-key hint (EventQueue),
+         *  exact after the node runs. Sized once, before the queues
+         *  that point into it are built. */
         std::vector<EventHeap::Key> front;
 
         /** The earliest tick over the front hints. */
@@ -518,7 +532,7 @@ class ShardedEngine : public NodeRouter
     /** Uniform runSetup windows: [start, start + lookahead() - 1]. */
     Tick windowEndFor(Tick start, Tick limit) const;
 
-    /** Re-read every node's front key into its hint (run entry). */
+    /** Re-read every node's heap key into its hint (run entry). */
     void refreshFronts();
 
     /**
@@ -559,8 +573,10 @@ class ShardedEngine : public NodeRouter
     /**
      * Read every shard's promise for round @p round into shard
      * @p shard's plan and set its windowEnd. @return False when the
-     * run is over: an error or stop bit, or nothing left to run.
-     * Every shard reads the same lines, so all of them agree.
+     * run is over: an error or stop bit (windowEnd stays at the last
+     * window run), or nothing left to run at or before the limit
+     * (windowEnd becomes the limit). Every shard reads the same
+     * lines, so all of them agree.
      */
     bool planWindow(unsigned shard, std::uint32_t round);
 

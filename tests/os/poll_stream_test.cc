@@ -64,6 +64,101 @@ TEST(PollStream, HostWriteBetweenRunsWakesThePoll)
     EXPECT_TRUE(k.allProcessesDone());
 }
 
+TEST(PollStream, HostWriteBetweenRunsWakesThePollOnTwoShards)
+{
+    // The same poll beside an idle node on a second shard. When the
+    // second run starts, the poller's node has nothing in its heap:
+    // only the engine's check on entry to the run can wake the parked
+    // load, and it returns in the run's first window.
+    auto cfg = fbConfig();
+    cfg.nodes = 2;
+    cfg.shards = 2;
+    System sys(cfg);
+    ASSERT_NE(sys.engine()->shardOf(0), sys.engine()->shardOf(1));
+    os::Kernel &k = sys.node(0).kernel();
+    Addr buf = 0;
+    std::uint64_t polls = 0;
+    Tick returnedAt = 0;
+    os::Process &proc = k.spawn(
+        "poller", [&](os::UserContext &ctx) -> sim::ProcTask {
+            buf = co_await ctx.sysAllocMemory(4096);
+            polls = co_await pollWord(ctx, buf, 0x600D);
+            returnedAt = ctx.kernel().eq().now();
+        });
+    sys.run(100 * tickUs);
+    ASSERT_EQ(polls, 0u);
+    ASSERT_TRUE(k.eq().streamParked());
+    const std::uint64_t v = 0x600D;
+    k.pokeBytes(proc, buf, &v, sizeof v);
+    // Node 0's hook runs at every boundary of the run, the first one
+    // before any window.
+    std::vector<std::uint64_t> pollsAtBoundary;
+    sys.engine()->setBarrierHook([&](NodeId n) {
+        if (n == 0)
+            pollsAtBoundary.push_back(polls);
+    });
+    sys.run(200 * tickUs);
+    sys.engine()->setBarrierHook({});
+    ASSERT_GE(pollsAtBoundary.size(), 2u);
+    EXPECT_EQ(pollsAtBoundary[0], 0u);
+    EXPECT_EQ(pollsAtBoundary[1], 541u);
+    EXPECT_EQ(polls, 541u);
+    EXPECT_EQ(returnedAt, 100082612u);
+    EXPECT_EQ(sys.simEvents(), 543u);
+    EXPECT_TRUE(k.allProcessesDone());
+}
+
+TEST(PollStream, RunSetupAfterARunThatLeftThePollParked)
+{
+    // A run ends with node 0's poll parked, and runSetup takes over.
+    // Node 1 computes until it raises a host flag at about 120 us,
+    // while node 0 spins until an event of its own writes the word at
+    // 150 us. runSetup stops right after node 1's flag: in canonical
+    // order node 0's loads due before it fire first, so runSetup must
+    // order the parked spin with every other event. Every figure was
+    // read from an engine whose node fronts held the parked stream.
+    auto cfg = fbConfig();
+    cfg.nodes = 2;
+    cfg.shards = 2;
+    System sys(cfg);
+    os::Kernel &k0 = sys.node(0).kernel();
+    std::uint64_t polls = 0;
+    Tick returnedAt = 0;
+    k0.spawn("poller", [&](os::UserContext &ctx) -> sim::ProcTask {
+        Addr buf = co_await ctx.sysAllocMemory(4096);
+        ctx.kernel().eq().scheduleIn(150 * tickUs, "flag", [&ctx, buf] {
+            const std::uint64_t v = 0xF1A6;
+            ctx.kernel().pokeBytes(ctx.process(), buf, &v, sizeof v);
+        });
+        polls = co_await pollWord(ctx, buf, 0xF1A6);
+        returnedAt = ctx.kernel().eq().now();
+    });
+    bool raised = false;
+    Tick raisedAt = 0;
+    sys.node(1).kernel().spawn(
+        "computer", [&](os::UserContext &ctx) -> sim::ProcTask {
+            while (ctx.kernel().eq().now() < 120 * tickUs)
+                co_await ctx.compute(50);
+            raised = true;
+            raisedAt = ctx.kernel().eq().now();
+        });
+    sys.run(100 * tickUs);
+    ASSERT_TRUE(k0.eq().streamParked());
+    ASSERT_FALSE(raised);
+    sys.runSetup([&raised] { return raised; });
+    EXPECT_EQ(raisedAt, 120061900u);
+    EXPECT_EQ(k0.eq().now(), 120032612u);
+    EXPECT_EQ(sys.simEvents(), 816u);
+    EXPECT_EQ(sys.node(0).mmu().tlb().hits(), 674u);
+    EXPECT_EQ(polls, 0u);
+    sys.runUntilAllDone();
+    EXPECT_EQ(polls, 949u);
+    EXPECT_EQ(returnedAt, 161282612u);
+    EXPECT_EQ(sys.simNow(), 161282612u);
+    EXPECT_EQ(sys.simEvents(), 1092u);
+    EXPECT_EQ(sys.node(0).mmu().tlb().hits(), 948u);
+}
+
 TEST(PollStream, QuantumExpiryMidSpinSwitchesAtTheScheduledTicks)
 {
     // A poller shares the CPU with a compute loop under a 20 us

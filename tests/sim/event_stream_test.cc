@@ -385,24 +385,60 @@ TEST(EventStream, WakesOnEntryToARun)
     EXPECT_EQ(steppedOwner.wokenAt, (std::vector<Tick>{20}));
 }
 
-TEST(EventStream, NextKeyPendingCountAndFrontHintIncludeIt)
+TEST(EventStream, NextKeyAndPendingCountIncludeItTheFrontHintDoesNot)
 {
+    // The engine's front hint follows the heap alone: a stream never
+    // posts, so parking one leaves the hint where it was. Waking it
+    // makes its event a heap event, and that lowers the hint.
     EventHeap::Key front{maxTick, 0};
     EventQueue eq(3, &front);
     Owner owner(eq);
     eq.schedule(90, "later", [] {});
     bool parked = false;
     eq.schedule(10, "park", [&] {
-        front = {maxTick, 0};
+        front = eq.heapKey();
         parked = eq.parkStream(20, 10, "stream", cpu, owner);
     });
     eq.run(15);
     ASSERT_TRUE(parked);
     const EventHeap::Key streamKey{20, EventHeap::rankOf(cpu, 3)};
+    const EventHeap::Key laterKey{
+        90, EventHeap::rankOf(EventPriority::Default, 3)};
     EXPECT_EQ(eq.nextKey(), streamKey);
-    EXPECT_EQ(front, streamKey);
+    EXPECT_EQ(eq.heapKey(), laterKey);
+    EXPECT_EQ(front, laterKey);
     EXPECT_EQ(eq.pendingEvents(), 2u);
     EXPECT_FALSE(eq.empty());
+
+    eq.wakeStream();
+    EXPECT_FALSE(eq.streamParked());
+    EXPECT_EQ(eq.heapKey(), streamKey);
+    EXPECT_EQ(front, streamKey);
+    EXPECT_EQ(eq.pendingEvents(), 2u);
+    EXPECT_EQ(owner.checks, 1u) << "waking asks the owner nothing";
+}
+
+TEST(EventStream, AdvanceFiresToTheLimitOrTheFrontAndAsksNothing)
+{
+    // What the sharded engine does where a run ends: the stream's
+    // events up to the limit fire in closed form, none past the heap
+    // front, and the owner is told, never asked.
+    EventQueue eq;
+    Owner owner(eq);
+    eq.schedule(75, "front", [] {});
+    ASSERT_TRUE(parkInside(eq, owner, 10, 20, 10, 15));
+    const std::uint64_t checks = owner.checks;
+    EXPECT_EQ(eq.advanceStream(45), 3u);
+    EXPECT_EQ(eq.now(), 40u);
+    EXPECT_EQ(eq.advanceStream(100), 3u);
+    EXPECT_EQ(eq.now(), 70u);
+    EXPECT_EQ(owner.fired, 6u);
+    EXPECT_EQ(eq.firedInPlace(), 6u);
+    EXPECT_EQ(owner.checks, checks);
+    EXPECT_EQ(eq.nextKey(), (EventHeap::Key{75, EventHeap::rankOf(
+                                                    EventPriority::Default,
+                                                    0)}));
+    EXPECT_TRUE(eq.streamParked());
 }
 
 TEST(EventStream, FireInPlaceDeclinesBehindIt)

@@ -15,11 +15,14 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "sim/flight_recorder.hh"
 #include "sim/random.hh"
 #include "sim/sharded.hh"
 
@@ -412,6 +415,207 @@ TEST(Sharded, NodeMajorPostOneLookaheadOutFiresInTheNextSubWindow)
     EXPECT_EQ(seen, want);
     EXPECT_EQ(eng.crossPosts(), 1u);
     EXPECT_EQ(eng.subWindows(), 2u);
+}
+
+namespace
+{
+
+/** A stream owner that counts what the queue asks it, and never
+ *  wakes. */
+class CountingOwner final : public StreamOwner
+{
+  public:
+    void streamFired(std::uint64_t n) override { fired += n; }
+
+    bool
+    streamMustWake() override
+    {
+        ++asks;
+        return false;
+    }
+
+    EventCallback streamWoken() override { return [] {}; }
+
+    std::uint64_t fired = 0;
+    std::uint64_t asks = 0;
+};
+
+/** The ring FlightRecorder::dumpAll prints for the live queue
+ *  labelled @p label, without the label. */
+std::string
+ringOf(const std::string &label)
+{
+    std::ostringstream os;
+    FlightRecorder::dumpAll(os);
+    std::istringstream in(os.str());
+    const std::string head = "  " + label + ": ";
+    std::string line;
+    std::string ring;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (inside) {
+            if (line.rfind("    ", 0) != 0)
+                break;
+            ring += line + "\n";
+        } else if (line.rfind(head, 0) == 0) {
+            inside = true;
+            ring += line.substr(head.size()) + "\n";
+        }
+    }
+    return ring;
+}
+
+/** What a run leaves on one queue. */
+struct QueueLeft
+{
+    Tick now = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t inPlace = 0;
+    std::uint64_t nextStamp = 0;
+    std::string ring;
+};
+
+/** Read @p q (flight label @p label); takes its next stamp. */
+QueueLeft
+leftOn(EventQueue &q, const std::string &label)
+{
+    QueueLeft left;
+    left.now = q.now();
+    left.executed = q.eventsExecuted();
+    left.inPlace = q.firedInPlace();
+    left.ring = ringOf(label);
+    left.nextStamp = q.allocStamp();
+    return left;
+}
+
+/** At tick 5, an event on @p q that parks a stream of @p owner due at
+ *  10 every 7 ticks (when @p park), or does nothing. */
+void
+scheduleParker(EventQueue &q, CountingOwner &owner, bool park)
+{
+    q.schedule(5, "test.park", [&q, &owner, park] {
+        if (park) {
+            ASSERT_TRUE(q.parkStream(10, 7, "test.stream",
+                                     EventPriority::CpuResume, owner));
+        }
+    });
+}
+
+/** What node 0 holds once its stream has fired every event due by
+ *  @p end, as it would had the engine run it in every sub-window: the
+ *  same script on a standalone node-0 queue, run to @p end. */
+QueueLeft
+streamedTo(Tick end)
+{
+    CountingOwner owner;
+    EventQueue q(0);
+    q.setFlightLabel("reference");
+    scheduleParker(q, owner, true);
+    q.runTo(end);
+    return leftOn(q, "reference");
+}
+
+void
+expectSameLeft(const QueueLeft &got, const QueueLeft &want)
+{
+    EXPECT_EQ(got.now, want.now);
+    EXPECT_EQ(got.executed, want.executed);
+    EXPECT_EQ(got.inPlace, want.inPlace);
+    EXPECT_EQ(got.nextStamp, want.nextStamp);
+    EXPECT_EQ(got.ring, want.ring);
+}
+
+/** One run of a stream test: its rounds, the stream owner's asks and
+ *  what node 0 holds at the end. */
+struct StreamRun
+{
+    std::uint64_t windows = 0;
+    std::uint64_t subWindows = 0;
+    std::uint64_t asks = 0;
+    QueueLeft node0;
+    /** Node 1's clock at the end. */
+    Tick node1 = 0;
+};
+
+} // namespace
+
+TEST(Sharded, AParkedStreamHoldsNeitherItsNodeNorItsShardsPromise)
+{
+    // Node 0, alone on shard 0, parks a stream at tick 5 and has
+    // nothing else pending; node 1, on shard 1, has an event every
+    // 30 ticks. A stream never posts, so shard 0 promises nothing
+    // while only the stream is pending: the run plans the rounds and
+    // sub-windows it plans without the stream, node 0 is never run
+    // again, and the owner is asked once, after the event that
+    // parked the stream. The run reaches its limit, and node 0 then
+    // holds what it would had it run in every sub-window.
+    static constexpr Tick limit = 2000;
+    auto run = [](bool park) {
+        FlightRecorder::clearAll();
+        CountingOwner owner;
+        ShardedEngine eng(2, 2, 100);
+        EXPECT_NE(eng.shardOf(0), eng.shardOf(1));
+        scheduleParker(eng.queue(0), owner, park);
+        for (Tick t = 30; t <= 3000; t += 30)
+            eng.queue(1).schedule(t, "test.tick", [] {});
+        EXPECT_LE(eng.run(limit), limit);
+        return StreamRun{eng.windows(), eng.subWindows(), owner.asks,
+                         leftOn(eng.queue(0), "node0"),
+                         eng.queue(1).now()};
+    };
+    const StreamRun with = run(true);
+    const StreamRun without = run(false);
+    EXPECT_EQ(with.asks, 1u);
+    EXPECT_EQ(with.windows, without.windows);
+    EXPECT_EQ(with.subWindows, without.subWindows);
+    EXPECT_EQ(with.node1, 1980u);
+    const QueueLeft want = streamedTo(limit);
+    EXPECT_EQ(want.now, 1998u);
+    EXPECT_EQ(want.inPlace, 285u);
+    expectSameLeft(with.node0, want);
+}
+
+TEST(Sharded, AParkedStreamCatchesUpWhereAStoppedRunEnds)
+{
+    // Shard 0 holds node 0, which parks a stream at tick 5 and has
+    // nothing else pending, and node 1, which has an event at every
+    // tick, so every window of shard 0 ends on one of node 1's
+    // events. Node 2, on shard 1, raises a flag at tick 1,000 and the
+    // run stops at the next boundary. Node 0 then holds what it would
+    // had it run to shard 0's last window end, node 1's clock, and
+    // not to the limit; its owner was asked once.
+    static constexpr Tick limit = 100000;
+    auto run = [](bool park) {
+        FlightRecorder::clearAll();
+        CountingOwner owner;
+        ShardedEngine eng(3, 2, 100);
+        EXPECT_EQ(eng.shardOf(1), eng.shardOf(0));
+        EXPECT_NE(eng.shardOf(2), eng.shardOf(0));
+        scheduleParker(eng.queue(0), owner, park);
+        for (Tick t = 1; t <= 5000; ++t)
+            eng.queue(1).schedule(t, "test.tick", [] {});
+        bool flag = false;
+        for (Tick t = 50; t <= 5000; t += 50) {
+            eng.queue(2).schedule(t, "test.tock", [&eng, &flag] {
+                flag = flag || eng.queue(2).now() >= 1000;
+            });
+        }
+        eng.runUntil([&flag](NodeId n) { return n != 2 || flag; },
+                     limit);
+        EXPECT_TRUE(flag);
+        return StreamRun{eng.windows(), eng.subWindows(), owner.asks,
+                         leftOn(eng.queue(0), "node0"),
+                         eng.queue(1).now()};
+    };
+    const StreamRun with = run(true);
+    const StreamRun without = run(false);
+    EXPECT_EQ(with.asks, 1u);
+    EXPECT_EQ(with.windows, without.windows);
+    EXPECT_EQ(with.subWindows, without.subWindows);
+    EXPECT_EQ(with.node1, without.node1);
+    EXPECT_GT(with.node1, 1000u);
+    EXPECT_LT(with.node1, 1300u) << "stopped long before the limit";
+    expectSameLeft(with.node0, streamedTo(with.node1));
 }
 
 namespace

@@ -353,6 +353,13 @@ step_multinode() {
     # two runs are not bit-identical, if the simulated-time metrics
     # drift from the committed baseline, or (on hosts with >= 4
     # hardware threads) if the parallel speedup falls below 1.5x - 20%.
+    # Each timed 4-shard leg first runs its shape once, ungated: the
+    # timing protocol's warm-up (ROADMAP item 4). The first parallel
+    # run after the host has idled can stall for about a second, and
+    # a single-run verdict should not land on it.
+    "${perf_dir}/bench/multinode_traffic" \
+        --nodes=64 --records=64 --record-bytes=4080 --shards=4 \
+        > /dev/null
     "${perf_dir}/bench/multinode_traffic" \
         --nodes=64 --records=64 --record-bytes=4080 --shards=4 \
         --stats-json="${perf_dir}/BENCH_multinode.json" \
@@ -382,6 +389,9 @@ step_multinode() {
     if [ "${SHRIMP_SKIP_MESH:-0}" = "1" ]; then
         echo "SHRIMP_SKIP_MESH=1; skipping mesh leg"
     else
+        "${perf_dir}/bench/multinode_traffic" \
+            --nodes=16 --topo=mesh:4x4 --records=64 \
+            --record-bytes=2048 --shards=4 > /dev/null
         "${perf_dir}/bench/multinode_traffic" \
             --nodes=16 --topo=mesh:4x4 --records=64 \
             --record-bytes=2048 --shards=4 \
@@ -533,10 +543,14 @@ step_windoweff() {
     fi
     ensure_release_target multinode_traffic
     out="${perf_dir}/BENCH_windoweff.json"
-    "${perf_dir}/bench/multinode_traffic" \
-        --nodes=16 --shards=4 --records=16 \
-        --profile="${perf_dir}/windoweff_trace.json" \
-        --stats-json="${out}" > /dev/null
+    # Run the shape twice and gate the second run: the first is the
+    # timing protocol's warm-up, as in the multinode legs.
+    for _ in 1 2; do
+        "${perf_dir}/bench/multinode_traffic" \
+            --nodes=16 --shards=4 --records=16 \
+            --profile="${perf_dir}/windoweff_trace.json" \
+            --stats-json="${out}" > /dev/null
+    done
 
     # The profiler block embedded in the stats JSON: totals_ns holds
     # the summed per-worker barrier_plan / barrier_sync nanoseconds;
